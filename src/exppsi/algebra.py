@@ -15,6 +15,10 @@ coefficients actually behave:
 Values are immutable and operations are pure. The zero polynomial is the
 empty tuple / empty map and reports degree ``None`` rather than a sentinel
 integer.
+
+Every printed form of a value, as text here and as LaTeX, CSV or JSON in
+the command line, is built from one term iterator, ``_terms``, which names
+the variable of each power.
 """
 
 from __future__ import annotations
@@ -23,22 +27,15 @@ import json
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Iterator, Mapping, Union
 
 __all__ = [
-    "Rational",
     "Poly",
     "BiPoly",
     "Expansion",
-    "poly_mul",
-    "poly_eval_t",
-    "degree_in",
     "parse_rational",
-    "format_rational",
     "json_canonical",
 ]
-
-Rational = Fraction
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
@@ -50,37 +47,59 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(text.strip())
 
 
-def format_rational(q: Fraction) -> str:
-    return str(q)
-
-
 def json_canonical(obj) -> str:
     """Canonical JSON text: sorted keys, no whitespace. Byte-deterministic."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def _coeff_text(c: Fraction, mono: str) -> tuple[bool, str]:
-    """Return (negative, body) for one rendered term."""
-    a = abs(c)
-    if not mono:
-        body = str(a)
-    elif a == 1:
-        body = mono
-    else:
-        body = f"{a}*{mono}"
-    return c < 0, body
-
-
-def _join_terms(parts: list[tuple[bool, str]]) -> str:
-    if not parts:
-        return "0"
+def _join_terms(terms: Iterable[tuple[Fraction, str]], number=str, sep: str = "*") -> str:
+    """A signed sum such as '-1/2*t^2 + t - 3' from (coefficient, monomial)
+    pairs. ``number`` renders a coefficient's magnitude and ``sep`` joins it
+    to a nonempty monomial. The empty sum is '0'."""
     out: list[str] = []
-    for i, (neg, body) in enumerate(parts):
-        if i == 0:
-            out.append(f"-{body}" if neg else body)
+    for c, mono in terms:
+        mag = abs(c)
+        if not mono:
+            piece = number(mag)
+        elif mag == 1:
+            piece = mono
         else:
-            out.append(f"- {body}" if neg else f"+ {body}")
-    return " ".join(out)
+            piece = f"{number(mag)}{sep}{mono}"
+        if out:
+            out.append(f"- {piece}" if c < 0 else f"+ {piece}")
+        else:
+            out.append(f"-{piece}" if c < 0 else piece)
+    return " ".join(out) if out else "0"
+
+
+def _terms(value, var: str = "t") -> Iterator[tuple[Fraction, tuple[tuple[str, int], ...]]]:
+    """The terms of a rational, a Poly in ``var`` or a BiPoly in (p, t), in
+    print order, as (coefficient, ((variable, power), ...)) with zero powers
+    left out. A Poly goes by falling powers, a BiPoly by sorted (p, t)
+    exponents; zero terms are skipped, but a rational is always one term."""
+    if isinstance(value, BiPoly):
+        for i, j, c in value.sorted_terms():
+            yield c, tuple((name, e) for name, e in (("p", i), ("t", j)) if e)
+    elif isinstance(value, Poly):
+        for k in range(len(value.coeffs) - 1, -1, -1):
+            if value.coeffs[k]:
+                yield value.coeffs[k], ((var, k),) if k else ()
+    else:
+        yield Fraction(value), ()
+
+
+def _render(value, var: str = "t", number=str, sep: str = "*", power: str = "{}^{}") -> str:
+    """A rational, a Poly in ``var`` or a BiPoly as a signed sum of terms.
+    ``number`` renders a coefficient's magnitude, ``power`` a variable
+    raised above the first power, and ``sep`` joins the factors of a term."""
+    return _join_terms(
+        (
+            (c, sep.join(name if e == 1 else power.format(name, e) for name, e in powers))
+            for c, powers in _terms(value, var)
+        ),
+        number,
+        sep,
+    )
 
 
 @dataclass(frozen=True)
@@ -184,16 +203,7 @@ class Poly:
         return Poly(tuple(k * c for k, c in enumerate(self.coeffs) if k >= 1))
 
     def to_text(self, var: str = "t") -> str:
-        if self.is_zero:
-            return "0"
-        parts = []
-        for k in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[k]
-            if c == 0:
-                continue
-            mono = "" if k == 0 else (var if k == 1 else f"{var}^{k}")
-            parts.append(_coeff_text(c, mono))
-        return _join_terms(parts)
+        return _render(self, var)
 
 
 class BiPoly:
@@ -390,17 +400,7 @@ class BiPoly:
         return cls(terms)
 
     def to_text(self) -> str:
-        if self.is_zero:
-            return "0"
-        parts = []
-        for i, j, c in self.sorted_terms():
-            mono_bits = []
-            if i:
-                mono_bits.append("p" if i == 1 else f"p^{i}")
-            if j:
-                mono_bits.append("t" if j == 1 else f"t^{j}")
-            parts.append(_coeff_text(c, "*".join(mono_bits)))
-        return _join_terms(parts)
+        return _render(self)
 
 
 Coefficient = Union[Fraction, Poly, BiPoly]
@@ -421,17 +421,3 @@ class Expansion:
     def order(self) -> int:
         return len(self.coeffs) - 1
 
-
-def poly_mul(a: BiPoly, b: BiPoly) -> BiPoly:
-    """Exact product of two bivariate polynomials."""
-    return a * b
-
-
-def poly_eval_t(a: BiPoly, t0) -> BiPoly:
-    """Exact substitution t := t0, leaving a polynomial in p only."""
-    return a.eval_t(t0)
-
-
-def degree_in(a: BiPoly, var: str) -> int | None:
-    """Degree in 'p' or 't'; None for the zero polynomial."""
-    return a.degree_in(var)

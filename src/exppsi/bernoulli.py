@@ -3,7 +3,8 @@
 Convention: B_1 = -1/2, and B_k means B_k(0) throughout. Numbers come from
 the defining recurrence sum_{j=0}^{k} C(k+1, j) B_j = 0 (k >= 1); the
 polynomials from B_k(t) = sum_j C(k, j) B_j t^(k-j). Both caches only ever
-grow; a lock keeps concurrent fills single-writer.
+grow, the polynomials only as far as a polynomial is asked for; a lock
+keeps concurrent fills single-writer.
 """
 
 from __future__ import annotations
@@ -25,29 +26,31 @@ _polys: list[Poly] = [Poly.one()]
 _lock = threading.Lock()
 
 
-def _ensure(k: int) -> None:
+def _grow_numbers(k: int) -> None:
+    """Extend the numbers through B_k; the caller holds the lock."""
     if k < 0:
         raise ValueError(f"Bernoulli index must be >= 0, got {k}")
-    with _lock:
-        while len(_numbers) <= k:
-            m = len(_numbers)
-            s = sum((comb(m + 1, j) * _numbers[j] for j in range(m)), Fraction(0))
-            _numbers.append(-s / (m + 1))
-        while len(_polys) <= k:
-            m = len(_polys)
-            # ascending: coefficient of t^i is C(m, m-i) * B_{m-i}
-            _polys.append(Poly(tuple(comb(m, m - i) * _numbers[m - i] for i in range(m + 1))))
+    while len(_numbers) <= k:
+        m = len(_numbers)
+        s = sum((comb(m + 1, j) * _numbers[j] for j in range(m)), Fraction(0))
+        _numbers.append(-s / (m + 1))
 
 
 def bernoulli_number(k: int) -> Fraction:
     """B_k with B_1 = -1/2."""
-    _ensure(k)
+    with _lock:
+        _grow_numbers(k)
     return _numbers[k]
 
 
 def bernoulli_poly(k: int) -> Poly:
     """B_k(t) as an exact univariate polynomial."""
-    _ensure(k)
+    with _lock:
+        _grow_numbers(k)
+        while len(_polys) <= k:
+            m = len(_polys)
+            # ascending: coefficient of t^i is C(m, m-i) * B_{m-i}
+            _polys.append(Poly(tuple(comb(m, m - i) * _numbers[m - i] for i in range(m + 1))))
     return _polys[k]
 
 

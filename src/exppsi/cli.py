@@ -28,12 +28,13 @@ import sys
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .algebra import BiPoly, Poly, json_canonical, parse_rational
+from .algebra import BiPoly, _render, _terms, json_canonical, parse_rational
 from .expansions import (
     COMPOSITION_ORDER_CAP,
+    g_series_at_p,
+    g_series_at_t,
     g_via_bernoulli,
     s_coeffs,
-    specialize,
 )
 from .identities import (
     CheckReport,
@@ -85,7 +86,7 @@ def _nonnegative_int(text: str) -> int:
 
 
 # ---------------------------------------------------------------------------
-# LaTeX rendering
+# coeffs subcommand
 
 
 def _latex_coeff(value: Fraction) -> str:
@@ -95,68 +96,13 @@ def _latex_coeff(value: Fraction) -> str:
     return f"{sign}\\frac{{{abs(value.numerator)}}}{{{value.denominator}}}"
 
 
-def _latex_terms(terms: list[tuple[Fraction, str]]) -> str:
-    if not terms:
-        return "0"
-    parts: list[str] = []
-    for coeff, body in terms:
-        mag = _latex_coeff(abs(coeff))
-        if body:
-            piece = body if abs(coeff) == 1 else f"{mag} {body}"
-        else:
-            piece = mag
-        if not parts:
-            parts.append(f"-{piece}" if coeff < 0 else piece)
-        else:
-            parts.append(f"- {piece}" if coeff < 0 else f"+ {piece}")
-    return " ".join(parts)
-
-
-def _latex_power(var: str, k: int) -> str:
-    if k == 0:
-        return ""
-    if k == 1:
-        return var
-    return f"{var}^{{{k}}}"
-
-
-def _latex_poly(poly: Poly, var: str) -> str:
-    terms = []
-    deg = poly.degree
-    if deg is None:
-        return "0"
-    for k in range(deg, -1, -1):
-        if poly[k] != 0:
-            terms.append((poly[k], _latex_power(var, k)))
-    return _latex_terms(terms)
-
-
-def _latex_bipoly(value: BiPoly) -> str:
-    terms = []
-    for i, j, coeff in value.sorted_terms():
-        body = " ".join(x for x in (_latex_power("p", i), _latex_power("t", j)) if x)
-        terms.append((coeff, body))
-    return _latex_terms(terms)
-
-
-def _latex_value(value) -> str:
-    if isinstance(value, Fraction):
-        return _latex_coeff(value)
-    if isinstance(value, Poly):
-        return _latex_poly(value, "t")
-    return _latex_bipoly(value)
-
-
-# ---------------------------------------------------------------------------
-# coeffs subcommand
-
-
-def _coeff_json(value) -> dict:
-    if isinstance(value, Fraction):
-        return {"value": str(value)}
-    if isinstance(value, Poly):
-        value = BiPoly.from_poly_in_t(value)
-    return {"poly": value.to_json_dict()}
+def _as_bipoly(value, var: str) -> BiPoly:
+    """A printed coefficient with each power under its variable's name."""
+    terms = {}
+    for c, powers in _terms(value, var):
+        e = dict(powers)
+        terms[(e.get("p", 0), e.get("t", 0))] = c
+    return BiPoly(terms)
 
 
 def _cmd_coeffs(args: argparse.Namespace, out) -> int:
@@ -164,45 +110,30 @@ def _cmd_coeffs(args: argparse.Namespace, out) -> int:
     if args.kind == "s":
         if args.p is not None:
             raise SystemExit2("--p applies only to the exponential family g")
-        polys = s_coeffs(n_max)
-        if args.t is not None:
-            values = [polys[n].eval(args.t) for n in range(n_max + 1)]
-        else:
-            values = list(polys[: n_max + 1])
+        values = s_coeffs(n_max).coeffs
         label = "S"
     else:
-        g = g_via_bernoulli(n_max)
-        if args.p is not None and args.t is not None:
-            values = list(specialize(g, args.p, args.t).coeffs)
+        if args.p is not None:
+            values = g_series_at_p(args.p, n_max)
+        elif args.t is not None:
+            values = g_series_at_t(args.t, n_max)
         else:
-            values = []
-            for n in range(n_max + 1):
-                v = g[n]
-                if args.p is not None:
-                    v = v.eval_p(args.p)
-                    v = v.as_poly_in_t()
-                elif args.t is not None:
-                    v = v.eval_t(args.t)
-                    v = v.as_poly_in_p()
-                values.append(v)
+            values = g_via_bernoulli(n_max).coeffs
         label = "G"
+    if args.t is not None and (args.kind == "s" or args.p is not None):
+        values = [v.eval(args.t) for v in values]
 
     var = "p" if (args.kind == "g" and args.t is not None and args.p is None) else "t"
 
     if args.format == "text":
         for n, v in enumerate(values):
-            if isinstance(v, Fraction):
-                body = str(v)
-            elif isinstance(v, Poly):
-                body = v.to_text(var)
-            else:
-                body = v.to_text()
-            print(f"{label}_{n} = {body}", file=out)
+            print(f"{label}_{n} = {_render(v, var)}", file=out)
     elif args.format == "latex":
         print("\\begin{align*}", file=out)
         for n, v in enumerate(values):
             tail = ",\\\\" if n < len(values) - 1 else ""
-            print(f"{label}_{{{n}}} &= {_latex_value(v)}{tail}", file=out)
+            body = _render(v, var, number=_latex_coeff, sep=" ", power="{}^{{{}}}")
+            print(f"{label}_{{{n}}} &= {body}{tail}", file=out)
         print("\\end{align*}", file=out)
     elif args.format == "csv":
         writer = csv.writer(out, lineterminator="\n")
@@ -213,13 +144,7 @@ def _cmd_coeffs(args: argparse.Namespace, out) -> int:
         else:
             writer.writerow(["n", "p_pow", "t_pow", "num", "den"])
             for n, v in enumerate(values):
-                if isinstance(v, Poly):
-                    v = (
-                        BiPoly.from_poly_in_p(v)
-                        if var == "p"
-                        else BiPoly.from_poly_in_t(v)
-                    )
-                for i, j, coeff in v.sorted_terms():
+                for i, j, coeff in _as_bipoly(v, var).sorted_terms():
                     writer.writerow([n, i, j, coeff.numerator, coeff.denominator])
     else:
         doc = {
@@ -227,7 +152,12 @@ def _cmd_coeffs(args: argparse.Namespace, out) -> int:
             "order_max": n_max,
             "p": None if args.p is None else str(args.p),
             "t": None if args.t is None else str(args.t),
-            "coeffs": [dict(n=n, **_coeff_json(v)) for n, v in enumerate(values)],
+            "coeffs": [
+                {"n": n, "value": str(v)}
+                if isinstance(v, Fraction)
+                else {"n": n, "poly": _as_bipoly(v, var).to_json_dict()}
+                for n, v in enumerate(values)
+            ],
         }
         print(json_canonical(doc), file=out)
     return 0

@@ -4,38 +4,50 @@ The digamma function admits an asymptotic expansion in log form,
 
     psi(x+t) ~ log( sum_{n>=0} S_n(t) x^(1-n) ),
 
-where the S_n are rational polynomials produced by the recurrence
+and exponentiating with a power p gives
 
-    S_0 = 1,   n S_n(t) = sum_{k=1}^{n} (-1)^(k+1) B_k(t) S_{n-k}(t),
+    exp(p*psi(x+t)) ~ x^p sum_{n>=0} G_n(p,t) x^(-n).
 
-with B_k the Bernoulli polynomials. Exponentiating with a power p gives
+Both families come from one log-series recurrence,
 
-    exp(p*psi(x+t)) ~ x^p sum_{n>=0} G_n(p,t) x^(-n),
+    a_0 = 1,   n a_n = c sum_{k=1}^{n} (-1)^(k+1) beta_k a_{n-k},
 
-and this module computes the bivariate coefficients G_n(p,t) exactly by
-three independent constructions that must agree term for term:
+with beta_k = B_k(t) the Bernoulli polynomials: c = 1 gives S_n and c = p
+gives G_n. ``_log_series`` holds it once, over whatever ring the a_n, beta_k
+and c belong to, and four functions are instances of it:
 
-* ``g_via_bernoulli`` (canonical): the direct recurrence
-  n G_n = p sum_{k=1}^{n} (-1)^(k+1) B_k(t) G_{n-k}.
-* ``g_via_power_transform``: raise the S series to the power p using the
-  classical recurrence for g(x)^p given the series of g, with p symbolic.
+* ``g_via_bernoulli`` (canonical): G_n(p,t) as bivariate polynomials, c = p.
+* ``g_series_at_p``: G_n(p0,t) as polynomials in t, c = p0.
+* ``g_series_at_t``: G_n(p,t0) as polynomials in p, beta_k = B_k(t0), c = p.
+* ``s_coeffs``: the p0 = 1 instance, since S_n(t) = G_n(1,t).
+
+Two more constructions of G_n must agree with the canonical one term for
+term:
+
+* ``g_via_power_transform``: raise the S series to a symbolic power p by
+  the classical recurrence for g(x)^p. ``power_transform`` is the same
+  transform at a rational or a symbolic p.
 * ``g_via_compositions``: the closed form
   (-1)^n G_n = sum_{r=1}^{n} ((-p)^r / r!) *
                sum_{k_1+...+k_r = n, k_i>=1} B_{k_1}(t)...B_{k_r}(t)/(k_1...k_r),
-  summed over all 2^(n-1) ordered compositions of n. Exponential cost, so
-  the order is capped.
+  summed over all 2^(n-1) ordered compositions of n. It is the construction
+  that shares no code with the recurrence. Exponential cost, so the order is
+  capped.
 
-Specialized fast paths (rational p or rational t) keep the theorem checks
-cheap; they run the canonical recurrence in a single variable.
+Caches: S_n and the bivariate G_n are kept as prefixes that only grow, under
+a lock, so order N+1 extends order N instead of rebuilding it. The
+composition route keeps a memo per order. The single-variable series and
+the power route are recomputed on every call.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from .algebra import BiPoly, Expansion, Poly
 from .bernoulli import bernoulli_poly
@@ -64,6 +76,11 @@ COMPOSITION_ORDER_CAP = 16
 ROUTE_POWER = "power-transform"
 ROUTE_BERNOULLI = "bernoulli-recurrence"
 ROUTE_COMPOSITIONS = "explicit-compositions"
+
+# S_0..S_N and the bivariate G_0..G_N computed so far; they only grow.
+_lock = threading.Lock()
+_s: list[Poly] = [Poly.one()]
+_g: list[BiPoly] = [BiPoly.one()]
 
 
 class CompositionLimitError(ValueError):
@@ -112,31 +129,36 @@ class GSeries:
         }
 
 
-@lru_cache(maxsize=None)
-def _s_polys(n_max: int) -> tuple[Poly, ...]:
-    out: list[Poly] = [Poly.one()]
-    for n in range(1, n_max + 1):
-        acc = Poly.zero()
-        for k in range(1, n + 1):
-            term = bernoulli_poly(k) * out[n - k]
-            acc = acc + term if k % 2 == 1 else acc - term
-        out.append(acc * Fraction(1, n))
-    return tuple(out)
+def _log_series(a: list, beta: Sequence, c) -> list:
+    """Extend a = [a_0, ..., a_m] in place to a_0..a_N, N = len(beta) - 1, by
+
+        n a_n = c sum_{k=1}^{n} (-1)^(k+1) beta[k] a_{n-k},
+
+    and return it. beta[0] is never read; the a_n, beta_k and c may be any
+    ring elements whose products land in the ring of the a_n.
+    """
+    for n in range(len(a), len(beta)):
+        acc = beta[1] * a[n - 1]
+        for k in range(2, n + 1):
+            term = beta[k] * a[n - k]
+            acc = acc - term if k % 2 == 0 else acc + term
+        a.append(c * acc * Fraction(1, n))
+    return a
+
+
+def _grown(prefix: list, n_max: int, beta: Callable[[int], object], c) -> tuple:
+    """The first n_max+1 terms of a cached series, extending it if short."""
+    if n_max < 0:
+        raise ValueError("series order must be >= 0")
+    with _lock:
+        if len(prefix) <= n_max:
+            _log_series(prefix, [beta(k) for k in range(n_max + 1)], c)
+        return tuple(prefix[: n_max + 1])
 
 
 def s_coeffs(n_max: int) -> SSeries:
-    """S_0..S_{n_max} by the log-series recurrence."""
-    if n_max < 0:
-        raise ValueError("series order must be >= 0")
-    return SSeries(_s_polys(n_max))
-
-
-def _is_one(c) -> bool:
-    if isinstance(c, BiPoly):
-        return c == BiPoly.one()
-    if isinstance(c, Poly):
-        return c == Poly.one()
-    return Fraction(c) == 1
+    """S_0..S_{n_max}: the p0 = 1 instance of the recurrence, S_n(t) = G_n(1, t)."""
+    return SSeries(_grown(_s, n_max, bernoulli_poly, Fraction(1)))
 
 
 def _to_bipoly(c) -> BiPoly:
@@ -147,29 +169,16 @@ def _to_bipoly(c) -> BiPoly:
     return BiPoly.constant(Fraction(c))
 
 
-def _power_coeffs_symbolic(a: Sequence, n_max: int) -> list[BiPoly]:
-    """b_n for (sum a_k x^-k)^p with p left symbolic; a_0 must be 1."""
-    coeffs = [_to_bipoly(c) for c in a[: n_max + 1]]
-    b: list[BiPoly] = [BiPoly.one()]
-    p = BiPoly.var_p()
-    for n in range(1, n_max + 1):
-        acc = BiPoly.zero()
-        for k in range(1, n + 1):
-            # k(1+p) - n, a degree-1 polynomial in p
-            mult = BiPoly({(0, 0): Fraction(k - n), (1, 0): Fraction(k)})
-            acc = acc + mult * coeffs[k] * b[n - k]
-        b.append(acc * Fraction(1, n))
-    return b
-
-
-def _power_coeffs_numeric(a: Sequence, p: Fraction, n_max: int) -> list:
-    coeffs = list(a[: n_max + 1])
-    b = [type(coeffs[0]).one() if isinstance(coeffs[0], (Poly, BiPoly)) else Fraction(1)]
-    for n in range(1, n_max + 1):
+def _power(a: Sequence, p) -> list:
+    """b_0..b_N of (sum_k a_k x^-k)^p for a_0 = 1, by the classical recurrence
+    n b_n = sum_{k=1}^{n} (k(1+p) - n) a_k b_{n-k}. ``p`` is a Fraction or
+    ``BiPoly.var_p()``; the multipliers k(1+p) - n live in the ring of p."""
+    one = BiPoly.one() if isinstance(p, BiPoly) else Fraction(1)
+    b = [a[0]]
+    for n in range(1, len(a)):
         acc = None
         for k in range(1, n + 1):
-            mult = Fraction(k) * (1 + p) - n
-            term = coeffs[k] * b[n - k] * mult
+            term = ((one + p) * k - one * n) * a[k] * b[n - k]
             acc = term if acc is None else acc + term
         b.append(acc * Fraction(1, n))
     return b
@@ -182,45 +191,28 @@ def power_transform(a: Expansion, p: Optional[Fraction] = None) -> Expansion:
     ``p=None`` keeps the exponent symbolic; the coefficients then live in
     the bivariate ring and the base exponent becomes p * base.
     """
-    if not a.coeffs or not _is_one(a.coeffs[0]):
+    if not a.coeffs or _to_bipoly(a.coeffs[0]) != BiPoly.one():
         raise ValueError("power transform requires leading coefficient exactly 1")
-    n_max = a.order
     if p is None:
-        b = _power_coeffs_symbolic(a.coeffs, n_max)
-        base = BiPoly.var_p() * Fraction(a.base_exponent)
-        return Expansion(base_exponent=base, coeffs=tuple(b))
-    p = Fraction(p)
-    b = _power_coeffs_numeric(a.coeffs, p, n_max)
-    return Expansion(base_exponent=Fraction(a.base_exponent) * p, coeffs=tuple(b))
-
-
-@lru_cache(maxsize=None)
-def _g_power(n_max: int) -> tuple[BiPoly, ...]:
-    s = _s_polys(n_max)
-    return tuple(_power_coeffs_symbolic(s, n_max))
+        p, coeffs = BiPoly.var_p(), [_to_bipoly(c) for c in a.coeffs]
+    else:
+        p, coeffs = Fraction(p), a.coeffs
+    base = p * Fraction(a.base_exponent)
+    return Expansion(base_exponent=base, coeffs=tuple(_power(coeffs, p)))
 
 
 def g_via_power_transform(n_max: int) -> GSeries:
     """G_n by raising the S series to a symbolic power p."""
-    return GSeries(_g_power(n_max), route=ROUTE_POWER)
-
-
-@lru_cache(maxsize=None)
-def _g_bernoulli(n_max: int) -> tuple[BiPoly, ...]:
-    g: list[BiPoly] = [BiPoly.one()]
-    p = BiPoly.var_p()
-    for n in range(1, n_max + 1):
-        acc = BiPoly.zero()
-        for k in range(1, n + 1):
-            term = _to_bipoly(bernoulli_poly(k)) * g[n - k]
-            acc = acc + term if k % 2 == 1 else acc - term
-        g.append(p * acc * Fraction(1, n))
-    return tuple(g)
+    s = Expansion(base_exponent=Fraction(1), coeffs=s_coeffs(n_max).coeffs)
+    return GSeries(power_transform(s).coeffs, route=ROUTE_POWER)
 
 
 def g_via_bernoulli(n_max: int) -> GSeries:
     """Canonical route: the Bernoulli-polynomial recurrence with p symbolic."""
-    return GSeries(_g_bernoulli(n_max), route=ROUTE_BERNOULLI)
+    coeffs = _grown(
+        _g, n_max, lambda k: BiPoly.from_poly_in_t(bernoulli_poly(k)), BiPoly.var_p()
+    )
+    return GSeries(coeffs, route=ROUTE_BERNOULLI)
 
 
 def composition_buckets(n: int) -> dict[int, Poly]:
@@ -265,34 +257,16 @@ def g_via_compositions(n_max: int, limit: int = COMPOSITION_ORDER_CAP) -> GSerie
     return GSeries(_g_compositions(n_max), route=ROUTE_COMPOSITIONS)
 
 
-@lru_cache(maxsize=None)
 def g_series_at_p(p0: Fraction, n_max: int) -> tuple[Poly, ...]:
     """G_0..G_N at a fixed rational power p0, as polynomials in t."""
-    p0 = Fraction(p0)
-    g: list[Poly] = [Poly.one()]
-    for n in range(1, n_max + 1):
-        acc = Poly.zero()
-        for k in range(1, n + 1):
-            term = bernoulli_poly(k) * g[n - k]
-            acc = acc + term if k % 2 == 1 else acc - term
-        g.append(acc * Fraction(p0, n))
-    return tuple(g)
+    beta = [bernoulli_poly(k) for k in range(n_max + 1)]
+    return tuple(_log_series([Poly.one()], beta, Fraction(p0)))
 
 
-@lru_cache(maxsize=None)
 def g_series_at_t(t0: Fraction, n_max: int) -> tuple[Poly, ...]:
     """G_0..G_N at a fixed rational shift t0, as polynomials in p."""
-    t0 = Fraction(t0)
-    b_at = [bernoulli_poly(k).eval(t0) for k in range(n_max + 1)]
-    g: list[Poly] = [Poly.one()]
-    p_var = Poly.variable()
-    for n in range(1, n_max + 1):
-        acc = Poly.zero()
-        for k in range(1, n + 1):
-            term = b_at[k] * g[n - k]
-            acc = acc + term if k % 2 == 1 else acc - term
-        g.append(p_var * acc * Fraction(1, n))
-    return tuple(g)
+    beta = [bernoulli_poly(k).eval(t0) for k in range(n_max + 1)]
+    return tuple(_log_series([Poly.one()], beta, Poly.variable()))
 
 
 def binomial_in_p(n: int, k: int) -> Poly:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -23,7 +24,7 @@ from importlib import resources
 from math import factorial
 from typing import Optional
 
-from .algebra import BiPoly, Poly
+from .algebra import BiPoly, Poly, _join_terms
 from .bernoulli import bernoulli_number
 from .expansions import (
     COMPOSITION_ORDER_CAP,
@@ -333,20 +334,12 @@ def bernoulli_identity_terms(n: int, collected: bool = True) -> list[tuple[Fract
 
 def identity_text(terms: list[tuple[Fraction, tuple[int, ...]]]) -> str:
     """Render identity terms as '-2/3*B_3 + 2*B_1*B_2 - 4/3*B_1^3'."""
-    parts: list[str] = []
-    for coef, ks in terms:
-        factors: list[str] = []
-        for k in sorted(set(ks)):
-            e = ks.count(k)
-            factors.append(f"B_{k}" if e == 1 else f"B_{k}^{e}")
-        body = "*".join(factors)
-        mag = abs(coef)
-        piece = body if mag == 1 else f"{mag}*{body}"
-        if not parts:
-            parts.append(f"-{piece}" if coef < 0 else piece)
-        else:
-            parts.append(f"- {piece}" if coef < 0 else f"+ {piece}")
-    return " ".join(parts) if parts else "0"
+    return _join_terms(
+        (coef, "*".join(
+            f"B_{k}" if e == 1 else f"B_{k}^{e}" for k, e in sorted(Counter(ks).items())
+        ))
+        for coef, ks in terms
+    )
 
 
 @lru_cache(maxsize=1)

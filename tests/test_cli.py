@@ -65,6 +65,17 @@ class TestCoeffs:
             assert code == 0
             validate(json.loads(out), "coeffs_output.json")
 
+    def test_specialized_at_t_is_a_polynomial_in_p(self, capsys):
+        argv = ["coeffs", "g", "--n", "3", "--t", "3/4"]
+        code, out, _ = run_cli(capsys, *argv, "--format", "latex")
+        assert code == 0
+        assert out.splitlines()[2] == "G_{1} &= \\frac{1}{4} p,\\\\"
+        code, out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        validate(doc, "coeffs_output.json")
+        assert doc["coeffs"][1]["poly"]["terms"] == [{"den": "4", "num": "1", "p": 1, "t": 0}]
+
     def test_latex_block(self, capsys):
         code, out, _ = run_cli(capsys, "coeffs", "s", "--n", "1", "--format", "latex")
         assert code == 0

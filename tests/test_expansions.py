@@ -5,13 +5,17 @@ formally exponentiating the generating series with plain convolutions,
 sharing no code path with the package recurrence.
 """
 
+import sys
+import threading
 from fractions import Fraction
 from math import factorial
 
 import pytest
 
+from exppsi import expansions
 from exppsi.algebra import BiPoly, Expansion, Poly
 from exppsi.bernoulli import bernoulli_poly
+from exppsi.cli import main
 from exppsi.expansions import (
     COMPOSITION_ORDER_CAP,
     CompositionLimitError,
@@ -68,11 +72,15 @@ class TestLogSeries:
         assert s[3] == t * F(-1, 24) + Poly.constant(F(1, 48))
         assert s[4] == t * t * F(1, 24) - t * F(1, 24) + Poly.constant(F(23, 5760))
 
-    def test_matches_exponential_oracle(self):
-        s = s_coeffs(8)
+    def test_matches_exponential_oracle(self, monkeypatch):
+        # from an empty cache, order 8 extends order 6 and order 6 is a prefix of 8
         oracle = exp_series_oracle(8)
-        for n in range(9):
-            assert s[n] == oracle[n], n
+        for orders in ((8,), (6, 8), (8, 6)):
+            monkeypatch.setattr(expansions, "_s", [Poly.one()])
+            for n_max in orders:
+                s = s_coeffs(n_max)
+                assert s.coeffs == tuple(oracle[: n_max + 1]), orders
+                assert s.coeffs == g_series_at_p(F(1), n_max)  # S_n(t) = G_n(1, t)
 
     def test_degree_drops_by_two_past_the_linear_term(self):
         s = s_coeffs(10)
@@ -140,13 +148,18 @@ def specialized_power(a: Expansion, p: int):
 
 
 class TestExponentialSeries:
-    def test_three_routes_agree(self):
-        n_max = 8
-        a = g_via_power_transform(n_max)
-        b = g_via_bernoulli(n_max)
-        c = g_via_compositions(n_max)
-        for n in range(n_max + 1):
-            assert a[n] == b[n] == c[n], n
+    def test_three_routes_agree(self, monkeypatch):
+        # from empty caches, order 12 extends order 10 and order 10 is a prefix of 12
+        for orders in ((8,), (10, 12), (12, 10)):
+            monkeypatch.setattr(expansions, "_s", [Poly.one()])
+            monkeypatch.setattr(expansions, "_g", [BiPoly.one()])
+            for n_max in orders:
+                a = g_via_power_transform(n_max)
+                b = g_via_bernoulli(n_max)
+                c = g_via_compositions(n_max)
+                assert len(a) == len(b) == len(c) == n_max + 1
+                for n in range(n_max + 1):
+                    assert a[n] == b[n] == c[n], (orders, n)
 
     def test_first_symbolic_coefficients(self):
         g = g_via_bernoulli(2)
@@ -176,13 +189,45 @@ class TestExponentialSeries:
             F(1), F(1, 2), F(1, 24), F(-1, 48), F(23, 5760), F(17, 3840),
         )
 
-    def test_specialization_matches_single_variable_series(self):
+    def test_specialization_matches_single_variable_series(self, capsys):
         g = g_via_bernoulli(6)
-        at_p = g_series_at_p(F(3), 6)
-        at_t = g_series_at_t(F(1, 2), 6)
-        for n in range(7):
-            assert g[n].eval_p(3).as_poly_in_t() == at_p[n], n
-            assert g[n].eval_t(F(1, 2)).as_poly_in_p() == at_t[n], n
+        for p0, t0 in ((F(3), F(1, 2)), (F(-2, 3), F(5, 4)), (F(7, 2), F(-3, 4)), (F(-1), F(0))):
+            at_p = g_series_at_p(p0, 6)
+            at_t = g_series_at_t(t0, 6)
+            for n in range(7):
+                assert g[n].eval_p(p0).as_poly_in_t() == at_p[n], (p0, n)
+                assert g[n].eval_t(t0).as_poly_in_p() == at_t[n], (t0, n)
+            # the column the CLI prints when both values are given
+            assert main(["coeffs", "g", "--n", "6", f"--p={p0}", f"--t={t0}", "--format", "csv"]) == 0
+            rows = capsys.readouterr().out.splitlines()[1:]
+            assert rows == [f"{n},{v}" for n, v in enumerate(specialize(g, p0, t0).coeffs)]
+
+    def test_concurrent_calls_grow_one_consistent_prefix(self, monkeypatch):
+        want_g, want_s = g_via_bernoulli(9).coeffs, s_coeffs(9).coeffs
+        monkeypatch.setattr(expansions, "_s", [Poly.one()])
+        monkeypatch.setattr(expansions, "_g", [BiPoly.one()])
+        results = []
+
+        def worker(orders):
+            for n in orders:
+                results.append((n, g_via_bernoulli(n).coeffs, s_coeffs(n).coeffs))
+
+        plans = [(3, 9), (9, 2), (5, 7, 9), (1, 8), (6,), (9, 9)]
+        threads = [threading.Thread(target=worker, args=(plan,)) for plan in plans]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert len(results) == sum(len(plan) for plan in plans)
+        for n, g, s in results:
+            assert g == want_g[: n + 1] and s == want_s[: n + 1], n
+        assert len(expansions._g) == len(expansions._s) == 10
 
     def test_even_power_column_terminates(self):
         # for p = 2 the coefficient at order p+1 vanishes identically in t
