@@ -18,7 +18,6 @@ from .algebra import Poly
 __all__ = [
     "bernoulli_number",
     "bernoulli_poly",
-    "bernoulli_reflection_check",
 ]
 
 _numbers: list[Fraction] = [Fraction(1)]
@@ -53,9 +52,3 @@ def bernoulli_poly(k: int) -> Poly:
             _polys.append(Poly(tuple(comb(m, m - i) * _numbers[m - i] for i in range(m + 1))))
     return _polys[k]
 
-
-def bernoulli_reflection_check(k: int) -> bool:
-    """Exact check of B_k(1-t) == (-1)^k B_k(t)."""
-    b = bernoulli_poly(k)
-    reflected = b.compose_affine(1, -1)
-    return reflected == (b if k % 2 == 0 else -b)

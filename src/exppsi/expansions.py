@@ -28,16 +28,21 @@ term:
   the classical recurrence for g(x)^p. ``power_transform`` is the same
   transform at a rational or a symbolic p.
 * ``g_via_compositions``: the closed form
-  (-1)^n G_n = sum_{r=1}^{n} ((-p)^r / r!) *
-               sum_{k_1+...+k_r = n, k_i>=1} B_{k_1}(t)...B_{k_r}(t)/(k_1...k_r),
-  summed over all 2^(n-1) ordered compositions of n. It is the construction
-  that shares no code with the recurrence. Exponential cost, so the order is
-  capped.
+  (-1)^n G_n = sum_{r=1}^{n} ((-p)^r / r!) bucket[n][r],
+  bucket[n][r] = sum_{k_1+...+k_r = n, k_i>=1} B_{k_1}(t)...B_{k_r}(t)/(k_1...k_r),
+  which is the (-p)^r/r! expansion of exp(-p L), L = sum_k B_k(t) x^(-k)/k,
+  read at -x. The exponential formula gives the buckets by splitting off the
+  last part of each composition:
+      bucket[0] = {0: 1},  bucket[n][r] = sum_{k=1}^{n} (B_k(t)/k) bucket[n-k][r-1],
+  in O(n^2 r) polynomial products, though there are 2^(n-1) compositions.
+  The buckets are the coefficients of the powers L^r; no G_n is fed back and
+  nothing is divided by n, so the route shares no code with ``_log_series``
+  or ``_power``.
 
 Caches: S_n and the bivariate G_n are kept as prefixes that only grow, under
 a lock, so order N+1 extends order N instead of rebuilding it. The
-composition route keeps a memo per order. The single-variable series and
-the power route are recomputed on every call.
+single-variable series, the power route and the composition route are
+recomputed on every call.
 """
 
 from __future__ import annotations
@@ -45,7 +50,6 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import factorial
 from typing import Callable, Optional, Sequence, Union
 
@@ -55,8 +59,6 @@ from .bernoulli import bernoulli_poly
 __all__ = [
     "SSeries",
     "GSeries",
-    "CompositionLimitError",
-    "COMPOSITION_ORDER_CAP",
     "s_coeffs",
     "power_transform",
     "g_via_power_transform",
@@ -71,8 +73,6 @@ __all__ = [
     "gseries_csv",
 ]
 
-COMPOSITION_ORDER_CAP = 16
-
 ROUTE_POWER = "power-transform"
 ROUTE_BERNOULLI = "bernoulli-recurrence"
 ROUTE_COMPOSITIONS = "explicit-compositions"
@@ -81,10 +81,6 @@ ROUTE_COMPOSITIONS = "explicit-compositions"
 _lock = threading.Lock()
 _s: list[Poly] = [Poly.one()]
 _g: list[BiPoly] = [BiPoly.one()]
-
-
-class CompositionLimitError(ValueError):
-    """Raised when the explicit-composition route is asked to exceed its cap."""
 
 
 @dataclass(frozen=True)
@@ -215,46 +211,41 @@ def g_via_bernoulli(n_max: int) -> GSeries:
     return GSeries(coeffs, route=ROUTE_BERNOULLI)
 
 
+def _composition_table(n_max: int) -> list[dict[int, Poly]]:
+    """bucket[n] for n = 0..n_max: for each part count r, the sum of
+    B_{k_1}(t)...B_{k_r}(t)/(k_1...k_r) over ordered compositions
+    k_1+...+k_r = n, by bucket[n][r] = sum_{k=1}^{n} (B_k(t)/k) bucket[n-k][r-1]."""
+    if n_max < 0:
+        raise ValueError("composition order must be >= 0")
+    weight = [Poly.zero()] + [bernoulli_poly(k) * Fraction(1, k) for k in range(1, n_max + 1)]
+    table: list[dict[int, Poly]] = [{0: Poly.one()}]
+    for n in range(1, n_max + 1):
+        row: dict[int, Poly] = {}
+        for k in range(1, n + 1):
+            for r, poly in table[n - k].items():
+                row[r + 1] = row.get(r + 1, Poly.zero()) + weight[k] * poly
+        table.append(row)
+    return table
+
+
 def composition_buckets(n: int) -> dict[int, Poly]:
     """For each part count r, sum B_{k_1}(t)...B_{k_r}(t)/(k_1...k_r) over
-    ordered compositions k_1+...+k_r = n. Recursive descent over the first
-    part; 2^(n-1) compositions in total."""
-    buckets: dict[int, Poly] = {}
-
-    def descend(remaining: int, parts: int, prod: Poly) -> None:
-        if remaining == 0:
-            buckets[parts] = buckets.get(parts, Poly.zero()) + prod
-            return
-        for k in range(1, remaining + 1):
-            descend(remaining - k, parts + 1, prod * bernoulli_poly(k) * Fraction(1, k))
-
-    descend(n, 0, Poly.one())
-    return buckets
+    ordered compositions k_1+...+k_r = n."""
+    return _composition_table(n)[n]
 
 
-@lru_cache(maxsize=None)
-def _g_compositions(n_max: int) -> tuple[BiPoly, ...]:
-    out: list[BiPoly] = [BiPoly.one()]
-    for n in range(1, n_max + 1):
+def g_via_compositions(n_max: int) -> GSeries:
+    """Explicit route: (-1)^n G_n = sum_r ((-p)^r / r!) bucket[n][r], folded
+    over the composition table of every order up to n_max."""
+    out: list[BiPoly] = []
+    for n, buckets in enumerate(_composition_table(n_max)):
         terms: dict[tuple[int, int], Fraction] = {}
-        for r, poly in composition_buckets(n).items():
+        for r, poly in buckets.items():
             scale = Fraction((-1) ** (n + r), factorial(r))
             for j, c in enumerate(poly.coeffs):
-                if c:
-                    key = (r, j)
-                    terms[key] = terms.get(key, Fraction(0)) + scale * c
+                terms[(r, j)] = scale * c
         out.append(BiPoly(terms))
-    return tuple(out)
-
-
-def g_via_compositions(n_max: int, limit: int = COMPOSITION_ORDER_CAP) -> GSeries:
-    """Explicit route: sum over ordered compositions. Cost 2^(n-1) per order,
-    so orders beyond ``limit`` are refused."""
-    if n_max > limit:
-        raise CompositionLimitError(
-            f"composition route capped at order {limit}, got {n_max}"
-        )
-    return GSeries(_g_compositions(n_max), route=ROUTE_COMPOSITIONS)
+    return GSeries(tuple(out), route=ROUTE_COMPOSITIONS)
 
 
 def g_series_at_p(p0: Fraction, n_max: int) -> tuple[Poly, ...]:

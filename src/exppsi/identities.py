@@ -27,8 +27,6 @@ from typing import Optional
 from .algebra import BiPoly, Poly, _join_terms
 from .bernoulli import bernoulli_number
 from .expansions import (
-    COMPOSITION_ORDER_CAP,
-    CompositionLimitError,
     GSeries,
     binomial_in_p,
     composition_buckets,
@@ -116,10 +114,6 @@ class ErrataEntry:
         }
 
 
-def _from_poly_t(poly: Poly) -> BiPoly:
-    return BiPoly.from_poly_in_t(poly)
-
-
 def check_even_p_vanishing(p: int) -> CheckReport:
     """G_{p+1}(p, t) must vanish identically for even p >= 2."""
     if p < 2 or p % 2 != 0:
@@ -128,7 +122,7 @@ def check_even_p_vanishing(p: int) -> CheckReport:
     residual = g[p + 1]
     if residual.is_zero:
         return CheckReport.passed("even-p-vanishing", p=p)
-    return CheckReport.failed("even-p-vanishing", _from_poly_t(residual), p=p)
+    return CheckReport.failed("even-p-vanishing", BiPoly.from_poly_in_t(residual), p=p)
 
 
 def check_degree_collapse(p: int, n_max: int) -> CheckReport:
@@ -144,17 +138,17 @@ def check_degree_collapse(p: int, n_max: int) -> CheckReport:
         if n <= p:
             if d != n:
                 return CheckReport.failed(
-                    "degree-collapse", _from_poly_t(g[n]), p=p, n=n, expected=n
+                    "degree-collapse", BiPoly.from_poly_in_t(g[n]), p=p, n=n, expected=n
                 )
         else:
             bound = n - p - 1
             if d is not None and d > bound:
                 return CheckReport.failed(
-                    "degree-collapse", _from_poly_t(g[n]), p=p, n=n, bound=bound
+                    "degree-collapse", BiPoly.from_poly_in_t(g[n]), p=p, n=n, bound=bound
                 )
             if p % 2 == 0 and n >= p + 2 and d != n - p - 2:
                 return CheckReport.failed(
-                    "degree-collapse", _from_poly_t(g[n]), p=p, n=n, exact=n - p - 2
+                    "degree-collapse", BiPoly.from_poly_in_t(g[n]), p=p, n=n, exact=n - p - 2
                 )
     return CheckReport.passed("degree-collapse", p=p, n_max=n_max)
 
@@ -270,14 +264,8 @@ def bernoulli_identity(n: int) -> Poly:
     """
     if n < 1:
         raise ValueError("identity index starts at 1")
-    m = 2 * n + 1
-    if m > COMPOSITION_ORDER_CAP:
-        raise CompositionLimitError(
-            f"identity sum ranges over 2^{m - 1} compositions; "
-            f"capped at order {COMPOSITION_ORDER_CAP}"
-        )
     total = Poly.zero()
-    for r, poly in composition_buckets(m).items():
+    for r, poly in composition_buckets(2 * n + 1).items():
         total = total + Fraction((-2 * n) ** r, factorial(r)) * poly
     return total
 

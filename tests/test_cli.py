@@ -95,6 +95,22 @@ class TestCoeffs:
             main(["coeffs", "g", "--n", "2", "--p", "1.5"])
         assert excinfo.value.code == 2
 
+    def test_negative_rational_as_its_own_word(self, capsys, monkeypatch):
+        for head, opt, value in (
+            (("coeffs", "g", "--n", "7"), "--t", "-3/4"),
+            (("approx", "exp-psi", "--n", "10"), "--p", "-1/2"),
+        ):
+            split = (*head, opt, value)
+            code, want, _ = run_cli(capsys, *head, f"{opt}={value}")
+            assert code == 0
+            assert run_cli(capsys, *split) == (0, want, "")
+            monkeypatch.setattr(sys, "argv", ["exppsi", *split])
+            assert main() == 0
+            assert capsys.readouterr().out == want
+        with pytest.raises(SystemExit) as excinfo:
+            main(["coeffs", "g", "--n", "2", "--t", "-0.5"])
+        assert excinfo.value.code == 2
+
 
 class TestVerify:
     def test_single_suite_text(self, capsys):
@@ -110,6 +126,11 @@ class TestVerify:
         lines = out.splitlines()
         assert all(line.startswith("PASS") for line in lines[:-1])
         assert lines[-1].endswith("checks passed")
+
+    def test_route_agreement_reaches_the_requested_order(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--suite", "routes", "--max-n", "18")
+        assert code == 0
+        assert out.splitlines() == ["PASS route-agreement [n_max=18]", "1/1 checks passed"]
 
     def test_json_validates_against_schema(self, capsys):
         code, out, _ = run_cli(

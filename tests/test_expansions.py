@@ -8,6 +8,7 @@ sharing no code path with the package recurrence.
 import sys
 import threading
 from fractions import Fraction
+from itertools import product
 from math import factorial
 
 import pytest
@@ -17,8 +18,6 @@ from exppsi.algebra import BiPoly, Expansion, Poly
 from exppsi.bernoulli import bernoulli_poly
 from exppsi.cli import main
 from exppsi.expansions import (
-    COMPOSITION_ORDER_CAP,
-    CompositionLimitError,
     composition_buckets,
     g_series_at_p,
     g_series_at_t,
@@ -240,9 +239,11 @@ class TestExponentialSeries:
         for n in range(7):
             assert shift_compose(g, n, s, t0) == g[n].eval_t(s + t0), n
 
-    def test_composition_route_is_capped(self):
-        with pytest.raises(CompositionLimitError):
-            g_via_compositions(COMPOSITION_ORDER_CAP + 1)
+    def test_composition_route_agrees_at_order_24(self):
+        c, b = g_via_compositions(24), g_via_bernoulli(24)
+        assert len(c) == len(b) == 25
+        for n in range(25):
+            assert c[n] == b[n], n
 
     def test_composition_buckets_order_three(self):
         buckets = composition_buckets(3)
@@ -251,6 +252,17 @@ class TestExponentialSeries:
         assert buckets[1] == b3 * F(1, 3)
         assert buckets[2] == b1 * b2  # (1,2) and (2,1) each weigh 1/2
         assert buckets[3] == b1 * b1 * b1
+        # reference: an ordered composition of n is a choice of cuts among
+        # its n-1 gaps
+        for n in range(1, 11):
+            want: dict[int, Poly] = {}
+            for cuts in product((False, True), repeat=n - 1):
+                ends = [i + 1 for i, cut in enumerate(cuts) if cut] + [n]
+                term = Poly.one()
+                for start, end in zip([0] + ends, ends):
+                    term = term * bernoulli_poly(end - start) * F(1, end - start)
+                want[len(ends)] = want.get(len(ends), Poly.zero()) + term
+            assert composition_buckets(n) == want, n
 
     def test_route_label_is_recorded(self):
         assert g_via_bernoulli(3).route == "bernoulli-recurrence"
