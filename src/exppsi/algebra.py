@@ -16,6 +16,13 @@ Values are immutable and operations are pure. The zero polynomial is the
 empty tuple / empty map and reports degree ``None`` rather than a sentinel
 integer.
 
+Values are stored as a ``Fraction`` per term, but products and evaluations
+do their inner loops in integers: each operand's numerators are scaled to
+its common denominator (``_over_lcm``), the integer products are summed,
+and one ``Fraction`` is built per output term. A rational point ``a/b`` is
+substituted homogeneously, ``c_e x^e = c_e a^e b^(top-e) / b^top``, so no
+``Fraction`` is ever raised to a power (``_substitute``).
+
 Every printed form of a value, as text here and as LaTeX, CSV or JSON in
 the command line, is built from one term iterator, ``_terms``, which names
 the variable of each power.
@@ -24,10 +31,11 @@ the variable of each power.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 __all__ = [
     "Poly",
@@ -72,6 +80,40 @@ def _join_terms(terms: Iterable[tuple[Fraction, str]], number=str, sep: str = "*
     return " ".join(out) if out else "0"
 
 
+def _over_lcm(values: Iterable[Fraction]) -> tuple[list[int], int]:
+    """The numerators of ``values`` over their common denominator L, and L."""
+    values = list(values)
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def _substitute(terms: Sequence[tuple[int, object, Fraction]], x) -> dict:
+    """Substitute the rational x for one variable, exactly.
+
+    ``terms`` holds (e, rest, c) for each term c * var^e * rest; the result
+    maps each ``rest`` to its nonzero coefficient sum_e c * x^e. With
+    x = a/b and the coefficients over their common denominator L, each term
+    adds the integer n_e * a^e * b^(top-e), and each sum is divided once by
+    L * b^top, where top is the highest e.
+    """
+    x = Fraction(x)
+    nums, den = _over_lcm(c for _, _, c in terms)
+    top = max((e for e, _, _ in terms), default=0)
+    a, b = x.numerator, x.denominator
+    weight = [1] * (top + 1)
+    for e in range(1, top + 1):
+        weight[e] = weight[e - 1] * a
+    b_pow = 1
+    for e in range(top - 1, -1, -1):
+        b_pow *= b
+        weight[e] *= b_pow
+    sums: dict = {}
+    for (e, rest, _), n in zip(terms, nums):
+        sums[rest] = sums.get(rest, 0) + n * weight[e]
+    den *= b_pow
+    return {rest: Fraction(n, den) for rest, n in sums.items() if n}
+
+
 def _terms(value, var: str = "t") -> Iterator[tuple[Fraction, tuple[tuple[str, int], ...]]]:
     """The terms of a rational, a Poly in ``var`` or a BiPoly in (p, t), in
     print order, as (coefficient, ((variable, power), ...)) with zero powers
@@ -109,7 +151,7 @@ class Poly:
     coeffs: tuple[Fraction, ...] = ()
 
     def __post_init__(self) -> None:
-        cs = tuple(Fraction(c) for c in self.coeffs)
+        cs = tuple(c if type(c) is Fraction else Fraction(c) for c in self.coeffs)
         while cs and cs[-1] == 0:
             cs = cs[:-1]
         object.__setattr__(self, "coeffs", cs)
@@ -162,13 +204,15 @@ class Poly:
         if isinstance(other, Poly):
             if self.is_zero or other.is_zero:
                 return Poly.zero()
-            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                if a == 0:
-                    continue
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-            return Poly(tuple(out))
+            xs, dx = _over_lcm(self.coeffs)
+            ys, dy = _over_lcm(other.coeffs)
+            out = [0] * (len(xs) + len(ys) - 1)
+            for i, x in enumerate(xs):
+                if x:
+                    for j, y in enumerate(ys):
+                        out[i + j] += x * y
+            den = dx * dy
+            return Poly(tuple(Fraction(n, den) for n in out))
         if isinstance(other, (int, Fraction)):
             q = Fraction(other)
             return Poly(tuple(c * q for c in self.coeffs))
@@ -185,11 +229,7 @@ class Poly:
         return acc
 
     def eval(self, x) -> Fraction:
-        x = Fraction(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        return _substitute([(k, 0, c) for k, c in enumerate(self.coeffs)], x).get(0, Fraction(0))
 
     def compose_affine(self, a, b) -> "Poly":
         """Exact substitution X := a + b*X (Horner in the affine argument)."""
@@ -220,6 +260,14 @@ class BiPoly:
             if q != 0:
                 store[(int(i), int(j))] = store.get((int(i), int(j)), Fraction(0)) + q
         self.terms = {k: v for k, v in store.items() if v != 0}
+
+    @classmethod
+    def _of(cls, terms: dict[tuple[int, int], Fraction]) -> "BiPoly":
+        """A BiPoly that takes ``terms`` as they are: int exponent pairs
+        mapped to nonzero Fractions, as the ring operations produce them."""
+        out = cls.__new__(cls)
+        out.terms = terms
+        return out
 
     @classmethod
     def zero(cls) -> "BiPoly":
@@ -266,28 +314,32 @@ class BiPoly:
             return NotImplemented
         out = dict(self.terms)
         for k, c in other.terms.items():
-            out[k] = out.get(k, Fraction(0)) + c
-        return BiPoly(out)
+            out[k] = out.get(k, 0) + c
+        return BiPoly._of({k: c for k, c in out.items() if c})
 
     def __sub__(self, other: "BiPoly") -> "BiPoly":
         if not isinstance(other, BiPoly):
             return NotImplemented
         out = dict(self.terms)
         for k, c in other.terms.items():
-            out[k] = out.get(k, Fraction(0)) - c
-        return BiPoly(out)
+            out[k] = out.get(k, 0) - c
+        return BiPoly._of({k: c for k, c in out.items() if c})
 
     def __neg__(self) -> "BiPoly":
-        return BiPoly({k: -c for k, c in self.terms.items()})
+        return BiPoly._of({k: -c for k, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, BiPoly):
-            out: dict[tuple[int, int], Fraction] = {}
-            for (i1, j1), a in self.terms.items():
-                for (i2, j2), b in other.terms.items():
+            xs, dx = _over_lcm(self.terms.values())
+            ys, dy = _over_lcm(other.terms.values())
+            right = list(zip(other.terms, ys))
+            out: dict[tuple[int, int], int] = {}
+            for (i1, j1), x in zip(self.terms, xs):
+                for (i2, j2), y in right:
                     key = (i1 + i2, j1 + j2)
-                    out[key] = out.get(key, Fraction(0)) + a * b
-            return BiPoly(out)
+                    out[key] = out.get(key, 0) + x * y
+            den = dx * dy
+            return BiPoly._of({k: Fraction(n, den) for k, n in out.items() if n})
         if isinstance(other, (int, Fraction)):
             q = Fraction(other)
             return BiPoly({k: c * q for k, c in self.terms.items()})
@@ -321,22 +373,14 @@ class BiPoly:
 
     def eval_t(self, t0) -> "BiPoly":
         """Substitute t := t0 exactly; the result has t-degree <= 0."""
-        t0 = Fraction(t0)
-        out: dict[tuple[int, int], Fraction] = {}
-        for (i, j), c in self.terms.items():
-            out[(i, 0)] = out.get((i, 0), Fraction(0)) + c * t0**j
-        return BiPoly(out)
+        return BiPoly._of(_substitute([(j, (i, 0), c) for (i, j), c in self.terms.items()], t0))
 
     def eval_p(self, p0) -> "BiPoly":
-        p0 = Fraction(p0)
-        out: dict[tuple[int, int], Fraction] = {}
-        for (i, j), c in self.terms.items():
-            out[(0, j)] = out.get((0, j), Fraction(0)) + c * p0**i
-        return BiPoly(out)
+        """Substitute p := p0 exactly; the result has p-degree <= 0."""
+        return BiPoly._of(_substitute([(i, (0, j), c) for (i, j), c in self.terms.items()], p0))
 
     def eval(self, p0, t0) -> Fraction:
-        p0, t0 = Fraction(p0), Fraction(t0)
-        return sum((c * p0**i * t0**j for (i, j), c in self.terms.items()), Fraction(0))
+        return self.eval_t(t0).eval_p(p0).coeff(0, 0)
 
     def as_poly_in_t(self) -> Poly:
         if any(i != 0 for (i, _) in self.terms):

@@ -120,6 +120,8 @@ def eval_expansion(
         raise ValueError(f"expansion variable must be positive, got {x}")
     if order is None:
         order = len(g.coeffs) - 1
+    if order < 0:
+        raise ValueError(f"series order must be >= 0, got {order}")
     if order >= len(g.coeffs):
         raise ValueError(f"series holds orders 0..{len(g.coeffs) - 1}, asked for {order}")
     exp = specialize(g, p, t)
@@ -145,6 +147,13 @@ class ApproxResult:
     est_order: Optional[Fraction] = None
 
 
+def _check_sample(n: int, order: int) -> None:
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    if order < 0:
+        raise ValueError(f"series order must be >= 0, got {order}")
+
+
 def _exp_series(order: int) -> GSeries:
     from .expansions import g_via_bernoulli
 
@@ -155,8 +164,7 @@ def approx_gamma(
     n: int, order: int, t: RationalLike = 1, prec: int = 256
 ) -> ApproxResult:
     """Euler's constant via H_n - log(expansion at x = n + 1 - t)."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    _check_sample(n, order)
     t = Fraction(t)
     x = Fraction(n + 1) - t
     g = _exp_series(max(order, 1))
@@ -171,8 +179,7 @@ def approx_harmonic(
     n: int, order: int, t: RationalLike = 1, prec: int = 256
 ) -> ApproxResult:
     """H_n via gamma + log(expansion at x = n + 1 - t)."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    _check_sample(n, order)
     t = Fraction(t)
     x = Fraction(n + 1) - t
     g = _exp_series(max(order, 1))
@@ -191,8 +198,7 @@ def approx_exp_psi(
     prec: int = 256,
 ) -> ApproxResult:
     """exp(p * psi(n + t)) via the truncated expansion at x = n."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    _check_sample(n, order)
     p = Fraction(p)
     t = Fraction(t)
     g = _exp_series(max(order, 1))

@@ -11,7 +11,8 @@ import mpmath
 import pytest
 from mpmath import mp, mpf
 
-from exppsi.expansions import g_via_bernoulli
+from exppsi.bernoulli import bernoulli_poly
+from exppsi.expansions import _log_series, g_via_bernoulli
 from exppsi.numeric import (
     ApproxResult,
     approx_exp_psi,
@@ -119,6 +120,31 @@ class TestEvalExpansion:
         with pytest.raises(ValueError):
             eval_expansion(g, 1, 1, 10, 9, 256)
 
+    def test_negative_order_rejected(self):
+        # a negative order once sliced the series from its end
+        g = g_via_bernoulli(6)
+        for order in (-1, -3, -7):
+            with pytest.raises(ValueError):
+                eval_expansion(g, 1, 1, 10, order)
+
+    @pytest.mark.parametrize(
+        "p, t, x", [(F(-2, 3), F(5, 4), F(7)), (F(7, 2), F(-3, 4), F(23, 3)), (F(1), F(1, 2), F(10))]
+    )
+    def test_matches_scalar_series(self, p, t, x):
+        # G_n(p, t) at fixed (p, t) by the scalar recurrence over the rationals
+        # B_k(t): no bivariate polynomial is built or specialized here
+        order, prec = 12, 256
+        beta = [bernoulli_poly(k).eval(t) for k in range(order + 1)]
+        coeffs = _log_series([F(1)], beta, p)
+        with mp.workprec(prec + 64):
+            xv = mpf(x.numerator) / x.denominator
+            acc = mpf(0)
+            for c in reversed(coeffs):
+                acc = acc / xv + mpf(c.numerator) / c.denominator
+            expected = mpmath.power(xv, mpf(p.numerator) / p.denominator) * acc
+            got = eval_expansion(g_via_bernoulli(order), p, t, x, order, prec)
+            assert abs(got - expected) <= abs(expected) * mpf(2) ** -(prec - 2)
+
 
 class TestApproximations:
     def test_lowest_order_euler_constant(self):
@@ -170,6 +196,9 @@ class TestApproximations:
             approx_harmonic(-2, 3)
         with pytest.raises(ValueError):
             approx_exp_psi(0, 3)
+        for approx in (approx_gamma, approx_harmonic, approx_exp_psi):
+            with pytest.raises(ValueError):
+                approx(10, -3)
 
 
 class TestConvergenceOrder:
