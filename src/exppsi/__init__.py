@@ -10,15 +10,13 @@ constant.
 
 from .algebra import (
     BiPoly,
-    Expansion,
     Poly,
     json_canonical,
     parse_rational,
 )
 from .bernoulli import bernoulli_number, bernoulli_poly
 from .expansions import (
-    GSeries,
-    SSeries,
+    Series,
     binomial_in_p,
     composition_buckets,
     g_series_at_p,
@@ -26,8 +24,6 @@ from .expansions import (
     g_via_bernoulli,
     g_via_compositions,
     g_via_power_transform,
-    gseries_csv,
-    power_transform,
     s_coeffs,
     shift_compose,
     specialize,
@@ -74,15 +70,12 @@ __all__ = [
     "__version__",
     "Poly",
     "BiPoly",
-    "Expansion",
     "parse_rational",
     "json_canonical",
     "bernoulli_number",
     "bernoulli_poly",
-    "SSeries",
-    "GSeries",
+    "Series",
     "s_coeffs",
-    "power_transform",
     "g_via_power_transform",
     "g_via_bernoulli",
     "g_via_compositions",
@@ -92,7 +85,6 @@ __all__ = [
     "binomial_in_p",
     "shift_compose",
     "specialize",
-    "gseries_csv",
     "CheckReport",
     "ErrataEntry",
     "check_even_p_vanishing",

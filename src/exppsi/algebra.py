@@ -33,14 +33,13 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Sequence
 
 __all__ = [
     "Poly",
     "BiPoly",
-    "Expansion",
     "parse_rational",
     "json_canonical",
 ]
@@ -49,10 +48,14 @@ _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse 'a/b' or integer text into a Fraction. Floats are rejected."""
+    """Parse 'a/b' or integer text into a Fraction. Floats and zero
+    denominators are rejected."""
     if not _RATIONAL_RE.match(text.strip()):
         raise ValueError(f"not a rational literal (expected 'a/b' or integer): {text!r}")
-    return Fraction(text.strip())
+    try:
+        return Fraction(text.strip())
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in rational literal: {text!r}") from None
 
 
 def json_canonical(obj) -> str:
@@ -355,12 +358,6 @@ class BiPoly:
             acc = acc * self
         return acc
 
-    def degree_in(self, var: str) -> int | None:
-        if not self.terms:
-            return None
-        idx = {"p": 0, "t": 1}[var]
-        return max(k[idx] for k in self.terms)
-
     def coeff(self, p_pow: int, t_pow: int) -> Fraction:
         return self.terms.get((p_pow, t_pow), Fraction(0))
 
@@ -398,26 +395,6 @@ class BiPoly:
         top = max(i for (i, _) in self.terms)
         return Poly(tuple(self.terms.get((i, 0), Fraction(0)) for i in range(top + 1)))
 
-    def shift_t(self, s) -> "BiPoly":
-        """Exact substitution t := t + s."""
-        s = Fraction(s)
-        if s == 0 or self.is_zero:
-            return self
-        out = BiPoly.zero()
-        top = max(i for (i, _) in self.terms)
-        for i in range(top + 1):
-            slice_t = Poly(
-                tuple(
-                    self.terms.get((i, j), Fraction(0))
-                    for j in range(max((jj for (ii, jj) in self.terms if ii == i), default=-1) + 1)
-                )
-            )
-            if slice_t.is_zero:
-                continue
-            shifted = slice_t.compose_affine(s, 1)
-            out = out + BiPoly({(i, j): c for j, c in enumerate(shifted.coeffs)})
-        return out
-
     def derivative_t(self) -> "BiPoly":
         return BiPoly({(i, j - 1): j * c for (i, j), c in self.terms.items() if j >= 1})
 
@@ -433,35 +410,6 @@ class BiPoly:
             ],
         }
 
-    @classmethod
-    def from_json_dict(cls, d: Mapping) -> "BiPoly":
-        if d.get("var_order") != ["p", "t"]:
-            raise ValueError("unexpected var_order in polynomial JSON")
-        terms = {}
-        for item in d["terms"]:
-            c = Fraction(int(item["num"]), int(item["den"]))
-            terms[(int(item["p"]), int(item["t"]))] = c
-        return cls(terms)
-
     def to_text(self) -> str:
         return _render(self)
-
-
-Coefficient = Union[Fraction, Poly, BiPoly]
-
-
-@dataclass(frozen=True)
-class Expansion:
-    """A truncated series x^base * sum_n coeffs[n] x^(-n).
-
-    ``base_exponent`` is rational except for the symbolic-power case, where
-    it is a BiPoly in p (the exponent p*b cannot be a number).
-    """
-
-    base_exponent: Union[Fraction, BiPoly]
-    coeffs: tuple[Coefficient, ...] = field(default_factory=tuple)
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
 

@@ -114,9 +114,9 @@ def _cmd_coeffs(args: argparse.Namespace, out) -> int:
         label = "S"
     else:
         if args.p is not None:
-            values = g_series_at_p(args.p, n_max)
+            values = g_series_at_p(args.p, n_max).coeffs
         elif args.t is not None:
-            values = g_series_at_t(args.t, n_max)
+            values = g_series_at_t(args.t, n_max).coeffs
         else:
             values = g_via_bernoulli(n_max).coeffs
         label = "G"

@@ -25,8 +25,7 @@ Two more constructions of G_n must agree with the canonical one term for
 term:
 
 * ``g_via_power_transform``: raise the S series to a symbolic power p by
-  the classical recurrence for g(x)^p. ``power_transform`` is the same
-  transform at a rational or a symbolic p.
+  the classical recurrence for g(x)^p (``_power``).
 * ``g_via_compositions``: the closed form
   (-1)^n G_n = sum_{r=1}^{n} ((-p)^r / r!) bucket[n][r],
   bucket[n][r] = sum_{k_1+...+k_r = n, k_i>=1} B_{k_1}(t)...B_{k_r}(t)/(k_1...k_r),
@@ -38,6 +37,10 @@ term:
   The buckets are the coefficients of the powers L^r; no G_n is fed back and
   nothing is divided by n, so the route shares no code with ``_log_series``
   or ``_power``.
+
+Every series comes back as one ``Series``: its coeffs are Polys in t for
+S_n and for G_n at fixed p, Polys in p for G_n at fixed t, BiPolys in (p, t)
+for the bivariate G_n, and rationals once ``specialize`` fixes both p and t.
 
 Caches: S_n and the bivariate G_n are kept as prefixes that only grow, under
 a lock, so order N+1 extends order N instead of rebuilding it. The
@@ -51,16 +54,14 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Sequence
 
-from .algebra import BiPoly, Expansion, Poly
+from .algebra import BiPoly, Poly
 from .bernoulli import bernoulli_poly
 
 __all__ = [
-    "SSeries",
-    "GSeries",
+    "Series",
     "s_coeffs",
-    "power_transform",
     "g_via_power_transform",
     "g_via_bernoulli",
     "g_via_compositions",
@@ -70,12 +71,7 @@ __all__ = [
     "shift_compose",
     "specialize",
     "composition_buckets",
-    "gseries_csv",
 ]
-
-ROUTE_POWER = "power-transform"
-ROUTE_BERNOULLI = "bernoulli-recurrence"
-ROUTE_COMPOSITIONS = "explicit-compositions"
 
 # S_0..S_N and the bivariate G_0..G_N computed so far; they only grow.
 _lock = threading.Lock()
@@ -84,12 +80,12 @@ _g: list[BiPoly] = [BiPoly.one()]
 
 
 @dataclass(frozen=True)
-class SSeries:
-    """S_0..S_N as exact univariate polynomials in t."""
+class Series:
+    """A truncated series sum_{n<=order} coeffs[n] x^(-n), exact coefficients."""
 
-    coeffs: tuple[Poly, ...]
+    coeffs: tuple
 
-    def __getitem__(self, n: int) -> Poly:
+    def __getitem__(self, n: int):
         return self.coeffs[n]
 
     def __len__(self) -> int:
@@ -98,31 +94,6 @@ class SSeries:
     @property
     def order(self) -> int:
         return len(self.coeffs) - 1
-
-
-@dataclass(frozen=True)
-class GSeries:
-    """G_0..G_N as exact bivariate polynomials in (p, t), plus the route used."""
-
-    coeffs: tuple[BiPoly, ...]
-    route: str
-
-    def __getitem__(self, n: int) -> BiPoly:
-        return self.coeffs[n]
-
-    def __len__(self) -> int:
-        return len(self.coeffs)
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
-    def to_json_dict(self) -> dict:
-        return {
-            "N": self.order,
-            "route": self.route,
-            "coeffs": [c.to_json_dict() for c in self.coeffs],
-        }
 
 
 def _log_series(a: list, beta: Sequence, c) -> list:
@@ -142,73 +113,47 @@ def _log_series(a: list, beta: Sequence, c) -> list:
     return a
 
 
-def _grown(prefix: list, n_max: int, beta: Callable[[int], object], c) -> tuple:
-    """The first n_max+1 terms of a cached series, extending it if short."""
+def _grown(prefix: list, n_max: int, beta: Callable[[int], object], c) -> Series:
+    """The first n_max+1 terms of the series begun in ``prefix``, extending
+    it in place if short."""
     if n_max < 0:
         raise ValueError("series order must be >= 0")
-    with _lock:
-        if len(prefix) <= n_max:
-            _log_series(prefix, [beta(k) for k in range(n_max + 1)], c)
-        return tuple(prefix[: n_max + 1])
+    if len(prefix) <= n_max:
+        _log_series(prefix, [beta(k) for k in range(n_max + 1)], c)
+    return Series(tuple(prefix[: n_max + 1]))
 
 
-def s_coeffs(n_max: int) -> SSeries:
+def s_coeffs(n_max: int) -> Series:
     """S_0..S_{n_max}: the p0 = 1 instance of the recurrence, S_n(t) = G_n(1, t)."""
-    return SSeries(_grown(_s, n_max, bernoulli_poly, Fraction(1)))
+    with _lock:
+        return _grown(_s, n_max, bernoulli_poly, Fraction(1))
 
 
-def _to_bipoly(c) -> BiPoly:
-    if isinstance(c, BiPoly):
-        return c
-    if isinstance(c, Poly):
-        return BiPoly.from_poly_in_t(c)
-    return BiPoly.constant(Fraction(c))
-
-
-def _power(a: Sequence, p) -> list:
-    """b_0..b_N of (sum_k a_k x^-k)^p for a_0 = 1, by the classical recurrence
-    n b_n = sum_{k=1}^{n} (k(1+p) - n) a_k b_{n-k}. ``p`` is a Fraction or
-    ``BiPoly.var_p()``; the multipliers k(1+p) - n live in the ring of p."""
-    one = BiPoly.one() if isinstance(p, BiPoly) else Fraction(1)
+def _power(a: Sequence[BiPoly]) -> list[BiPoly]:
+    """b_0..b_N of (sum_k a_k x^-k)^p for a_0 = 1 and symbolic p, by the
+    classical recurrence n b_n = sum_{k=1}^{n} (k(1+p) - n) a_k b_{n-k}."""
+    one = BiPoly.one()
+    p1 = BiPoly.var_p() + one
     b = [a[0]]
     for n in range(1, len(a)):
-        acc = None
+        acc = BiPoly.zero()
         for k in range(1, n + 1):
-            term = ((one + p) * k - one * n) * a[k] * b[n - k]
-            acc = term if acc is None else acc + term
+            acc = acc + (p1 * k - one * n) * a[k] * b[n - k]
         b.append(acc * Fraction(1, n))
     return b
 
 
-def power_transform(a: Expansion, p: Optional[Fraction] = None) -> Expansion:
-    """Raise a series with leading coefficient 1 to the power p.
-
-    b_0 = 1 and n b_n = sum_{k=1}^{n} (k(1+p) - n) a_k b_{n-k}, exactly.
-    ``p=None`` keeps the exponent symbolic; the coefficients then live in
-    the bivariate ring and the base exponent becomes p * base.
-    """
-    if not a.coeffs or _to_bipoly(a.coeffs[0]) != BiPoly.one():
-        raise ValueError("power transform requires leading coefficient exactly 1")
-    if p is None:
-        p, coeffs = BiPoly.var_p(), [_to_bipoly(c) for c in a.coeffs]
-    else:
-        p, coeffs = Fraction(p), a.coeffs
-    base = p * Fraction(a.base_exponent)
-    return Expansion(base_exponent=base, coeffs=tuple(_power(coeffs, p)))
-
-
-def g_via_power_transform(n_max: int) -> GSeries:
+def g_via_power_transform(n_max: int) -> Series:
     """G_n by raising the S series to a symbolic power p."""
-    s = Expansion(base_exponent=Fraction(1), coeffs=s_coeffs(n_max).coeffs)
-    return GSeries(power_transform(s).coeffs, route=ROUTE_POWER)
+    return Series(tuple(_power([BiPoly.from_poly_in_t(c) for c in s_coeffs(n_max).coeffs])))
 
 
-def g_via_bernoulli(n_max: int) -> GSeries:
+def g_via_bernoulli(n_max: int) -> Series:
     """Canonical route: the Bernoulli-polynomial recurrence with p symbolic."""
-    coeffs = _grown(
-        _g, n_max, lambda k: BiPoly.from_poly_in_t(bernoulli_poly(k)), BiPoly.var_p()
-    )
-    return GSeries(coeffs, route=ROUTE_BERNOULLI)
+    with _lock:
+        return _grown(
+            _g, n_max, lambda k: BiPoly.from_poly_in_t(bernoulli_poly(k)), BiPoly.var_p()
+        )
 
 
 def _composition_table(n_max: int) -> list[dict[int, Poly]]:
@@ -234,7 +179,7 @@ def composition_buckets(n: int) -> dict[int, Poly]:
     return _composition_table(n)[n]
 
 
-def g_via_compositions(n_max: int) -> GSeries:
+def g_via_compositions(n_max: int) -> Series:
     """Explicit route: (-1)^n G_n = sum_r ((-p)^r / r!) bucket[n][r], folded
     over the composition table of every order up to n_max."""
     out: list[BiPoly] = []
@@ -245,19 +190,17 @@ def g_via_compositions(n_max: int) -> GSeries:
             for j, c in enumerate(poly.coeffs):
                 terms[(r, j)] = scale * c
         out.append(BiPoly(terms))
-    return GSeries(tuple(out), route=ROUTE_COMPOSITIONS)
+    return Series(tuple(out))
 
 
-def g_series_at_p(p0: Fraction, n_max: int) -> tuple[Poly, ...]:
+def g_series_at_p(p0: Fraction, n_max: int) -> Series:
     """G_0..G_N at a fixed rational power p0, as polynomials in t."""
-    beta = [bernoulli_poly(k) for k in range(n_max + 1)]
-    return tuple(_log_series([Poly.one()], beta, Fraction(p0)))
+    return _grown([Poly.one()], n_max, bernoulli_poly, Fraction(p0))
 
 
-def g_series_at_t(t0: Fraction, n_max: int) -> tuple[Poly, ...]:
+def g_series_at_t(t0: Fraction, n_max: int) -> Series:
     """G_0..G_N at a fixed rational shift t0, as polynomials in p."""
-    beta = [bernoulli_poly(k).eval(t0) for k in range(n_max + 1)]
-    return tuple(_log_series([Poly.one()], beta, Poly.variable()))
+    return _grown([Poly.one()], n_max, lambda k: bernoulli_poly(k).eval(t0), Poly.variable())
 
 
 def binomial_in_p(n: int, k: int) -> Poly:
@@ -268,53 +211,22 @@ def binomial_in_p(n: int, k: int) -> Poly:
     return acc * Fraction(1, factorial(k))
 
 
-def shift_compose(g: GSeries, n: int, s, t: Optional[Fraction] = None) -> BiPoly:
-    """The shift composition sum_{k=0}^{n} C(p-n+k, k) G_{n-k}(p, s) t^k.
-
-    With rational ``t`` the result is a polynomial in p alone; ``t=None``
-    keeps t symbolic. Equals G_n(p, s+t) when the shift identity holds.
+def shift_compose(g: Series, n: int, s, t) -> BiPoly:
+    """The shift composition sum_{k=0}^{n} C(p-n+k, k) G_{n-k}(p, s) t^k at
+    rational s and t, a polynomial in p. Equals G_n(p, s+t) when the shift
+    identity holds.
     """
     if n > g.order:
         raise ValueError(f"series only reaches order {g.order}, need {n}")
-    s = Fraction(s)
+    s, t = Fraction(s), Fraction(t)
     acc = BiPoly.zero()
     for k in range(n + 1):
         base = BiPoly.from_poly_in_p(binomial_in_p(n, k)) * g[n - k].eval_t(s)
-        if t is None:
-            acc = acc + base * (BiPoly.var_t() ** k)
-        else:
-            acc = acc + base * (Fraction(t) ** k)
+        acc = acc + base * (t**k)
     return acc
 
 
-def specialize(
-    g: GSeries, p0: Optional[Fraction] = None, t0: Optional[Fraction] = None
-) -> Expansion:
-    """Substitute rational values for p and/or t across a whole series.
-
-    Fully specialized coefficients come back as plain rationals; partial
-    specialization keeps bivariate values with the substituted variable at
-    degree zero.
-    """
-    coeffs: list = []
-    for c in g.coeffs:
-        if p0 is not None and t0 is not None:
-            coeffs.append(c.eval(Fraction(p0), Fraction(t0)))
-            continue
-        v = c
-        if p0 is not None:
-            v = v.eval_p(Fraction(p0))
-        if t0 is not None:
-            v = v.eval_t(Fraction(t0))
-        coeffs.append(v)
-    base: Union[Fraction, BiPoly] = Fraction(p0) if p0 is not None else BiPoly.var_p()
-    return Expansion(base_exponent=base, coeffs=tuple(coeffs))
-
-
-def gseries_csv(g: GSeries) -> str:
-    """CSV rows (n, p_pow, t_pow, num, den), one per nonzero term."""
-    lines = ["n,p_pow,t_pow,num,den"]
-    for n, c in enumerate(g.coeffs):
-        for i, j, q in c.sorted_terms():
-            lines.append(f"{n},{i},{j},{q.numerator},{q.denominator}")
-    return "\n".join(lines) + "\n"
+def specialize(g: Series, p0: Fraction, t0: Fraction) -> Series:
+    """G_n(p0, t0) for every G_n of a bivariate series, as exact rationals."""
+    p0, t0 = Fraction(p0), Fraction(t0)
+    return Series(tuple(c.eval(p0, t0) for c in g.coeffs))

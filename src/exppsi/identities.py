@@ -24,10 +24,10 @@ from importlib import resources
 from math import factorial
 from typing import Optional
 
-from .algebra import BiPoly, Poly, _join_terms
+from .algebra import BiPoly, Poly, _join_terms, _render
 from .bernoulli import bernoulli_number
 from .expansions import (
-    GSeries,
+    Series,
     binomial_in_p,
     composition_buckets,
     g_series_at_p,
@@ -153,7 +153,7 @@ def check_degree_collapse(p: int, n_max: int) -> CheckReport:
     return CheckReport.passed("degree-collapse", p=p, n_max=n_max)
 
 
-def check_reflection(n_max: int, g: Optional[GSeries] = None) -> CheckReport:
+def check_reflection(n_max: int, g: Optional[Series] = None) -> CheckReport:
     """G_n(p, 1) == (-1)^n G_n(p, 0) as exact polynomials in p."""
     g = g or g_via_bernoulli(n_max)
     for n in range(n_max + 1):
@@ -163,7 +163,7 @@ def check_reflection(n_max: int, g: Optional[GSeries] = None) -> CheckReport:
     return CheckReport.passed("reflection", n_max=n_max)
 
 
-def check_half_argument(n_max: int, g: Optional[GSeries] = None) -> CheckReport:
+def check_half_argument(n_max: int, g: Optional[Series] = None) -> CheckReport:
     """At t=1/2: odd orders vanish, order 2m has p-degree m, and the
     even orders satisfy the corrected recurrence
     G_{2m} = (p/2m) sum_k (1 - 2^(1-2k)) B_{2k} G_{2m-2k}."""
@@ -198,7 +198,7 @@ def check_half_argument(n_max: int, g: Optional[GSeries] = None) -> CheckReport:
 
 
 def check_shift_identity(
-    n_max: int, trials: int = 20, seed: int = 20260815, g: Optional[GSeries] = None
+    n_max: int, trials: int = 20, seed: int = 20260815, g: Optional[Series] = None
 ) -> CheckReport:
     """G_n(p, s+t) == sum_k C(p-n+k, k) G_{n-k}(p, s) t^k for random rational (s, t)."""
     g = g or g_via_bernoulli(n_max)
@@ -215,7 +215,7 @@ def check_shift_identity(
     return CheckReport.passed("shift-identity", n_max=n_max, trials=trials, seed=seed)
 
 
-def check_derivative_relation(n_max: int, g: Optional[GSeries] = None) -> CheckReport:
+def check_derivative_relation(n_max: int, g: Optional[Series] = None) -> CheckReport:
     """dG_n/dt == (p + 1 - n) G_{n-1} exactly."""
     g = g or g_via_bernoulli(n_max)
     p = BiPoly.var_p()
@@ -226,7 +226,7 @@ def check_derivative_relation(n_max: int, g: Optional[GSeries] = None) -> CheckR
     return CheckReport.passed("derivative-relation", n_max=n_max)
 
 
-def check_coefficient_table(n_max: int, g: Optional[GSeries] = None) -> CheckReport:
+def check_coefficient_table(n_max: int, g: Optional[Series] = None) -> CheckReport:
     """Coefficient of t^k in G_n equals C(p-n+k, k) times the constant
     coefficient of G_{n-k}."""
     g = g or g_via_bernoulli(n_max)
@@ -344,16 +344,28 @@ def reference_statements() -> list[dict]:
     return list(_reference_doc()["statements"])
 
 
+def _in_free_variable(entry: dict, value: BiPoly):
+    """A G_n table value: a polynomial in t when the entry fixes p, in p when
+    it fixes t, and bivariate when it fixes neither."""
+    if entry.get("p") is not None:
+        return value.as_poly_in_t()
+    if entry.get("t") is not None:
+        return value.as_poly_in_p()
+    return value
+
+
 def _printed_value(entry: dict):
     printed = entry["printed"]
     if "value" in printed:
         return Fraction(printed["value"])
     if "coeffs" in printed:
         return Poly(tuple(Fraction(c) for c in printed["coeffs"]))
-    return BiPoly({(int(i), int(j)): Fraction(c) for i, j, c in printed["terms"]})
+    return _in_free_variable(
+        entry, BiPoly({(int(i), int(j)): Fraction(c) for i, j, c in printed["terms"]})
+    )
 
 
-def _computed_value(entry: dict, g: GSeries, s_polys):
+def _computed_value(entry: dict, g: Series, s_polys):
     kind = entry["kind"]
     n = entry["n"]
     if kind == "s_poly":
@@ -367,22 +379,10 @@ def _computed_value(entry: dict, g: GSeries, s_polys):
         value = value.eval_p(Fraction(entry["p"]))
     if entry.get("t") is not None:
         value = value.eval_t(Fraction(entry["t"]))
-    return value
+    return _in_free_variable(entry, value)
 
 
-def _render(entry: dict, value) -> str:
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, Poly):
-        return value.to_text("t")
-    if entry.get("p") is not None:
-        return value.as_poly_in_t().to_text("t")
-    if entry.get("t") is not None:
-        return value.as_poly_in_p().to_text("p")
-    return value.to_text()
-
-
-def compare_reference_tables(g: Optional[GSeries] = None) -> list[dict]:
+def compare_reference_tables(g: Optional[Series] = None) -> list[dict]:
     """Recompute every bundled table value; report printed vs computed."""
     from .expansions import s_coeffs
 
@@ -394,23 +394,20 @@ def compare_reference_tables(g: Optional[GSeries] = None) -> list[dict]:
     for entry in entries:
         printed = _printed_value(entry)
         computed = _computed_value(entry, g, s)
-        if isinstance(printed, BiPoly) and isinstance(computed, Poly):
-            computed = BiPoly.from_poly_in_t(computed)
-        if isinstance(printed, BiPoly) and not isinstance(computed, BiPoly):
-            computed = BiPoly.constant(computed)
-        match = printed == computed
+        # an entry that fixes t holds a rational or a polynomial in p
+        var = "p" if entry.get("t") is not None else "t"
         results.append(
             {
                 "entry": entry,
-                "match": match,
-                "printed_text": _render(entry, printed),
-                "computed_text": _render(entry, computed),
+                "match": printed == computed,
+                "printed_text": _render(printed, var),
+                "computed_text": _render(computed, var),
             }
         )
     return results
 
 
-def errata_report(g: Optional[GSeries] = None) -> list[ErrataEntry]:
+def errata_report(g: Optional[Series] = None) -> list[ErrataEntry]:
     """Statement-level corrections, then every table value failing the gate."""
     out = [
         ErrataEntry(

@@ -28,7 +28,7 @@ import mpmath
 from mpmath import mp, mpf
 
 from .bernoulli import bernoulli_number
-from .expansions import GSeries, specialize
+from .expansions import Series, specialize
 
 __all__ = [
     "GUARD",
@@ -105,11 +105,11 @@ def euler_gamma(prec: int = 256) -> mpf:
 
 
 def eval_expansion(
-    g: GSeries,
+    g: Series,
     p: RationalLike,
     t: RationalLike,
     x: RationalLike,
-    order: Optional[int] = None,
+    order: int,
     prec: int = 256,
 ) -> mpf:
     """Evaluate x^p * sum_{n<=order} G_n(p,t) x^(-n) at exact rational inputs."""
@@ -118,8 +118,6 @@ def eval_expansion(
     x = Fraction(x)
     if x <= 0:
         raise ValueError(f"expansion variable must be positive, got {x}")
-    if order is None:
-        order = len(g.coeffs) - 1
     if order < 0:
         raise ValueError(f"series order must be >= 0, got {order}")
     if order >= len(g.coeffs):
@@ -154,7 +152,7 @@ def _check_sample(n: int, order: int) -> None:
         raise ValueError(f"series order must be >= 0, got {order}")
 
 
-def _exp_series(order: int) -> GSeries:
+def _exp_series(order: int) -> Series:
     from .expansions import g_via_bernoulli
 
     return g_via_bernoulli(order)
@@ -167,7 +165,7 @@ def approx_gamma(
     _check_sample(n, order)
     t = Fraction(t)
     x = Fraction(n + 1) - t
-    g = _exp_series(max(order, 1))
+    g = _exp_series(order)
     with mp.workprec(prec + GUARD):
         e = eval_expansion(g, 1, t, x, order, mp.prec)
         value = to_mpf(harmonic(n), mp.prec) - mpmath.log(e)
@@ -182,7 +180,7 @@ def approx_harmonic(
     _check_sample(n, order)
     t = Fraction(t)
     x = Fraction(n + 1) - t
-    g = _exp_series(max(order, 1))
+    g = _exp_series(order)
     with mp.workprec(prec + GUARD):
         e = eval_expansion(g, 1, t, x, order, mp.prec)
         value = euler_gamma(mp.prec) + mpmath.log(e)
@@ -201,7 +199,7 @@ def approx_exp_psi(
     _check_sample(n, order)
     p = Fraction(p)
     t = Fraction(t)
-    g = _exp_series(max(order, 1))
+    g = _exp_series(order)
     with mp.workprec(prec + GUARD):
         value = eval_expansion(g, p, t, n, order, mp.prec)
         exact = mpmath.exp(to_mpf(p, mp.prec) * psi_ref(Fraction(n) + t, mp.prec))

@@ -21,7 +21,7 @@ class TestParseRational:
         assert parse_rational("-7/2") == F(-7, 2)
         assert parse_rational("+4/6") == F(2, 3)
 
-    @pytest.mark.parametrize("bad", ["1.5", "2e3", "a/b", "1/", "/2", "", "1 /2"])
+    @pytest.mark.parametrize("bad", ["1.5", "2e3", "a/b", "1/", "/2", "", "1 /2", "1/0", "-3/00"])
     def test_rejects_non_rationals(self, bad):
         with pytest.raises(ValueError):
             parse_rational(bad)
@@ -95,13 +95,6 @@ class TestBiPoly:
         assert left == right
         assert left - right == BiPoly.zero()
 
-    def test_degree_in_each_variable(self):
-        p, t = BiPoly.var_p(), BiPoly.var_t()
-        b = p * p * t + t * t * t
-        assert b.degree_in("p") == 2
-        assert b.degree_in("t") == 3
-        assert BiPoly.zero().degree_in("p") is None
-
     def test_partial_evaluation(self):
         p, t = BiPoly.var_p(), BiPoly.var_t()
         b = p * t + t * t
@@ -117,14 +110,6 @@ class TestBiPoly:
         assert (t * t - t).as_poly_in_t() == Poly((F(0), F(-1), F(1)))
         assert (p * p * 4).as_poly_in_p() == Poly((F(0), F(0), F(4)))
 
-    def test_shift_then_evaluate_matches_evaluate_shifted(self):
-        p, t = BiPoly.var_p(), BiPoly.var_t()
-        b = p * p * t * t - t * 3 + p
-        s = F(2, 3)
-        shifted = b.shift_t(s)
-        for t0 in (F(0), F(1), F(-1, 2)):
-            assert shifted.eval_t(t0) == b.eval_t(s + t0)
-
     def test_derivative_in_shift_direction(self):
         t = BiPoly.var_t()
         b = t ** 3
@@ -136,7 +121,6 @@ class TestBiPoly:
         d = b.to_json_dict()
         keys = [(item["p"], item["t"]) for item in d["terms"]]
         assert keys == sorted(keys)
-        assert BiPoly.from_json_dict(d) == b
         assert json.loads(json_canonical(d)) == d
 
     def test_json_canonical_is_compact_and_sorted(self):
@@ -146,8 +130,8 @@ class TestBiPoly:
 
 class TestExpansionContainer:
     def test_order_counts_terms_after_leading(self):
-        from exppsi.algebra import Expansion
+        from exppsi.expansions import Series
 
-        e = Expansion(F(2), (F(1), F(0), F(1, 3)))
+        e = Series((F(1), F(0), F(1, 3)))
         assert e.order == 2
-        assert e.base_exponent == 2
+        assert len(e) == 3 and e[2] == F(1, 3)

@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface."""
 
+import importlib
 import json
 import shutil
 import subprocess
@@ -91,9 +92,16 @@ class TestCoeffs:
         assert "exponential family" in err
 
     def test_malformed_rational_is_a_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["coeffs", "g", "--n", "2", "--p", "1.5"])
-        assert excinfo.value.code == 2
+        for argv, opt in (
+            (["coeffs", "g", "--n", "2", "--p", "1.5"], "--p"),
+            (["coeffs", "g", "--n", "3", "--t", "1/0"], "--t"),
+            (["approx", "gamma", "--n", "3", "--t", "1/0"], "--t"),
+            (["approx", "exp-psi", "--n", "3", "--p=-2/00"], "--p"),
+        ):
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv)
+            assert excinfo.value.code == 2
+            assert f"argument {opt}:" in capsys.readouterr().err
 
     def test_negative_rational_as_its_own_word(self, capsys, monkeypatch):
         for head, opt, value in (
@@ -219,3 +227,16 @@ def test_console_script_matches_module_invocation():
     )
     assert script.returncode == module.returncode == 0
     assert script.stdout == module.stdout
+
+
+def test_every_exported_name_resolves():
+    # perfbench/spans.py wraps the functions it finds by these names
+    import exppsi
+
+    modules = [exppsi] + [
+        importlib.import_module(f"exppsi.{name}")
+        for name in ("algebra", "bernoulli", "expansions", "identities", "numeric", "cli")
+    ]
+    for module in modules:
+        for name in module.__all__:
+            assert hasattr(module, name), f"{module.__name__}.{name}"

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from exppsi.algebra import BiPoly
-from exppsi.expansions import GSeries, g_via_bernoulli
+from exppsi.expansions import Series, g_via_bernoulli
 from exppsi.identities import (
     CheckReport,
     ErrataEntry,
@@ -32,12 +32,12 @@ from exppsi.identities import (
 F = Fraction
 
 
-def corrupted_series(n_max: int) -> GSeries:
+def corrupted_series(n_max: int) -> Series:
     """A copy of the canonical series with one coefficient perturbed."""
     g = g_via_bernoulli(n_max)
     coeffs = list(g.coeffs)
     coeffs[2] = coeffs[2] + BiPoly.var_p() * BiPoly.var_t() * F(1, 7)
-    return GSeries(tuple(coeffs), route=g.route)
+    return Series(tuple(coeffs))
 
 
 class TestCheckReport:
