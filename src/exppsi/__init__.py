@@ -42,9 +42,7 @@ from .identities import (
     check_route_agreement,
     check_shift_identity,
     compare_reference_tables,
-    errata_markdown,
     errata_report,
-    errata_text,
     identity_text,
     reference_entries,
     reference_statements,
@@ -55,7 +53,6 @@ from .numeric import (
     approx_gamma,
     approx_harmonic,
     convergence_order,
-    error_table_csv,
     euler_gamma,
     eval_expansion,
     format_mpf,
@@ -102,8 +99,6 @@ __all__ = [
     "reference_statements",
     "compare_reference_tables",
     "errata_report",
-    "errata_text",
-    "errata_markdown",
     "ApproxResult",
     "harmonic",
     "psi_ref",
@@ -113,7 +108,6 @@ __all__ = [
     "approx_harmonic",
     "approx_exp_psi",
     "convergence_order",
-    "error_table_csv",
     "format_mpf",
     "to_mpf",
 ]

@@ -255,14 +255,12 @@ class BiPoly:
     __slots__ = ("terms",)
     __hash__ = None  # mutable mapping inside; never hash
 
-    def __init__(self, terms: Mapping[tuple[int, int], Fraction] | Iterable = ()):
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        store: dict[tuple[int, int], Fraction] = {}
-        for (i, j), c in items:
+    def __init__(self, terms: Mapping[tuple[int, int], Fraction]):
+        self.terms = {}
+        for (i, j), c in terms.items():
             q = Fraction(c)
             if q != 0:
-                store[(int(i), int(j))] = store.get((int(i), int(j)), Fraction(0)) + q
-        self.terms = {k: v for k, v in store.items() if v != 0}
+                self.terms[(int(i), int(j))] = q
 
     @classmethod
     def _of(cls, terms: dict[tuple[int, int], Fraction]) -> "BiPoly":
@@ -274,7 +272,7 @@ class BiPoly:
 
     @classmethod
     def zero(cls) -> "BiPoly":
-        return cls()
+        return cls({})
 
     @classmethod
     def one(cls) -> "BiPoly":

@@ -15,9 +15,10 @@ Four subcommands:
     reference values, optionally sweeping the sample size to estimate the
     empirical convergence order.
 
-All data output goes to stdout and is byte-deterministic for fixed
-arguments; diagnostics go to stderr. Exit codes: 0 success, 1 failed
-verification, 2 usage error.
+This module renders every output format; the library returns values and
+reports as data. All data output goes to stdout and is byte-deterministic
+for fixed arguments; diagnostics go to stderr. Exit codes: 0 success,
+1 failed verification, 2 usage error.
 """
 
 from __future__ import annotations
@@ -28,6 +29,8 @@ import re
 import sys
 from fractions import Fraction
 from typing import Optional, Sequence
+
+import mpmath
 
 from .algebra import BiPoly, _render, _terms, json_canonical, parse_rational
 from .expansions import (
@@ -47,17 +50,15 @@ from .identities import (
     check_reflection,
     check_route_agreement,
     check_shift_identity,
-    errata_markdown,
     errata_report,
-    errata_text,
 )
 from .numeric import (
+    GUARD,
     ApproxResult,
     approx_exp_psi,
     approx_gamma,
     approx_harmonic,
     convergence_order,
-    error_table_csv,
     format_mpf,
 )
 
@@ -109,7 +110,7 @@ def _cmd_coeffs(args: argparse.Namespace, out) -> int:
     n_max = args.n
     if args.kind == "s":
         if args.p is not None:
-            raise SystemExit2("--p applies only to the exponential family g")
+            raise ValueError("--p applies only to the exponential family g")
         values = s_coeffs(n_max).coeffs
         label = "S"
     else:
@@ -235,11 +236,35 @@ def _cmd_verify(args: argparse.Namespace, out) -> int:
 # errata subcommand
 
 
+def _errata_text(entries) -> str:
+    lines = []
+    for e in entries:
+        lines.append(f"* {e.location}")
+        lines.append(f"    printed:  {e.printed}")
+        lines.append(f"    computed: {e.computed}")
+        if e.note:
+            lines.append(f"    note: {e.note}")
+    return "\n".join(lines) + "\n"
+
+
+def _errata_markdown(entries) -> str:
+    lines = [
+        "| location | printed | computed | note |",
+        "| --- | --- | --- | --- |",
+    ]
+    for e in entries:
+        cells = [e.location, f"`{e.printed}`", f"`{e.computed}`", e.note]
+        lines.append("| " + " | ".join(c.replace("|", "\\|") for c in cells) + " |")
+    return "\n".join(lines) + "\n"
+
+
+# escaped with a bare backslash, these would read as a line break or an accent
+_LATEX_SPECIAL = {"\\": "\\textbackslash{}", "^": "\\^{}", "~": "\\~{}"}
+
+
 def _errata_latex(entries) -> str:
     def esc(text: str) -> str:
-        for ch in "\\&%$#_{}^~":
-            text = text.replace(ch, f"\\{ch}" if ch != "\\" else "\\textbackslash{}")
-        return text
+        return re.sub(r"[\\&%$#_{}^~]", lambda m: _LATEX_SPECIAL.get(m[0], "\\" + m[0]), text)
 
     lines = [
         "\\begin{tabular}{p{0.24\\linewidth}p{0.3\\linewidth}p{0.3\\linewidth}}",
@@ -270,11 +295,11 @@ def _cmd_errata(args: argparse.Namespace, out) -> int:
         for e in entries:
             writer.writerow([e.location, e.printed, e.computed, e.note])
     elif args.format == "markdown":
-        out.write(errata_markdown(entries))
+        out.write(_errata_markdown(entries))
     elif args.format == "latex":
         out.write(_errata_latex(entries))
     else:
-        out.write(errata_text(entries))
+        out.write(_errata_text(entries))
     return 0
 
 
@@ -290,32 +315,33 @@ def _one_sample(args: argparse.Namespace, n: int) -> ApproxResult:
     return approx_exp_psi(n, args.order, p=args.p, t=args.t, prec=args.prec)
 
 
+def _fit(samples: Sequence[ApproxResult], prec: int) -> Optional[Fraction]:
+    """Convergence order of the samples whose error is measurable, or None.
+
+    An error at most 2^8 times the rounding floor of the working precision,
+    2^-(prec+GUARD) times max(1, |value|), is rounding noise and is left out.
+    """
+    measurable = [
+        (r.n, r.abs_error)
+        for r in samples
+        if r.abs_error > mpmath.ldexp(max(1, abs(r.value)), 8 - prec - GUARD)
+    ]
+    try:
+        return convergence_order(measurable)
+    except ValueError:
+        return None
+
+
 def _cmd_approx(args: argparse.Namespace, out) -> int:
     ns = [args.n * (2**k) for k in range(4)] if args.sweep else [args.n]
     samples = [_one_sample(args, n) for n in ns]
-    fitted: Optional[Fraction] = None
-    if args.sweep:
-        enriched = []
-        for i, r in enumerate(samples):
-            est = None
-            if i > 0:
-                try:
-                    est = convergence_order(
-                        [
-                            (samples[i - 1].n, samples[i - 1].abs_error),
-                            (r.n, r.abs_error),
-                        ]
-                    )
-                except ValueError:
-                    est = None
-            enriched.append(
-                ApproxResult(r.n, r.order_used, r.value, r.abs_error, est)
-            )
-        samples = enriched
-        try:
-            fitted = convergence_order([(r.n, r.abs_error) for r in samples])
-        except ValueError:
-            fitted = None
+    # est[i] is the order fitted to samples i-1 and i
+    est = [None] + [_fit(samples[i - 1 : i + 1], args.prec) for i in range(1, len(samples))]
+    fitted = _fit(samples, args.prec) if args.sweep else None
+    rows = [
+        (r.n, r.order_used, format_mpf(r.value, args.prec), format_mpf(r.abs_error, args.prec), e)
+        for r, e in zip(samples, est)
+    ]
 
     if args.format == "json":
         doc = {
@@ -325,29 +351,29 @@ def _cmd_approx(args: argparse.Namespace, out) -> int:
             "p": str(args.p) if args.target == "exp-psi" else None,
             "samples": [
                 {
-                    "n": r.n,
-                    "order": r.order_used,
-                    "value": format_mpf(r.value, args.prec),
-                    "abs_error": format_mpf(r.abs_error, args.prec),
-                    "est_order": None if r.est_order is None else str(r.est_order),
+                    "n": n,
+                    "order": order,
+                    "value": value,
+                    "abs_error": err,
+                    "est_order": None if e is None else str(e),
                 }
-                for r in samples
+                for n, order, value, err, e in rows
             ],
             "fitted_order": None if fitted is None else str(fitted),
         }
         print(json_canonical(doc), file=out)
     elif args.format == "csv":
-        out.write(error_table_csv(samples, args.prec))
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(["n", "order", "value", "abs_error", "est_order"])
+        for *row, e in rows:
+            writer.writerow([*row, "" if e is None else str(e)])
         if fitted is not None:
             print(f"# fitted_order,{fitted}", file=out)
     else:
-        for r in samples:
-            line = (
-                f"n={r.n} order={r.order_used} value={format_mpf(r.value, args.prec)}"
-                f" abs_error={format_mpf(r.abs_error, args.prec)}"
-            )
-            if r.est_order is not None:
-                line += f" est_order={float(r.est_order):.3f}"
+        for n, order, value, err, e in rows:
+            line = f"n={n} order={order} value={value} abs_error={err}"
+            if e is not None:
+                line += f" est_order={float(e):.3f}"
             print(line, file=out)
         if args.sweep:
             if fitted is not None:
@@ -358,10 +384,6 @@ def _cmd_approx(args: argparse.Namespace, out) -> int:
 
 
 # ---------------------------------------------------------------------------
-
-
-class SystemExit2(Exception):
-    """Usage error surfaced with exit code 2."""
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -436,9 +458,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(_glue_negative_rationals(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args, sys.stdout)
-    except SystemExit2 as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -9,7 +9,8 @@ The bundled reference tables (``reference_tables.json``) hold the values a
 reader would look up, each with a status flag. Entries whose printed value
 disagrees with the canonical recomputation are shipped as ``erratum`` and
 surface in :func:`errata_report` with both values; they do not fail the
-build.
+build. The module returns reports and entries as data; the command line
+renders them.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .expansions import (
     g_via_bernoulli,
     g_via_compositions,
     g_via_power_transform,
+    s_coeffs,
     shift_compose,
 )
 
@@ -55,8 +57,6 @@ __all__ = [
     "reference_statements",
     "compare_reference_tables",
     "errata_report",
-    "errata_text",
-    "errata_markdown",
 ]
 
 
@@ -279,44 +279,25 @@ def _partitions(total: int, max_part: int):
             yield (k,) + rest
 
 
-def bernoulli_identity_terms(n: int, collected: bool = True) -> list[tuple[Fraction, tuple[int, ...]]]:
+def bernoulli_identity_terms(n: int) -> list[tuple[Fraction, tuple[int, ...]]]:
     """The identity as explicit product terms (coefficient, Bernoulli indices).
 
-    Collected form groups ordered compositions into multisets, folding the
-    arrangement count into the coefficient; the raw form keeps one term per
-    ordered composition.
+    The ordered compositions are grouped into multisets, with the
+    arrangement count folded into the coefficient.
     """
     if n < 1:
         raise ValueError("identity index starts at 1")
     m = 2 * n + 1
     out: list[tuple[Fraction, tuple[int, ...]]] = []
-    if collected:
-        for part in _partitions(m, m):
-            r = len(part)
-            mult_denom = 1
-            for k in set(part):
-                mult_denom *= factorial(part.count(k))
-            coef = Fraction((-2 * n) ** r, mult_denom)
-            for k in part:
-                coef /= k
-            out.append((coef, tuple(sorted(part))))
-        return out
-
-    def compositions(remaining: int, acc: list[int]):
-        if remaining == 0:
-            yield tuple(acc)
-            return
-        for k in range(1, remaining + 1):
-            acc.append(k)
-            yield from compositions(remaining - k, acc)
-            acc.pop()
-
-    for comp in compositions(m, []):
-        r = len(comp)
-        coef = Fraction((-2 * n) ** r, factorial(r))
-        for k in comp:
+    for part in _partitions(m, m):
+        r = len(part)
+        mult_denom = 1
+        for k in set(part):
+            mult_denom *= factorial(part.count(k))
+        coef = Fraction((-2 * n) ** r, mult_denom)
+        for k in part:
             coef /= k
-        out.append((coef, comp))
+        out.append((coef, tuple(sorted(part))))
     return out
 
 
@@ -382,14 +363,12 @@ def _computed_value(entry: dict, g: Series, s_polys):
     return _in_free_variable(entry, value)
 
 
-def compare_reference_tables(g: Optional[Series] = None) -> list[dict]:
+def compare_reference_tables() -> list[dict]:
     """Recompute every bundled table value; report printed vs computed."""
-    from .expansions import s_coeffs
-
     entries = reference_entries()
-    n_hi = max(e["n"] for e in entries)
-    g = g or g_via_bernoulli(max(12, n_hi))
-    s = s_coeffs(max(12, n_hi))
+    n_max = max(12, max(e["n"] for e in entries))
+    g = g_via_bernoulli(n_max)
+    s = s_coeffs(n_max)
     results = []
     for entry in entries:
         printed = _printed_value(entry)
@@ -407,7 +386,7 @@ def compare_reference_tables(g: Optional[Series] = None) -> list[dict]:
     return results
 
 
-def errata_report(g: Optional[Series] = None) -> list[ErrataEntry]:
+def errata_report() -> list[ErrataEntry]:
     """Statement-level corrections, then every table value failing the gate."""
     out = [
         ErrataEntry(
@@ -418,7 +397,7 @@ def errata_report(g: Optional[Series] = None) -> list[ErrataEntry]:
         )
         for st in reference_statements()
     ]
-    for result in compare_reference_tables(g):
+    for result in compare_reference_tables():
         if result["match"]:
             continue
         entry = result["entry"]
@@ -431,25 +410,3 @@ def errata_report(g: Optional[Series] = None) -> list[ErrataEntry]:
             )
         )
     return out
-
-
-def errata_text(entries: list[ErrataEntry]) -> str:
-    lines = []
-    for e in entries:
-        lines.append(f"* {e.location}")
-        lines.append(f"    printed:  {e.printed}")
-        lines.append(f"    computed: {e.computed}")
-        if e.note:
-            lines.append(f"    note: {e.note}")
-    return "\n".join(lines) + "\n"
-
-
-def errata_markdown(entries: list[ErrataEntry]) -> str:
-    lines = [
-        "| location | printed | computed | note |",
-        "| --- | --- | --- | --- |",
-    ]
-    for e in entries:
-        cells = [e.location, f"`{e.printed}`", f"`{e.computed}`", e.note]
-        lines.append("| " + " | ".join(c.replace("|", "\\|") for c in cells) + " |")
-    return "\n".join(lines) + "\n"

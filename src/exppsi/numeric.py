@@ -12,17 +12,18 @@ inside the guard precision, the tail is summed with even-index Bernoulli
 numbers, and the shift is undone with exact harmonic corrections. The
 library digamma is deliberately not used here so the tests can treat it as
 an independent cross-check.
+
+Results are returned as ``ApproxResult`` values and convergence orders as
+rationals; the command line renders them.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence, Union
+from typing import Sequence, Union
 
 import mpmath
 from mpmath import mp, mpf
@@ -42,7 +43,6 @@ __all__ = [
     "approx_harmonic",
     "approx_exp_psi",
     "convergence_order",
-    "error_table_csv",
     "format_mpf",
 ]
 
@@ -142,7 +142,6 @@ class ApproxResult:
     order_used: int
     value: mpf
     abs_error: mpf
-    est_order: Optional[Fraction] = None
 
 
 def _check_sample(n: int, order: int) -> None:
@@ -234,21 +233,3 @@ def convergence_order(points: Sequence[tuple[int, mpf]]) -> Fraction:
 def format_mpf(value: mpf, prec: int = 256) -> str:
     """Decimal rendering with digits matched to the binary precision."""
     return mpmath.nstr(value, mpmath.libmp.prec_to_dps(prec))
-
-
-def error_table_csv(results: Iterable[ApproxResult], prec: int = 256) -> str:
-    """Render approximation samples as CSV (n, order, value, abs_error, est_order)."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["n", "order", "value", "abs_error", "est_order"])
-    for r in results:
-        writer.writerow(
-            [
-                r.n,
-                r.order_used,
-                format_mpf(r.value, prec),
-                format_mpf(r.abs_error, prec),
-                "" if r.est_order is None else str(r.est_order),
-            ]
-        )
-    return buf.getvalue()

@@ -123,7 +123,7 @@ def test_criterion_4_bernoulli_product_identity():
     with criterion(4, "bernoulli-product-identity"):
         for n in range(1, 7):
             assert bernoulli_identity(n).is_zero, f"identity broke at n={n}"
-        collected = {ks: c for c, ks in bernoulli_identity_terms(1, collected=True)}
+        collected = {ks: c for c, ks in bernoulli_identity_terms(1)}
         assert collected == {
             (3,): F(-2, 3),
             (1, 2): F(2),

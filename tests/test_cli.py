@@ -1,17 +1,21 @@
 """End-to-end tests for the command-line interface."""
 
+import csv
+import hashlib
 import importlib
 import json
 import shutil
 import subprocess
 import sys
+from fractions import Fraction
 from importlib import resources
 
 import pytest
 from jsonschema import Draft202012Validator
 from referencing import Registry, Resource
 
-from exppsi.cli import main
+from exppsi.cli import _errata_latex, main
+from exppsi.identities import ErrataEntry, errata_report
 
 
 def run_cli(capsys, *argv):
@@ -177,6 +181,23 @@ class TestErrata:
         assert code == 0
         assert "\\begin{tabular}" in out
 
+    def test_renderings_cover_all_entries(self, capsys):
+        entries = errata_report()
+        code, text, _ = run_cli(capsys, "errata")
+        assert code == 0
+        code, md, _ = run_cli(capsys, "errata", "--format", "markdown")
+        assert code == 0
+        assert sum(line.startswith("* ") for line in text.splitlines()) == len(entries)
+        for e in entries:
+            assert f"* {e.location}\n    printed:  {e.printed}\n    computed: {e.computed}\n" in text
+            assert e.location in md
+        assert md.splitlines()[0] == "| location | printed | computed | note |"
+        assert len(md.splitlines()) == len(entries) + 2
+
+    def test_latex_escapes_each_special_character_once(self):
+        lines = _errata_latex([ErrataEntry("a\\b", "x^2~y", "z_1")]).splitlines()
+        assert lines[4] == "a\\textbackslash{}b & \\texttt{x\\^{}2\\~{}y} & \\texttt{z\\_1} \\\\"
+
 
 class TestApprox:
     def test_order_zero_exponential(self, capsys):
@@ -214,6 +235,34 @@ class TestApprox:
         assert code == 0
         assert out.splitlines()[0] == "n,order,value,abs_error,est_order"
 
+    def test_sweep_csv_layout(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "approx", "harmonic", "--n", "10", "--order", "2", "--sweep",
+            "--format", "csv",
+        )
+        assert code == 0
+        rows = list(csv.reader(out.splitlines()))
+        assert rows[0] == ["n", "order", "value", "abs_error", "est_order"]
+        assert [row[:2] for row in rows[1:5]] == [["10", "2"], ["20", "2"], ["40", "2"], ["80", "2"]]
+        assert rows[1][4] == ""
+        for row in rows[2:5]:
+            assert abs(Fraction(row[4]) - 3) < 1, row
+        assert rows[5][0].startswith("# fitted_order")
+
+    def test_sweep_leaves_out_samples_at_the_rounding_floor(self, capsys):
+        # at n = 32 the error is 2^-112, the rounding floor of 64 + 48 guard bits
+        argv = ["approx", "gamma", "--n", "4", "--order", "30", "--sweep", "--prec", "64"]
+        code, out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        validate(doc, "approx_output.json")
+        assert [s["est_order"] is None for s in doc["samples"]] == [True, False, False, True]
+        assert abs(Fraction(doc["fitted_order"]) - 31) < 1
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert out.splitlines()[3].startswith("n=32 ")
+        assert "est_order" not in out.splitlines()[3]
+
 
 @pytest.mark.skipif(shutil.which("exppsi") is None, reason="entry point not installed")
 def test_console_script_matches_module_invocation():
@@ -240,3 +289,35 @@ def test_every_exported_name_resolves():
     for module in modules:
         for name in module.__all__:
             assert hasattr(module, name), f"{module.__name__}.{name}"
+
+
+# SHA-256 of stdout for a fixed set of commands: the README commands and
+# commands shaped like the benchmark's operations. A change to any of these
+# outputs must be deliberate; record the new digest and say why.
+STDOUT_SHA256 = [
+    ("coeffs s --n 6", "10ab994b1496dc4cf869d98dd6b6b7a0e1b19f4dd5e248aacc4ec55f26836d94"),
+    ("coeffs g --n 4 --p 2 --t 0 --format csv", "be40cae4d847b58048b64d7858c55ff977a8c5d8a81a05d00d734250fde97973"),
+    ("coeffs g --n 8 --t 1/2 --format latex", "af5bea350161a26e117628e125b58f78487dcf199f363aa8d87cfb9dedc23cc1"),
+    ("verify --suite all --max-n 12", "0735d16a9500b62631e77262e5aec9ff05f9e2f1e7f88929ee29f1bd3e0a094d"),
+    ("verify --suite half --format json", "1ff4aff58f33bde958ff5391679dca524ea2cedd5cd5cb7d5335c5c6e348399b"),
+    ("errata", "54c6cccc43dc24c2c24d8afd52c2c148310bc7155b322c7eccb450aa0e4e9a41"),
+    ("errata --format markdown", "f6e832cde799951251dbcd0989c961d8cc7695d462b6f69e5c67ed7bc924485f"),
+    ("approx gamma --n 32 --order 4 --sweep", "005e4551f1f0e9fa739e5f8fd5fcb3f161bbabd1b335456089e7457c86a4c2bf"),
+    ("approx harmonic --n 10 --order 4 --t 1/2", "43bf35f52c8e2510f414bac31de35a6caf2f81c1f65654f5952626721a649794"),
+    ("approx exp-psi --n 50 --order 6 --p 3 --prec 512", "ade9f8a1067b02d6d09963810eeddfd54a16a29547670dcd7c5003e777a60970"),
+    ("verify --suite routes --max-n 12 --format json", "1bd0fe90be030f7bb1e719e7d37165df82bf61858a04affbee3ffe226e4fb183"),
+    ("errata --format csv", "3d6981a9adada0255f77a8f1b1a79aa2b0344eb3f9471b80c2864bf919db2d28"),
+    ("errata --format json", "18c24969671087feb73ad98956bc71c6e336d29a4a1ed6d0b907134b402dfbf9"),
+    ("coeffs g --n 7 --p=-2/3 --t 5/4 --format json", "06fec486b41111e0f1a8468f20de0159ae0dba0fd7e2b224c26f89781065e9d9"),
+    ("approx exp-psi --n 40 --order 16 --sweep --format csv --p 2/3 --t 5/4 --prec 768", "784ce98fc00b072e3615255088a7de7229c2dcb01aeab3d17d086bc954f71a29"),
+    ("approx gamma --n 40 --order 8 --sweep --format json --prec 768", "86e0e19f91c15f804e29b97f574b5c98b4ef45109b2af4b4b0a1202b38994434"),
+]
+
+
+def test_stdout_matches_recorded_digests(capsys):
+    changed = []
+    for command, digest in STDOUT_SHA256:
+        code, out, _ = run_cli(capsys, *command.split())
+        if code != 0 or hashlib.sha256(out.encode()).hexdigest() != digest:
+            changed.append(command)
+    assert changed == []

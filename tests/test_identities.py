@@ -1,7 +1,9 @@
 """Tests for the theorem checks, the product identity, and the errata gate."""
 
+import itertools
 from collections import defaultdict
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -21,9 +23,7 @@ from exppsi.identities import (
     check_route_agreement,
     check_shift_identity,
     compare_reference_tables,
-    errata_markdown,
     errata_report,
-    errata_text,
     identity_text,
     reference_entries,
     reference_statements,
@@ -38,6 +38,22 @@ def corrupted_series(n_max: int) -> Series:
     coeffs = list(g.coeffs)
     coeffs[2] = coeffs[2] + BiPoly.var_p() * BiPoly.var_t() * F(1, 7)
     return Series(tuple(coeffs))
+
+
+def ordered_compositions(m: int) -> list[tuple[int, ...]]:
+    """Every ordered composition of m: each subset of the m-1 gaps between
+    m unit parts is a set of cut points."""
+    out = []
+    for cuts in itertools.product((False, True), repeat=m - 1):
+        parts, size = [], 1
+        for cut in cuts:
+            if cut:
+                parts.append(size)
+                size = 1
+            else:
+                size += 1
+        out.append(tuple(parts + [size]))
+    return out
 
 
 class TestCheckReport:
@@ -122,7 +138,7 @@ class TestProductIdentity:
             assert bernoulli_identity(n).is_zero, n
 
     def test_collected_terms_for_first_identity(self):
-        terms = {ks: c for c, ks in bernoulli_identity_terms(1, collected=True)}
+        terms = {ks: c for c, ks in bernoulli_identity_terms(1)}
         assert terms == {
             (3,): F(-2, 3),
             (1, 2): F(2),
@@ -130,17 +146,21 @@ class TestProductIdentity:
         }
 
     def test_raw_terms_aggregate_to_collected(self):
-        for n in (1, 2):
-            raw = bernoulli_identity_terms(n, collected=False)
+        # one term ((-2n)^r / r!) / (k_1...k_r) per ordered composition of 2n+1
+        for n in (1, 2, 3):
             agg = defaultdict(F)
-            for c, ks in raw:
-                agg[tuple(sorted(ks))] += c
-            collected = {ks: c for c, ks in bernoulli_identity_terms(n, collected=True)}
-            assert dict(agg) == collected, n
+            for comp in ordered_compositions(2 * n + 1):
+                c = F((-2 * n) ** len(comp), factorial(len(comp)))
+                for k in comp:
+                    c /= k
+                agg[tuple(sorted(comp))] += c
+            assert dict(agg) == {ks: c for c, ks in bernoulli_identity_terms(n)}, n
 
     def test_raw_term_count_is_power_of_two(self):
-        assert len(bernoulli_identity_terms(1, collected=False)) == 4  # 2^(3-1)
-        assert len(bernoulli_identity_terms(2, collected=False)) == 16  # 2^(5-1)
+        for n in (1, 2, 3):
+            comps = ordered_compositions(2 * n + 1)
+            assert len(set(comps)) == len(comps) == 2 ** (2 * n), n
+            assert all(sum(comp) == 2 * n + 1 and min(comp) >= 1 for comp in comps)
 
     def test_rendering(self):
         terms = sorted(bernoulli_identity_terms(1), key=lambda item: item[1])
@@ -148,7 +168,7 @@ class TestProductIdentity:
 
     def test_sign_flip_variant_does_not_vanish(self):
         # flipping the sign of the single-factor term breaks the identity
-        terms = bernoulli_identity_terms(1, collected=True)
+        terms = bernoulli_identity_terms(1)
         from exppsi.bernoulli import bernoulli_poly
 
         total_at_2 = F(0)
@@ -220,13 +240,3 @@ class TestErrataReport:
             assert e.printed != e.computed
         with pytest.raises(ValueError):
             ErrataEntry("somewhere", "same", "same")
-
-    def test_renderings_cover_all_entries(self):
-        entries = errata_report()
-        text = errata_text(entries)
-        md = errata_markdown(entries)
-        for e in entries:
-            assert e.location in text
-            assert e.location in md
-        assert md.splitlines()[0].startswith("| location |")
-        assert len(md.splitlines()) == len(entries) + 2

@@ -14,12 +14,10 @@ from mpmath import mp, mpf
 from exppsi.bernoulli import bernoulli_poly
 from exppsi.expansions import _log_series, g_via_bernoulli
 from exppsi.numeric import (
-    ApproxResult,
     approx_exp_psi,
     approx_gamma,
     approx_harmonic,
     convergence_order,
-    error_table_csv,
     euler_gamma,
     eval_expansion,
     format_mpf,
@@ -220,13 +218,6 @@ class TestConvergenceOrder:
 
 
 class TestRendering:
-    def test_error_table_csv_layout(self):
-        rows = error_table_csv(
-            [ApproxResult(5, 2, mpf(1), mpf("0.25"), F(3))], prec=64
-        ).splitlines()
-        assert rows[0] == "n,order,value,abs_error,est_order"
-        assert rows[1].startswith("5,2,1.0,0.25,3")
-
     def test_format_is_deterministic(self):
         a = format_mpf(euler_gamma(256), 256)
         b = format_mpf(euler_gamma(256), 256)
