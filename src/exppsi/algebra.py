@@ -5,8 +5,10 @@ module is exact. Two representations are used, matching how the series
 coefficients actually behave:
 
 * ``Poly`` is a dense univariate polynomial, a tuple of coefficients by
-  ascending power. Bernoulli polynomials and series specialized at a
-  numeric parameter live here.
+  ascending power, in the variable named by its ``var``: ``"t"`` (the
+  default) or ``"p"``. Bernoulli polynomials and series specialized at a
+  numeric parameter live here. Operations keep the variable, and combining
+  a Poly in ``t`` with one in ``p`` raises ``ValueError``.
 * ``BiPoly`` is a sparse bivariate polynomial in the pair ``(p, t)``,
   stored as a map from exponent pairs to nonzero coefficients. The
   symbolic expansion coefficients are sparse once their degrees collapse,
@@ -25,7 +27,9 @@ substituted homogeneously, ``c_e x^e = c_e a^e b^(top-e) / b^top``, so no
 
 Every printed form of a value, as text here and as LaTeX, CSV or JSON in
 the command line, is built from one term iterator, ``_terms``, which names
-the variable of each power.
+each power by the variable the value carries. ``BiPoly.of`` places a Poly
+under its own variable, and ``BiPoly.as_poly(var)`` turns a BiPoly in one
+variable back into a Poly.
 """
 
 from __future__ import annotations
@@ -117,30 +121,31 @@ def _substitute(terms: Sequence[tuple[int, object, Fraction]], x) -> dict:
     return {rest: Fraction(n, den) for rest, n in sums.items() if n}
 
 
-def _terms(value, var: str = "t") -> Iterator[tuple[Fraction, tuple[tuple[str, int], ...]]]:
-    """The terms of a rational, a Poly in ``var`` or a BiPoly in (p, t), in
-    print order, as (coefficient, ((variable, power), ...)) with zero powers
-    left out. A Poly goes by falling powers, a BiPoly by sorted (p, t)
-    exponents; zero terms are skipped, but a rational is always one term."""
+def _terms(value) -> Iterator[tuple[Fraction, tuple[tuple[str, int], ...]]]:
+    """The terms of a rational, a Poly or a BiPoly in (p, t), in print
+    order, as (coefficient, ((variable, power), ...)) with zero powers left
+    out. A Poly goes by falling powers in its own variable, a BiPoly by
+    sorted (p, t) exponents; zero terms are skipped, but a rational is
+    always one term."""
     if isinstance(value, BiPoly):
         for i, j, c in value.sorted_terms():
             yield c, tuple((name, e) for name, e in (("p", i), ("t", j)) if e)
     elif isinstance(value, Poly):
         for k in range(len(value.coeffs) - 1, -1, -1):
             if value.coeffs[k]:
-                yield value.coeffs[k], ((var, k),) if k else ()
+                yield value.coeffs[k], ((value.var, k),) if k else ()
     else:
         yield Fraction(value), ()
 
 
-def _render(value, var: str = "t", number=str, sep: str = "*", power: str = "{}^{}") -> str:
-    """A rational, a Poly in ``var`` or a BiPoly as a signed sum of terms.
-    ``number`` renders a coefficient's magnitude, ``power`` a variable
-    raised above the first power, and ``sep`` joins the factors of a term."""
+def _render(value, number=str, sep: str = "*", power: str = "{}^{}") -> str:
+    """A rational, a Poly or a BiPoly as a signed sum of terms. ``number``
+    renders a coefficient's magnitude, ``power`` a variable raised above
+    the first power, and ``sep`` joins the factors of a term."""
     return _join_terms(
         (
             (c, sep.join(name if e == 1 else power.format(name, e) for name, e in powers))
-            for c, powers in _terms(value, var)
+            for c, powers in _terms(value)
         ),
         number,
         sep,
@@ -149,31 +154,35 @@ def _render(value, var: str = "t", number=str, sep: str = "*", power: str = "{}^
 
 @dataclass(frozen=True)
 class Poly:
-    """Dense univariate polynomial with Fraction coefficients, ascending powers."""
+    """Dense univariate polynomial with Fraction coefficients, ascending
+    powers, in the variable ``var``: "t" or "p"."""
 
     coeffs: tuple[Fraction, ...] = ()
+    var: str = "t"
 
     def __post_init__(self) -> None:
+        if self.var not in ("p", "t"):
+            raise ValueError(f"a polynomial is in p or in t, not {self.var!r}")
         cs = tuple(c if type(c) is Fraction else Fraction(c) for c in self.coeffs)
         while cs and cs[-1] == 0:
             cs = cs[:-1]
         object.__setattr__(self, "coeffs", cs)
 
     @classmethod
-    def zero(cls) -> "Poly":
-        return cls(())
+    def zero(cls, var: str = "t") -> "Poly":
+        return cls((), var)
 
     @classmethod
-    def one(cls) -> "Poly":
-        return cls((Fraction(1),))
+    def one(cls, var: str = "t") -> "Poly":
+        return cls((Fraction(1),), var)
 
     @classmethod
-    def constant(cls, q) -> "Poly":
-        return cls((Fraction(q),))
+    def constant(cls, q, var: str = "t") -> "Poly":
+        return cls((Fraction(q),), var)
 
     @classmethod
-    def variable(cls) -> "Poly":
-        return cls((Fraction(0), Fraction(1)))
+    def variable(cls, var: str = "t") -> "Poly":
+        return cls((Fraction(0), Fraction(1)), var)
 
     @property
     def degree(self) -> int | None:
@@ -188,25 +197,32 @@ class Poly:
             return self.coeffs[k]
         return Fraction(0)
 
+    def _var_with(self, other: "Poly") -> str:
+        """The variable shared with ``other``; polynomials in p and t do not mix."""
+        if other.var != self.var:
+            raise ValueError(f"cannot combine a polynomial in {self.var} with one in {other.var}")
+        return self.var
+
     def __add__(self, other: "Poly") -> "Poly":
         if not isinstance(other, Poly):
             return NotImplemented
         n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(tuple(self[k] + other[k] for k in range(n)))
+        return Poly(tuple(self[k] + other[k] for k in range(n)), self._var_with(other))
 
     def __sub__(self, other: "Poly") -> "Poly":
         if not isinstance(other, Poly):
             return NotImplemented
         n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(tuple(self[k] - other[k] for k in range(n)))
+        return Poly(tuple(self[k] - other[k] for k in range(n)), self._var_with(other))
 
     def __neg__(self) -> "Poly":
-        return Poly(tuple(-c for c in self.coeffs))
+        return Poly(tuple(-c for c in self.coeffs), self.var)
 
     def __mul__(self, other):
         if isinstance(other, Poly):
+            var = self._var_with(other)
             if self.is_zero or other.is_zero:
-                return Poly.zero()
+                return Poly.zero(var)
             xs, dx = _over_lcm(self.coeffs)
             ys, dy = _over_lcm(other.coeffs)
             out = [0] * (len(xs) + len(ys) - 1)
@@ -215,10 +231,10 @@ class Poly:
                     for j, y in enumerate(ys):
                         out[i + j] += x * y
             den = dx * dy
-            return Poly(tuple(Fraction(n, den) for n in out))
+            return Poly(tuple(Fraction(n, den) for n in out), var)
         if isinstance(other, (int, Fraction)):
             q = Fraction(other)
-            return Poly(tuple(c * q for c in self.coeffs))
+            return Poly(tuple(c * q for c in self.coeffs), self.var)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -226,7 +242,7 @@ class Poly:
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        acc = Poly.one()
+        acc = Poly.one(self.var)
         for _ in range(n):
             acc = acc * self
         return acc
@@ -236,17 +252,17 @@ class Poly:
 
     def compose_affine(self, a, b) -> "Poly":
         """Exact substitution X := a + b*X (Horner in the affine argument)."""
-        arg = Poly((Fraction(a), Fraction(b)))
-        acc = Poly.zero()
+        arg = Poly((Fraction(a), Fraction(b)), self.var)
+        acc = Poly.zero(self.var)
         for c in reversed(self.coeffs):
-            acc = acc * arg + Poly.constant(c)
+            acc = acc * arg + Poly.constant(c, self.var)
         return acc
 
     def derivative(self) -> "Poly":
-        return Poly(tuple(k * c for k, c in enumerate(self.coeffs) if k >= 1))
+        return Poly(tuple(k * c for k, c in enumerate(self.coeffs) if k >= 1), self.var)
 
-    def to_text(self, var: str = "t") -> str:
-        return _render(self, var)
+    def to_text(self) -> str:
+        return _render(self)
 
 
 class BiPoly:
@@ -291,12 +307,11 @@ class BiPoly:
         return cls({(0, 1): Fraction(1)})
 
     @classmethod
-    def from_poly_in_t(cls, poly: Poly) -> "BiPoly":
-        return cls({(0, j): c for j, c in enumerate(poly.coeffs)})
-
-    @classmethod
-    def from_poly_in_p(cls, poly: Poly) -> "BiPoly":
-        return cls({(i, 0): c for i, c in enumerate(poly.coeffs)})
+    def of(cls, value: "Poly | BiPoly") -> "BiPoly":
+        """A Poly with each power under its own variable; a BiPoly as it is."""
+        if isinstance(value, BiPoly):
+            return value
+        return cls({(k, 0) if value.var == "p" else (0, k): c for k, c in enumerate(value.coeffs)})
 
     @property
     def is_zero(self) -> bool:
@@ -360,11 +375,9 @@ class BiPoly:
         return self.terms.get((p_pow, t_pow), Fraction(0))
 
     def coeff_of_t_power(self, j: int) -> Poly:
-        """The coefficient of t^j, as a univariate polynomial in p."""
-        if not self.terms:
-            return Poly.zero()
-        top = max(i for (i, _) in self.terms)
-        return Poly(tuple(self.terms.get((i, j), Fraction(0)) for i in range(top + 1)))
+        """The coefficient of t^j, as a polynomial in p."""
+        top = max((i for (i, _) in self.terms), default=-1)
+        return Poly(tuple(self.terms.get((i, j), Fraction(0)) for i in range(top + 1)), "p")
 
     def eval_t(self, t0) -> "BiPoly":
         """Substitute t := t0 exactly; the result has t-degree <= 0."""
@@ -377,21 +390,15 @@ class BiPoly:
     def eval(self, p0, t0) -> Fraction:
         return self.eval_t(t0).eval_p(p0).coeff(0, 0)
 
-    def as_poly_in_t(self) -> Poly:
-        if any(i != 0 for (i, _) in self.terms):
-            raise ValueError("polynomial still depends on p")
-        if not self.terms:
-            return Poly.zero()
-        top = max(j for (_, j) in self.terms)
-        return Poly(tuple(self.terms.get((0, j), Fraction(0)) for j in range(top + 1)))
-
-    def as_poly_in_p(self) -> Poly:
-        if any(j != 0 for (_, j) in self.terms):
-            raise ValueError("polynomial still depends on t")
-        if not self.terms:
-            return Poly.zero()
-        top = max(i for (i, _) in self.terms)
-        return Poly(tuple(self.terms.get((i, 0), Fraction(0)) for i in range(top + 1)))
+    def as_poly(self, var: str) -> Poly:
+        """This polynomial as a Poly in ``var``, which must be its only variable."""
+        axis = "pt".index(var)
+        if any(key[1 - axis] for key in self.terms):
+            raise ValueError(f"polynomial still depends on {'pt'[1 - axis]}")
+        coeffs = [Fraction(0)] * (max((key[axis] for key in self.terms), default=-1) + 1)
+        for key, c in self.terms.items():
+            coeffs[key[axis]] = c
+        return Poly(tuple(coeffs), var)
 
     def derivative_t(self) -> "BiPoly":
         return BiPoly({(i, j - 1): j * c for (i, j), c in self.terms.items() if j >= 1})

@@ -18,13 +18,15 @@ Four subcommands:
 This module renders every output format; the library returns values and
 reports as data. All data output goes to stdout and is byte-deterministic
 for fixed arguments; diagnostics go to stderr. Exit codes: 0 success,
-1 failed verification, 2 usage error.
+1 failed verification, 2 usage error, 141 (128 + SIGPIPE) when the reader
+closes stdout early.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import os
 import re
 import sys
 from fractions import Fraction
@@ -32,7 +34,7 @@ from typing import Optional, Sequence
 
 import mpmath
 
-from .algebra import BiPoly, _render, _terms, json_canonical, parse_rational
+from .algebra import BiPoly, _render, json_canonical, parse_rational
 from .expansions import (
     g_series_at_p,
     g_series_at_t,
@@ -97,15 +99,6 @@ def _latex_coeff(value: Fraction) -> str:
     return f"{sign}\\frac{{{abs(value.numerator)}}}{{{value.denominator}}}"
 
 
-def _as_bipoly(value, var: str) -> BiPoly:
-    """A printed coefficient with each power under its variable's name."""
-    terms = {}
-    for c, powers in _terms(value, var):
-        e = dict(powers)
-        terms[(e.get("p", 0), e.get("t", 0))] = c
-    return BiPoly(terms)
-
-
 def _cmd_coeffs(args: argparse.Namespace, out) -> int:
     n_max = args.n
     if args.kind == "s":
@@ -124,16 +117,14 @@ def _cmd_coeffs(args: argparse.Namespace, out) -> int:
     if args.t is not None and (args.kind == "s" or args.p is not None):
         values = [v.eval(args.t) for v in values]
 
-    var = "p" if (args.kind == "g" and args.t is not None and args.p is None) else "t"
-
     if args.format == "text":
         for n, v in enumerate(values):
-            print(f"{label}_{n} = {_render(v, var)}", file=out)
+            print(f"{label}_{n} = {_render(v)}", file=out)
     elif args.format == "latex":
         print("\\begin{align*}", file=out)
         for n, v in enumerate(values):
             tail = ",\\\\" if n < len(values) - 1 else ""
-            body = _render(v, var, number=_latex_coeff, sep=" ", power="{}^{{{}}}")
+            body = _render(v, number=_latex_coeff, sep=" ", power="{}^{{{}}}")
             print(f"{label}_{{{n}}} &= {body}{tail}", file=out)
         print("\\end{align*}", file=out)
     elif args.format == "csv":
@@ -145,7 +136,7 @@ def _cmd_coeffs(args: argparse.Namespace, out) -> int:
         else:
             writer.writerow(["n", "p_pow", "t_pow", "num", "den"])
             for n, v in enumerate(values):
-                for i, j, coeff in _as_bipoly(v, var).sorted_terms():
+                for i, j, coeff in BiPoly.of(v).sorted_terms():
                     writer.writerow([n, i, j, coeff.numerator, coeff.denominator])
     else:
         doc = {
@@ -156,7 +147,7 @@ def _cmd_coeffs(args: argparse.Namespace, out) -> int:
             "coeffs": [
                 {"n": n, "value": str(v)}
                 if isinstance(v, Fraction)
-                else {"n": n, "poly": _as_bipoly(v, var).to_json_dict()}
+                else {"n": n, "poly": BiPoly.of(v).to_json_dict()}
                 for n, v in enumerate(values)
             ],
         }
@@ -170,23 +161,6 @@ def _cmd_coeffs(args: argparse.Namespace, out) -> int:
 
 def _suite_checks(suite: str, n_max: int) -> list[CheckReport]:
     checks: list[CheckReport] = []
-
-    def identity_reports() -> list[CheckReport]:
-        out = []
-        for n in range(1, 7):
-            residual = bernoulli_identity(n)
-            if residual.is_zero:
-                out.append(CheckReport.passed("bernoulli-product-identity", n=n))
-            else:
-                out.append(
-                    CheckReport.failed(
-                        "bernoulli-product-identity",
-                        BiPoly.from_poly_in_t(residual),
-                        n=n,
-                    )
-                )
-        return out
-
     if suite in ("all", "even-p"):
         for p in range(2, max(n_max, 2) + 1, 2):
             checks.append(check_even_p_vanishing(p))
@@ -198,7 +172,12 @@ def _suite_checks(suite: str, n_max: int) -> list[CheckReport]:
     if suite in ("all", "half"):
         checks.append(check_half_argument(n_max))
     if suite in ("all", "identity"):
-        checks.extend(identity_reports())
+        for n in range(1, 7):
+            residual = bernoulli_identity(n)
+            if residual.is_zero:
+                checks.append(CheckReport.passed("bernoulli-product-identity", n=n))
+            else:
+                checks.append(CheckReport.failed("bernoulli-product-identity", residual, n=n))
     if suite in ("all", "routes"):
         checks.append(check_route_agreement(n_max))
     if suite == "all":
@@ -464,7 +443,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def run() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout (`exppsi ... | head`); send the unflushed
+        # rest to devnull so the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -39,8 +39,9 @@ term:
   or ``_power``.
 
 Every series comes back as one ``Series``: its coeffs are Polys in t for
-S_n and for G_n at fixed p, Polys in p for G_n at fixed t, BiPolys in (p, t)
-for the bivariate G_n, and rationals once ``specialize`` fixes both p and t.
+S_n and for G_n at fixed p, Polys with ``var == "p"`` for G_n at fixed t,
+BiPolys in (p, t) for the bivariate G_n, and rationals once ``specialize``
+fixes both p and t.
 
 Caches: S_n and the bivariate G_n are kept as prefixes that only grow, under
 a lock, so order N+1 extends order N instead of rebuilding it. The
@@ -145,15 +146,13 @@ def _power(a: Sequence[BiPoly]) -> list[BiPoly]:
 
 def g_via_power_transform(n_max: int) -> Series:
     """G_n by raising the S series to a symbolic power p."""
-    return Series(tuple(_power([BiPoly.from_poly_in_t(c) for c in s_coeffs(n_max).coeffs])))
+    return Series(tuple(_power([BiPoly.of(c) for c in s_coeffs(n_max).coeffs])))
 
 
 def g_via_bernoulli(n_max: int) -> Series:
     """Canonical route: the Bernoulli-polynomial recurrence with p symbolic."""
     with _lock:
-        return _grown(
-            _g, n_max, lambda k: BiPoly.from_poly_in_t(bernoulli_poly(k)), BiPoly.var_p()
-        )
+        return _grown(_g, n_max, lambda k: BiPoly.of(bernoulli_poly(k)), BiPoly.var_p())
 
 
 def _composition_table(n_max: int) -> list[dict[int, Poly]]:
@@ -200,14 +199,16 @@ def g_series_at_p(p0: Fraction, n_max: int) -> Series:
 
 def g_series_at_t(t0: Fraction, n_max: int) -> Series:
     """G_0..G_N at a fixed rational shift t0, as polynomials in p."""
-    return _grown([Poly.one()], n_max, lambda k: bernoulli_poly(k).eval(t0), Poly.variable())
+    return _grown(
+        [Poly.one("p")], n_max, lambda k: bernoulli_poly(k).eval(t0), Poly.variable("p")
+    )
 
 
 def binomial_in_p(n: int, k: int) -> Poly:
     """C(p-n+k, k) = (p-n+k)(p-n+k-1)...(p-n+1) / k! as a polynomial in p."""
-    acc = Poly.one()
+    acc = Poly.one("p")
     for j in range(1, k + 1):
-        acc = acc * Poly((Fraction(j - n), Fraction(1)))
+        acc = acc * Poly((Fraction(j - n), Fraction(1)), "p")
     return acc * Fraction(1, factorial(k))
 
 
@@ -221,7 +222,7 @@ def shift_compose(g: Series, n: int, s, t) -> BiPoly:
     s, t = Fraction(s), Fraction(t)
     acc = BiPoly.zero()
     for k in range(n + 1):
-        base = BiPoly.from_poly_in_p(binomial_in_p(n, k)) * g[n - k].eval_t(s)
+        base = BiPoly.of(binomial_in_p(n, k)) * g[n - k].eval_t(s)
         acc = acc + base * (t**k)
     return acc
 

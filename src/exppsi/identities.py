@@ -62,28 +62,28 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CheckReport:
-    """Outcome of one exact check. ``witness`` is the residual on failure."""
+    """Outcome of one exact check. ``witness`` is the residual on failure
+    and None on a pass, so it alone decides ``ok`` and ``status``."""
 
     check_name: str
     parameters: dict
-    status: str
     witness: Optional[BiPoly] = None
-
-    def __post_init__(self) -> None:
-        if (self.status == "pass") != (self.witness is None):
-            raise ValueError("pass reports carry no witness; fail reports must")
 
     @property
     def ok(self) -> bool:
-        return self.status == "pass"
+        return self.witness is None
+
+    @property
+    def status(self) -> str:
+        return "pass" if self.ok else "fail"
 
     @classmethod
     def passed(cls, name: str, **params) -> "CheckReport":
-        return cls(name, params, "pass", None)
+        return cls(name, params)
 
     @classmethod
-    def failed(cls, name: str, witness: BiPoly, **params) -> "CheckReport":
-        return cls(name, params, "fail", witness)
+    def failed(cls, name: str, witness: Poly | BiPoly, **params) -> "CheckReport":
+        return cls(name, params, BiPoly.of(witness))
 
     def to_json_dict(self) -> dict:
         return {
@@ -122,7 +122,7 @@ def check_even_p_vanishing(p: int) -> CheckReport:
     residual = g[p + 1]
     if residual.is_zero:
         return CheckReport.passed("even-p-vanishing", p=p)
-    return CheckReport.failed("even-p-vanishing", BiPoly.from_poly_in_t(residual), p=p)
+    return CheckReport.failed("even-p-vanishing", residual, p=p)
 
 
 def check_degree_collapse(p: int, n_max: int) -> CheckReport:
@@ -137,19 +137,13 @@ def check_degree_collapse(p: int, n_max: int) -> CheckReport:
         d = g[n].degree
         if n <= p:
             if d != n:
-                return CheckReport.failed(
-                    "degree-collapse", BiPoly.from_poly_in_t(g[n]), p=p, n=n, expected=n
-                )
+                return CheckReport.failed("degree-collapse", g[n], p=p, n=n, expected=n)
         else:
             bound = n - p - 1
             if d is not None and d > bound:
-                return CheckReport.failed(
-                    "degree-collapse", BiPoly.from_poly_in_t(g[n]), p=p, n=n, bound=bound
-                )
+                return CheckReport.failed("degree-collapse", g[n], p=p, n=n, bound=bound)
             if p % 2 == 0 and n >= p + 2 and d != n - p - 2:
-                return CheckReport.failed(
-                    "degree-collapse", BiPoly.from_poly_in_t(g[n]), p=p, n=n, exact=n - p - 2
-                )
+                return CheckReport.failed("degree-collapse", g[n], p=p, n=n, exact=n - p - 2)
     return CheckReport.passed("degree-collapse", p=p, n_max=n_max)
 
 
@@ -168,31 +162,24 @@ def check_half_argument(n_max: int, g: Optional[Series] = None) -> CheckReport:
     even orders satisfy the corrected recurrence
     G_{2m} = (p/2m) sum_k (1 - 2^(1-2k)) B_{2k} G_{2m-2k}."""
     g = g or g_via_bernoulli(n_max)
-    half = [g[n].eval_t(Fraction(1, 2)).as_poly_in_p() for n in range(n_max + 1)]
+    half = [g[n].eval_t(Fraction(1, 2)).as_poly("p") for n in range(n_max + 1)]
     for n in range(n_max + 1):
         if n % 2 == 1:
             if not half[n].is_zero:
-                return CheckReport.failed(
-                    "half-argument", BiPoly.from_poly_in_p(half[n]), n=n
-                )
+                return CheckReport.failed("half-argument", half[n], n=n)
         elif half[n].degree != n // 2:
-            return CheckReport.failed(
-                "half-argument", BiPoly.from_poly_in_p(half[n]), n=n, expected_degree=n // 2
-            )
-    p_var = Poly.variable()
-    rebuilt = [Poly.one()]
+            return CheckReport.failed("half-argument", half[n], n=n, expected_degree=n // 2)
+    p_var = Poly.variable("p")
+    rebuilt = [Poly.one("p")]
     for m in range(1, n_max // 2 + 1):
-        acc = Poly.zero()
+        acc = Poly.zero("p")
         for k in range(1, m + 1):
             coef = (1 - Fraction(2) ** (1 - 2 * k)) * bernoulli_number(2 * k)
             acc = acc + coef * rebuilt[m - k]
         rebuilt.append(p_var * acc * Fraction(1, 2 * m))
         if rebuilt[m] != half[2 * m]:
             return CheckReport.failed(
-                "half-argument",
-                BiPoly.from_poly_in_p(rebuilt[m] - half[2 * m]),
-                n=2 * m,
-                part="recurrence",
+                "half-argument", rebuilt[m] - half[2 * m], n=2 * m, part="recurrence"
             )
     return CheckReport.passed("half-argument", n_max=n_max)
 
@@ -235,9 +222,7 @@ def check_coefficient_table(n_max: int, g: Optional[Series] = None) -> CheckRepo
             lhs = g[n].coeff_of_t_power(k)
             rhs = binomial_in_p(n, k) * g[n - k].coeff_of_t_power(0)
             if lhs != rhs:
-                return CheckReport.failed(
-                    "coefficient-table", BiPoly.from_poly_in_p(lhs - rhs), n=n, k=k
-                )
+                return CheckReport.failed("coefficient-table", lhs - rhs, n=n, k=k)
     return CheckReport.passed("coefficient-table", n_max=n_max)
 
 
@@ -329,9 +314,9 @@ def _in_free_variable(entry: dict, value: BiPoly):
     """A G_n table value: a polynomial in t when the entry fixes p, in p when
     it fixes t, and bivariate when it fixes neither."""
     if entry.get("p") is not None:
-        return value.as_poly_in_t()
+        return value.as_poly("t")
     if entry.get("t") is not None:
-        return value.as_poly_in_p()
+        return value.as_poly("p")
     return value
 
 
@@ -373,14 +358,12 @@ def compare_reference_tables() -> list[dict]:
     for entry in entries:
         printed = _printed_value(entry)
         computed = _computed_value(entry, g, s)
-        # an entry that fixes t holds a rational or a polynomial in p
-        var = "p" if entry.get("t") is not None else "t"
         results.append(
             {
                 "entry": entry,
                 "match": printed == computed,
-                "printed_text": _render(printed, var),
-                "computed_text": _render(computed, var),
+                "printed_text": _render(printed),
+                "computed_text": _render(computed),
             }
         )
     return results

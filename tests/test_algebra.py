@@ -77,7 +77,23 @@ class TestPoly:
         assert Poly.zero().to_text() == "0"
         assert Poly.one().to_text() == "1"
         q = Poly((F(1, 2), F(-1), F(1)))
-        assert q.to_text("t") == "t^2 - t + 1/2"
+        assert q.to_text() == "t^2 - t + 1/2"
+        assert Poly(q.coeffs, "p").to_text() == "p^2 - p + 1/2"
+
+    def test_operations_keep_the_variable(self):
+        p = Poly.variable("p")
+        q = (p + Poly.one("p")) ** 2 - p * F(1, 2)
+        assert q.var == "p" and q == Poly((F(1), F(3, 2), F(1)), "p")
+        assert (-q).var == q.derivative().var == q.compose_affine(1, 2).var == "p"
+        assert Poly.zero("p") != Poly.zero()
+
+    def test_variables_do_not_mix(self):
+        p, t = Poly.variable("p"), Poly.variable()
+        for combine in (lambda: p + t, lambda: p - t, lambda: p * t, lambda: t * p):
+            with pytest.raises(ValueError):
+                combine()
+        with pytest.raises(ValueError):
+            Poly.variable("x")
 
 
 class TestBiPoly:
@@ -106,9 +122,20 @@ class TestBiPoly:
     def test_as_univariate_guards(self):
         p, t = BiPoly.var_p(), BiPoly.var_t()
         with pytest.raises(ValueError):
-            (p * t).as_poly_in_t()
-        assert (t * t - t).as_poly_in_t() == Poly((F(0), F(-1), F(1)))
-        assert (p * p * 4).as_poly_in_p() == Poly((F(0), F(0), F(4)))
+            (p * t).as_poly("t")
+        with pytest.raises(ValueError):
+            (p * t).as_poly("p")
+        assert (t * t - t).as_poly("t") == Poly((F(0), F(-1), F(1)))
+        assert (p * p * 4).as_poly("p") == Poly((F(0), F(0), F(4)), "p")
+        assert BiPoly.zero().as_poly("p") == Poly.zero("p")
+
+    def test_of_places_each_power_under_its_variable(self):
+        q = Poly((F(1), F(-2)), "p")
+        assert BiPoly.of(q) == BiPoly.one() - BiPoly.var_p() * 2
+        assert BiPoly.of(Poly(q.coeffs)) == BiPoly.one() - BiPoly.var_t() * 2
+        b = BiPoly.var_p() * BiPoly.var_t()
+        assert BiPoly.of(b) is b
+        assert b.coeff_of_t_power(1) == Poly.variable("p")
 
     def test_derivative_in_shift_direction(self):
         t = BiPoly.var_t()

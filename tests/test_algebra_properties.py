@@ -14,6 +14,9 @@ rationals = st.fractions(
 polys = st.lists(rationals, min_size=0, max_size=6).map(
     lambda cs: Poly(tuple(cs))
 )
+polys_in_either_variable = st.builds(
+    Poly, st.lists(rationals, max_size=6).map(tuple), st.sampled_from(["p", "t"])
+)
 
 
 @st.composite
@@ -46,6 +49,15 @@ def test_poly_ring_axioms(a, b, c):
 def test_poly_evaluation_is_a_ring_homomorphism(a, b, x):
     assert (a * b).eval(x) == a.eval(x) * b.eval(x)
     assert (a + b).eval(x) == a.eval(x) + b.eval(x)
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys_in_either_variable)
+def test_bipoly_of_round_trips_through_the_variable(a):
+    b = BiPoly.of(a)
+    assert b.as_poly(a.var) == a
+    other = 1 if a.var == "p" else 0  # the exponent of the variable a is not in
+    assert all(key[other] == 0 for key in b.terms)
 
 
 @settings(max_examples=60, deadline=None)

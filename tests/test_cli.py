@@ -4,16 +4,19 @@ import csv
 import hashlib
 import importlib
 import json
+import os
 import shutil
 import subprocess
 import sys
 from fractions import Fraction
 from importlib import resources
+from pathlib import Path
 
 import pytest
 from jsonschema import Draft202012Validator
 from referencing import Registry, Resource
 
+import exppsi
 from exppsi.cli import _errata_latex, main
 from exppsi.identities import ErrataEntry, errata_report
 
@@ -278,10 +281,21 @@ def test_console_script_matches_module_invocation():
     assert script.stdout == module.stdout
 
 
+def test_closed_pipe_exits_quietly():
+    # about 380 kB of CSV, far more than a pipe buffers, so writing blocks
+    # until the reader has closed its end
+    env = dict(os.environ, PYTHONPATH=str(Path(exppsi.__file__).parents[1]))
+    argv = [sys.executable, "-m", "exppsi.cli", "coeffs", "g", "--n", "30", "--format", "csv"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert proc.stdout.readline() == b"n,p_pow,t_pow,num,den\n"
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+    assert proc.returncode == 141
+    assert "Traceback" not in err and "BrokenPipeError" not in err
+
+
 def test_every_exported_name_resolves():
     # perfbench/spans.py wraps the functions it finds by these names
-    import exppsi
-
     modules = [exppsi] + [
         importlib.import_module(f"exppsi.{name}")
         for name in ("algebra", "bernoulli", "expansions", "identities", "numeric", "cli")
@@ -311,6 +325,11 @@ STDOUT_SHA256 = [
     ("coeffs g --n 7 --p=-2/3 --t 5/4 --format json", "06fec486b41111e0f1a8468f20de0159ae0dba0fd7e2b224c26f89781065e9d9"),
     ("approx exp-psi --n 40 --order 16 --sweep --format csv --p 2/3 --t 5/4 --prec 768", "784ce98fc00b072e3615255088a7de7229c2dcb01aeab3d17d086bc954f71a29"),
     ("approx gamma --n 40 --order 8 --sweep --format json --prec 768", "86e0e19f91c15f804e29b97f574b5c98b4ef45109b2af4b4b0a1202b38994434"),
+    ("coeffs g --n 7 --t 5/4", "7e4894d2d1644cd8ba132579e7111c5b1a64c8016dc9d4dcab4f1da868b198a6"),
+    ("coeffs g --n 7 --t 5/4 --format csv", "3373de37ac65ba7c5c27de849f212e6bc4898265e04bf45207e90882b3785eb0"),
+    ("coeffs g --n 7 --t 5/4 --format json", "91a54ef9d447a3d88e87a6cf8682eaab9dd93fe0ae29593816345749cc80513d"),
+    ("coeffs g --n 7 --t=-3/4 --format csv", "e02c574ac15789d2220f3f5f99444046c5b779accc90d371453dd0db3e6bf93e"),
+    ("errata --format latex", "4c0c43fb99b2bc711e1d7e6c3c97b8a25880c6db44be42cc7cf733f231164c38"),
 ]
 
 

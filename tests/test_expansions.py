@@ -193,8 +193,8 @@ class TestExponentialSeries:
             at_p = g_series_at_p(p0, 6)
             at_t = g_series_at_t(t0, 6)
             for n in range(7):
-                assert g[n].eval_p(p0).as_poly_in_t() == at_p[n], (p0, n)
-                assert g[n].eval_t(t0).as_poly_in_p() == at_t[n], (t0, n)
+                assert g[n].eval_p(p0).as_poly("t") == at_p[n], (p0, n)
+                assert g[n].eval_t(t0).as_poly("p") == at_t[n], (t0, n)
             # the column the CLI prints when both values are given
             assert main(["coeffs", "g", "--n", "6", f"--p={p0}", f"--t={t0}", "--format", "csv"]) == 0
             rows = capsys.readouterr().out.splitlines()[1:]

@@ -7,7 +7,7 @@ from math import factorial
 
 import pytest
 
-from exppsi.algebra import BiPoly
+from exppsi.algebra import BiPoly, Poly
 from exppsi.expansions import Series, g_via_bernoulli
 from exppsi.identities import (
     CheckReport,
@@ -66,12 +66,9 @@ class TestCheckReport:
         witness = BiPoly.var_t()
         report = CheckReport.failed("demo", witness, n=3)
         assert not report.ok and report.witness == witness
-
-    def test_inconsistent_construction_rejected(self):
-        with pytest.raises(ValueError):
-            CheckReport("demo", {}, "pass", BiPoly.var_t())
-        with pytest.raises(ValueError):
-            CheckReport("demo", {}, "fail", None)
+        assert report.status == "fail" and report.to_json_dict()["status"] == "fail"
+        assert CheckReport.failed("demo", Poly.variable("p")).witness == BiPoly.var_p()
+        assert CheckReport.failed("demo", Poly.variable()).witness == BiPoly.var_t()
 
 
 class TestTheoremChecks:
@@ -118,11 +115,15 @@ class TestTheoremChecks:
             check_reflection,
             check_derivative_relation,
             check_coefficient_table,
+            check_half_argument,
         ):
             report = check(8, g=bad)
             assert not report.ok, check.__name__
             assert report.witness is not None
             assert not report.witness.is_zero
+            if check in (check_coefficient_table, check_half_argument):
+                # residuals of polynomials in p carry only p exponents
+                assert all(j == 0 for _, j in report.witness.terms), check.__name__
 
 
 class TestProductIdentity:
