@@ -18,6 +18,7 @@ from .bernoulli import bernoulli_number, bernoulli_poly
 from .expansions import (
     Series,
     binomial_in_p,
+    coefficients,
     composition_buckets,
     g_series_at_p,
     g_series_at_t,
@@ -72,6 +73,7 @@ __all__ = [
     "bernoulli_number",
     "bernoulli_poly",
     "Series",
+    "coefficients",
     "s_coeffs",
     "g_via_power_transform",
     "g_via_bernoulli",

@@ -239,14 +239,6 @@ class Poly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "Poly":
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        acc = Poly.one(self.var)
-        for _ in range(n):
-            acc = acc * self
-        return acc
-
     def eval(self, x) -> Fraction:
         return _substitute([(k, 0, c) for k, c in enumerate(self.coeffs)], x).get(0, Fraction(0))
 
@@ -362,14 +354,6 @@ class BiPoly:
         return NotImplemented
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "BiPoly":
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        acc = BiPoly.one()
-        for _ in range(n):
-            acc = acc * self
-        return acc
 
     def coeff(self, p_pow: int, t_pow: int) -> Fraction:
         return self.terms.get((p_pow, t_pow), Fraction(0))

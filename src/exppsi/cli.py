@@ -35,12 +35,7 @@ from typing import Optional, Sequence
 import mpmath
 
 from .algebra import BiPoly, _render, json_canonical, parse_rational
-from .expansions import (
-    g_series_at_p,
-    g_series_at_t,
-    g_via_bernoulli,
-    s_coeffs,
-)
+from .expansions import coefficients
 from .identities import (
     CheckReport,
     bernoulli_identity,
@@ -100,23 +95,8 @@ def _latex_coeff(value: Fraction) -> str:
 
 
 def _cmd_coeffs(args: argparse.Namespace, out) -> int:
-    n_max = args.n
-    if args.kind == "s":
-        if args.p is not None:
-            raise ValueError("--p applies only to the exponential family g")
-        values = s_coeffs(n_max).coeffs
-        label = "S"
-    else:
-        if args.p is not None:
-            values = g_series_at_p(args.p, n_max).coeffs
-        elif args.t is not None:
-            values = g_series_at_t(args.t, n_max).coeffs
-        else:
-            values = g_via_bernoulli(n_max).coeffs
-        label = "G"
-    if args.t is not None and (args.kind == "s" or args.p is not None):
-        values = [v.eval(args.t) for v in values]
-
+    values = coefficients(args.kind, args.n, args.p, args.t).coeffs
+    label = args.kind.upper()
     if args.format == "text":
         for n, v in enumerate(values):
             print(f"{label}_{n} = {_render(v)}", file=out)
@@ -141,7 +121,7 @@ def _cmd_coeffs(args: argparse.Namespace, out) -> int:
     else:
         doc = {
             "kind": args.kind,
-            "order_max": n_max,
+            "order_max": args.n,
             "p": None if args.p is None else str(args.p),
             "t": None if args.t is None else str(args.t),
             "coeffs": [

@@ -21,6 +21,10 @@ and c belong to, and four functions are instances of it:
 * ``g_series_at_t``: G_n(p,t0) as polynomials in p, beta_k = B_k(t0), c = p.
 * ``s_coeffs``: the p0 = 1 instance, since S_n(t) = G_n(1,t).
 
+``coefficients(kind, n_max, p, t)`` is the one place that picks, for S or G
+with p, t, both or neither fixed, which of these instances serves and what
+type its coefficients have.
+
 Two more constructions of G_n must agree with the canonical one term for
 term:
 
@@ -43,8 +47,8 @@ S_n and for G_n at fixed p, Polys with ``var == "p"`` for G_n at fixed t,
 BiPolys in (p, t) for the bivariate G_n, and rationals once ``specialize``
 fixes both p and t.
 
-Caches: S_n and the bivariate G_n are kept as prefixes that only grow, under
-a lock, so order N+1 extends order N instead of rebuilding it. The
+Caches: the bivariate G_n are kept as a prefix that only grows, under a
+lock, so order N+1 extends order N instead of rebuilding it. S_n, the
 single-variable series, the power route and the composition route are
 recomputed on every call.
 """
@@ -62,6 +66,7 @@ from .bernoulli import bernoulli_poly
 
 __all__ = [
     "Series",
+    "coefficients",
     "s_coeffs",
     "g_via_power_transform",
     "g_via_bernoulli",
@@ -74,9 +79,8 @@ __all__ = [
     "composition_buckets",
 ]
 
-# S_0..S_N and the bivariate G_0..G_N computed so far; they only grow.
+# the bivariate G_0..G_N computed so far; they only grow
 _lock = threading.Lock()
-_s: list[Poly] = [Poly.one()]
 _g: list[BiPoly] = [BiPoly.one()]
 
 
@@ -126,8 +130,7 @@ def _grown(prefix: list, n_max: int, beta: Callable[[int], object], c) -> Series
 
 def s_coeffs(n_max: int) -> Series:
     """S_0..S_{n_max}: the p0 = 1 instance of the recurrence, S_n(t) = G_n(1, t)."""
-    with _lock:
-        return _grown(_s, n_max, bernoulli_poly, Fraction(1))
+    return g_series_at_p(Fraction(1), n_max)
 
 
 def _power(a: Sequence[BiPoly]) -> list[BiPoly]:
@@ -202,6 +205,23 @@ def g_series_at_t(t0: Fraction, n_max: int) -> Series:
     return _grown(
         [Poly.one("p")], n_max, lambda k: bernoulli_poly(k).eval(t0), Poly.variable("p")
     )
+
+
+def coefficients(kind: str, n_max: int, p=None, t=None) -> Series:
+    """S_n (kind "s") or G_n (kind "g") for n <= n_max, at the rational p
+    and t given. The coefficients are rationals once every variable is
+    fixed, Polys in the one that is free, and BiPolys for G with neither
+    fixed. S_n is G_n at p = 1, so it takes no p."""
+    if kind == "s":
+        if p is not None:
+            raise ValueError("--p applies only to the exponential family g")
+        p = 1
+    elif kind != "g":
+        raise ValueError(f"series kind is 's' or 'g', not {kind!r}")
+    if p is None:
+        return g_via_bernoulli(n_max) if t is None else g_series_at_t(t, n_max)
+    series = g_series_at_p(p, n_max)
+    return series if t is None else Series(tuple(c.eval(t) for c in series.coeffs))
 
 
 def binomial_in_p(n: int, k: int) -> Poly:

@@ -30,12 +30,12 @@ from .bernoulli import bernoulli_number
 from .expansions import (
     Series,
     binomial_in_p,
+    coefficients,
     composition_buckets,
     g_series_at_p,
     g_via_bernoulli,
     g_via_compositions,
     g_via_power_transform,
-    s_coeffs,
     shift_compose,
 )
 
@@ -310,54 +310,30 @@ def reference_statements() -> list[dict]:
     return list(_reference_doc()["statements"])
 
 
-def _in_free_variable(entry: dict, value: BiPoly):
-    """A G_n table value: a polynomial in t when the entry fixes p, in p when
-    it fixes t, and bivariate when it fixes neither."""
-    if entry.get("p") is not None:
-        return value.as_poly("t")
-    if entry.get("t") is not None:
-        return value.as_poly("p")
-    return value
+def _computed_value(entry: dict):
+    """The S_n or G_n of a table entry (kind "s_..." or "g_...") at the p and
+    t the entry fixes."""
+    p, t = (None if entry.get(v) is None else Fraction(entry[v]) for v in ("p", "t"))
+    return coefficients(entry["kind"][0], entry["n"], p, t)[entry["n"]]
 
 
-def _printed_value(entry: dict):
+def _printed_value(entry: dict, computed):
+    """The printed value, read in the variable of the computed one."""
     printed = entry["printed"]
     if "value" in printed:
         return Fraction(printed["value"])
     if "coeffs" in printed:
         return Poly(tuple(Fraction(c) for c in printed["coeffs"]))
-    return _in_free_variable(
-        entry, BiPoly({(int(i), int(j)): Fraction(c) for i, j, c in printed["terms"]})
-    )
-
-
-def _computed_value(entry: dict, g: Series, s_polys):
-    kind = entry["kind"]
-    n = entry["n"]
-    if kind == "s_poly":
-        return s_polys[n]
-    if kind == "s_value":
-        return s_polys[n].eval(Fraction(entry["t"]))
-    if kind == "g_value":
-        return g[n].eval(Fraction(entry["p"]), Fraction(entry["t"]))
-    value = g[n]
-    if entry.get("p") is not None:
-        value = value.eval_p(Fraction(entry["p"]))
-    if entry.get("t") is not None:
-        value = value.eval_t(Fraction(entry["t"]))
-    return _in_free_variable(entry, value)
+    value = BiPoly({(int(i), int(j)): Fraction(c) for i, j, c in printed["terms"]})
+    return value.as_poly(computed.var) if isinstance(computed, Poly) else value
 
 
 def compare_reference_tables() -> list[dict]:
     """Recompute every bundled table value; report printed vs computed."""
-    entries = reference_entries()
-    n_max = max(12, max(e["n"] for e in entries))
-    g = g_via_bernoulli(n_max)
-    s = s_coeffs(n_max)
     results = []
-    for entry in entries:
-        printed = _printed_value(entry)
-        computed = _computed_value(entry, g, s)
+    for entry in reference_entries():
+        computed = _computed_value(entry)
+        printed = _printed_value(entry, computed)
         results.append(
             {
                 "entry": entry,

@@ -330,6 +330,8 @@ STDOUT_SHA256 = [
     ("coeffs g --n 7 --t 5/4 --format json", "91a54ef9d447a3d88e87a6cf8682eaab9dd93fe0ae29593816345749cc80513d"),
     ("coeffs g --n 7 --t=-3/4 --format csv", "e02c574ac15789d2220f3f5f99444046c5b779accc90d371453dd0db3e6bf93e"),
     ("errata --format latex", "4c0c43fb99b2bc711e1d7e6c3c97b8a25880c6db44be42cc7cf733f231164c38"),
+    ("coeffs s --n 9 --t 5/2 --format csv", "e728b4cb7e228250bdb03dddaa95ccf7730302dec60a2eb5720fcc438733d86c"),
+    ("coeffs g --n 7 --p=-2/3 --format latex", "9fb1221052a5b3433844b6d26f7e434da38a083ab1d105f4f0a68e803ee41c36"),
 ]
 
 

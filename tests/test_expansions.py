@@ -20,6 +20,7 @@ from exppsi.bernoulli import bernoulli_poly
 from exppsi.cli import main
 from exppsi.expansions import (
     _power,
+    coefficients,
     composition_buckets,
     g_series_at_p,
     g_series_at_t,
@@ -71,15 +72,13 @@ class TestLogSeries:
         assert s[3] == t * F(-1, 24) + Poly.constant(F(1, 48))
         assert s[4] == t * t * F(1, 24) - t * F(1, 24) + Poly.constant(F(23, 5760))
 
-    def test_matches_exponential_oracle(self, monkeypatch):
-        # from an empty cache, order 8 extends order 6 and order 6 is a prefix of 8
+    def test_matches_exponential_oracle(self):
         oracle = exp_series_oracle(8)
-        for orders in ((8,), (6, 8), (8, 6)):
-            monkeypatch.setattr(expansions, "_s", [Poly.one()])
-            for n_max in orders:
-                s = s_coeffs(n_max)
-                assert s.coeffs == tuple(oracle[: n_max + 1]), orders
-                assert s == g_series_at_p(F(1), n_max)  # S_n(t) = G_n(1, t)
+        for n_max in (0, 6, 8):
+            s = s_coeffs(n_max)
+            assert s.coeffs == tuple(oracle[: n_max + 1]), n_max
+            # S_n(t) = G_n(1, t), read off the bivariate series
+            assert s.coeffs == tuple(g.eval_p(1).as_poly("t") for g in g_via_bernoulli(n_max).coeffs)
 
     def test_degree_drops_by_two_past_the_linear_term(self):
         s = s_coeffs(10)
@@ -100,6 +99,8 @@ class TestLogSeries:
             g_via_compositions,
             lambda n: g_series_at_p(F(2), n),
             lambda n: g_series_at_t(F(1, 2), n),
+            lambda n: coefficients("s", n, t=F(1, 2)),
+            lambda n: coefficients("g", n, F(2), F(1, 2)),
             composition_buckets,
         ):
             for n_max in (-1, -3):
@@ -148,9 +149,8 @@ class TestPowerTransform:
 
 class TestExponentialSeries:
     def test_three_routes_agree(self, monkeypatch):
-        # from empty caches, order 12 extends order 10 and order 10 is a prefix of 12
+        # from an empty G cache, order 12 extends order 10 and order 10 is a prefix of 12
         for orders in ((8,), (10, 12), (12, 10)):
-            monkeypatch.setattr(expansions, "_s", [Poly.one()])
             monkeypatch.setattr(expansions, "_g", [BiPoly.one()])
             for n_max in orders:
                 a = g_via_power_transform(n_max)
@@ -202,7 +202,6 @@ class TestExponentialSeries:
 
     def test_concurrent_calls_grow_one_consistent_prefix(self, monkeypatch):
         want_g, want_s = g_via_bernoulli(9).coeffs, s_coeffs(9).coeffs
-        monkeypatch.setattr(expansions, "_s", [Poly.one()])
         monkeypatch.setattr(expansions, "_g", [BiPoly.one()])
         results = []
 
@@ -225,7 +224,7 @@ class TestExponentialSeries:
         assert len(results) == sum(len(plan) for plan in plans)
         for n, g, s in results:
             assert g == want_g[: n + 1] and s == want_s[: n + 1], n
-        assert len(expansions._g) == len(expansions._s) == 10
+        assert len(expansions._g) == 10
 
     def test_even_power_column_terminates(self):
         # for p = 2 the coefficient at order p+1 vanishes identically in t
@@ -288,3 +287,53 @@ class TestSerialization:
         assert lines[1] == "0,0,0,1,1"
         # G_1 = -p/2 + p t
         assert lines[2:4] == ["1,1,0,-1,2", "1,1,1,1,1"]
+
+
+# 0, negative and non-integer rational points
+POINTS = (F(0), F(-3), F(-2, 3), F(5, 4), F(7, 2))
+
+
+class TestCoefficients:
+    """``coefficients`` against the canonical series evaluated by hand."""
+
+    def test_every_shape_matches_the_evaluated_series(self):
+        n = 7
+        g, s = g_via_bernoulli(n), s_coeffs(n)
+        assert coefficients("g", n) == g
+        assert coefficients("s", n) == s
+        for x in POINTS:
+            assert coefficients("s", n, t=x).coeffs == tuple(c.eval(x) for c in s.coeffs), x
+            at_p = tuple(c.eval_p(x).as_poly("t") for c in g.coeffs)
+            assert coefficients("g", n, p=x).coeffs == at_p, x
+            at_t = tuple(c.eval_t(x).as_poly("p") for c in g.coeffs)
+            assert coefficients("g", n, t=x).coeffs == at_t, x
+            for y in POINTS:
+                at_both = tuple(c.eval(x, y) for c in g.coeffs)
+                assert coefficients("g", n, p=x, t=y).coeffs == at_both, (x, y)
+
+    def test_each_shape_has_its_type(self):
+        x = F(-2, 3)
+        shapes = {
+            ("s", None, None): "t",
+            ("s", None, x): Fraction,
+            ("g", None, None): BiPoly,
+            ("g", x, None): "t",
+            ("g", None, x): "p",
+            ("g", x, x): Fraction,
+        }
+        for (kind, p, t), want in shapes.items():
+            series = coefficients(kind, 5, p, t)
+            assert len(series) == 6
+            for c in series.coeffs:
+                if isinstance(want, str):
+                    assert type(c) is Poly and c.var == want, (kind, p, t)
+                else:
+                    assert type(c) is want, (kind, p, t)
+
+    def test_log_series_takes_no_power(self):
+        for p in (F(1), F(-2, 3)):
+            for t in (None, F(1, 2)):
+                with pytest.raises(ValueError, match="exponential family"):
+                    coefficients("s", 3, p=p, t=t)
+        with pytest.raises(ValueError, match="series kind"):
+            coefficients("h", 3)
