@@ -17,7 +17,6 @@ from .algebra import (
 from .bernoulli import bernoulli_number, bernoulli_poly
 from .expansions import (
     Series,
-    binomial_in_p,
     coefficients,
     composition_buckets,
     g_series_at_p,
@@ -44,7 +43,6 @@ from .identities import (
     check_shift_identity,
     compare_reference_tables,
     errata_report,
-    identity_text,
     reference_entries,
     reference_statements,
 )
@@ -81,7 +79,6 @@ __all__ = [
     "g_series_at_p",
     "g_series_at_t",
     "composition_buckets",
-    "binomial_in_p",
     "shift_compose",
     "specialize",
     "CheckReport",
@@ -96,7 +93,6 @@ __all__ = [
     "check_route_agreement",
     "bernoulli_identity",
     "bernoulli_identity_terms",
-    "identity_text",
     "reference_entries",
     "reference_statements",
     "compare_reference_tables",

@@ -177,10 +177,6 @@ class Poly:
         return cls((Fraction(1),), var)
 
     @classmethod
-    def constant(cls, q, var: str = "t") -> "Poly":
-        return cls((Fraction(q),), var)
-
-    @classmethod
     def variable(cls, var: str = "t") -> "Poly":
         return cls((Fraction(0), Fraction(1)), var)
 
@@ -241,17 +237,6 @@ class Poly:
 
     def eval(self, x) -> Fraction:
         return _substitute([(k, 0, c) for k, c in enumerate(self.coeffs)], x).get(0, Fraction(0))
-
-    def compose_affine(self, a, b) -> "Poly":
-        """Exact substitution X := a + b*X (Horner in the affine argument)."""
-        arg = Poly((Fraction(a), Fraction(b)), self.var)
-        acc = Poly.zero(self.var)
-        for c in reversed(self.coeffs):
-            acc = acc * arg + Poly.constant(c, self.var)
-        return acc
-
-    def derivative(self) -> "Poly":
-        return Poly(tuple(k * c for k, c in enumerate(self.coeffs) if k >= 1), self.var)
 
     def to_text(self) -> str:
         return _render(self)

@@ -69,18 +69,22 @@ def _rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _int_at_least(text: str, low: int, kind: str) -> int:
+    try:
+        value = int(text)
+        if value >= low:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a {kind} integer, got {text}")
+
+
 def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
-    return value
+    return _int_at_least(text, 1, "positive")
 
 
 def _nonnegative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text}")
-    return value
+    return _int_at_least(text, 0, "nonnegative")
 
 
 # ---------------------------------------------------------------------------

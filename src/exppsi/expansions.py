@@ -47,6 +47,13 @@ S_n and for G_n at fixed p, Polys with ``var == "p"`` for G_n at fixed t,
 BiPolys in (p, t) for the bivariate G_n, and rationals once ``specialize``
 fixes both p and t.
 
+The G_n are Appell polynomials in t, dG_n/dt = (p+1-n) G_{n-1}, so a shift
+of t is a binomial sum: G_n(p, s+t) = sum_k C(p-n+k, k) G_{n-k}(p, s) t^k.
+``shift_compose(g, s, t)`` writes that sum once, for the whole series, at a
+rational s and a rational or free t. The shift check compares it with
+G_n(p, s+t) at random rational (s, t); the coefficient-table check is the
+same sum at s = 0 with t left free, read one power of t at a time.
+
 Caches: the bivariate G_n are kept as a prefix that only grows, under a
 lock, so order N+1 extends order N instead of rebuilding it. S_n, the
 single-variable series, the power route and the composition route are
@@ -73,7 +80,6 @@ __all__ = [
     "g_via_compositions",
     "g_series_at_p",
     "g_series_at_t",
-    "binomial_in_p",
     "shift_compose",
     "specialize",
     "composition_buckets",
@@ -224,27 +230,28 @@ def coefficients(kind: str, n_max: int, p=None, t=None) -> Series:
     return series if t is None else Series(tuple(c.eval(t) for c in series.coeffs))
 
 
-def binomial_in_p(n: int, k: int) -> Poly:
-    """C(p-n+k, k) = (p-n+k)(p-n+k-1)...(p-n+1) / k! as a polynomial in p."""
-    acc = Poly.one("p")
-    for j in range(1, k + 1):
-        acc = acc * Poly((Fraction(j - n), Fraction(1)), "p")
-    return acc * Fraction(1, factorial(k))
+def shift_compose(g: Series, s, t) -> Series:
+    """The shift rule of G_n(p, s+t) applied to the whole series,
 
+        sum_{k=0}^{n} C(p-n+k, k) G_{n-k}(p, s) t^k   for every n <= g.order,
 
-def shift_compose(g: Series, n: int, s, t) -> BiPoly:
-    """The shift composition sum_{k=0}^{n} C(p-n+k, k) G_{n-k}(p, s) t^k at
-    rational s and t, a polynomial in p. Equals G_n(p, s+t) when the shift
-    identity holds.
+    as BiPolys: polynomials in p for a rational t, in (p, t) for
+    t = ``BiPoly.var_t()``. Equals G_n(p, s+t) term for term when the rule
+    holds. Each G_m(p, s) is read once and carried up the orders by
+    C(p-m, k+1) = C(p-m, k) (p-m-k)/(k+1).
     """
-    if n > g.order:
-        raise ValueError(f"series only reaches order {g.order}, need {n}")
-    s, t = Fraction(s), Fraction(t)
-    acc = BiPoly.zero()
-    for k in range(n + 1):
-        base = BiPoly.of(binomial_in_p(n, k)) * g[n - k].eval_t(s)
-        acc = acc + base * (t**k)
-    return acc
+    s = Fraction(s)
+    if not isinstance(t, BiPoly):
+        t = Fraction(t)
+    p = BiPoly.var_p()
+    out = [BiPoly.zero()] * len(g)
+    for m, coeff in enumerate(g.coeffs):
+        term = coeff.eval_t(s)
+        out[m] = out[m] + term
+        for n in range(m + 1, len(g)):
+            term = term * ((p - BiPoly.constant(n - 1)) * (t * Fraction(1, n - m)))
+            out[n] = out[n] + term
+    return Series(tuple(out))
 
 
 def specialize(g: Series, p0: Fraction, t0: Fraction) -> Series:

@@ -144,11 +144,16 @@ class ApproxResult:
     abs_error: mpf
 
 
-def _check_sample(n: int, order: int) -> None:
+def _check_sample(n: int, order: int, t: Fraction, arg: Fraction, arg_text: str) -> None:
+    """Reject a sample before any series is built: n, the order, and a
+    point ``arg`` that must be positive (the expansion variable n + 1 - t,
+    or the digamma argument n + t), written ``arg_text`` in n and t."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     if order < 0:
         raise ValueError(f"series order must be >= 0, got {order}")
+    if arg <= 0:
+        raise ValueError(f"need {arg_text} > 0, got n = {n}, t = {t}")
 
 
 def _exp_series(order: int) -> Series:
@@ -161,9 +166,9 @@ def approx_gamma(
     n: int, order: int, t: RationalLike = 1, prec: int = 256
 ) -> ApproxResult:
     """Euler's constant via H_n - log(expansion at x = n + 1 - t)."""
-    _check_sample(n, order)
     t = Fraction(t)
     x = Fraction(n + 1) - t
+    _check_sample(n, order, t, x, "n + 1 - t")
     g = _exp_series(order)
     with mp.workprec(prec + GUARD):
         e = eval_expansion(g, 1, t, x, order, mp.prec)
@@ -176,9 +181,9 @@ def approx_harmonic(
     n: int, order: int, t: RationalLike = 1, prec: int = 256
 ) -> ApproxResult:
     """H_n via gamma + log(expansion at x = n + 1 - t)."""
-    _check_sample(n, order)
     t = Fraction(t)
     x = Fraction(n + 1) - t
+    _check_sample(n, order, t, x, "n + 1 - t")
     g = _exp_series(order)
     with mp.workprec(prec + GUARD):
         e = eval_expansion(g, 1, t, x, order, mp.prec)
@@ -195,9 +200,9 @@ def approx_exp_psi(
     prec: int = 256,
 ) -> ApproxResult:
     """exp(p * psi(n + t)) via the truncated expansion at x = n."""
-    _check_sample(n, order)
     p = Fraction(p)
     t = Fraction(t)
+    _check_sample(n, order, t, n + t, "n + t")
     g = _exp_series(order)
     with mp.workprec(prec + GUARD):
         value = eval_expansion(g, p, t, n, order, mp.prec)

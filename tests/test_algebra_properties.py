@@ -61,12 +61,6 @@ def test_bipoly_of_round_trips_through_the_variable(a):
 
 
 @settings(max_examples=60, deadline=None)
-@given(polys, rationals, rationals, rationals)
-def test_affine_composition_matches_pointwise(a, u, v, x):
-    assert a.compose_affine(u, v).eval(x) == a.eval(u + v * x)
-
-
-@settings(max_examples=60, deadline=None)
 @given(bipolys(), bipolys(), rationals, rationals)
 def test_bipoly_evaluation_is_a_ring_homomorphism(a, b, p0, t0):
     assert (a * b).eval(p0, t0) == a.eval(p0, t0) * b.eval(p0, t0)

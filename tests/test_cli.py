@@ -110,6 +110,25 @@ class TestCoeffs:
             assert excinfo.value.code == 2
             assert f"argument {opt}:" in capsys.readouterr().err
 
+    def test_malformed_count_names_the_expected_integer(self, capsys):
+        for argv, opt, want in (
+            (["coeffs", "g", "--n", "abc"], "--n", "expected a nonnegative integer, got abc"),
+            (["coeffs", "g", "--n", "-1"], "--n", "expected a nonnegative integer, got -1"),
+            (["verify", "--max-n", "x"], "--max-n", "expected a positive integer, got x"),
+            (["approx", "gamma", "--n", "3", "--prec", "1.5"], "--prec", "expected a positive integer, got 1.5"),
+        ):
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv)
+            assert excinfo.value.code == 2
+            assert capsys.readouterr().err.splitlines()[-1].endswith(f"argument {opt}: {want}")
+
+    def test_nonpositive_point_is_a_usage_error(self, capsys):
+        for argv, want in (
+            (["approx", "gamma", "--n", "1", "--t", "2", "--order", "28"], "n + 1 - t > 0, got n = 1, t = 2"),
+            (["approx", "exp-psi", "--n", "5", "--t", "-6"], "n + t > 0, got n = 5, t = -6"),
+        ):
+            assert run_cli(capsys, *argv) == (2, "", f"error: need {want}\n")
+
     def test_negative_rational_as_its_own_word(self, capsys, monkeypatch):
         for head, opt, value in (
             (("coeffs", "g", "--n", "7"), "--t", "-3/4"),
@@ -332,6 +351,8 @@ STDOUT_SHA256 = [
     ("errata --format latex", "4c0c43fb99b2bc711e1d7e6c3c97b8a25880c6db44be42cc7cf733f231164c38"),
     ("coeffs s --n 9 --t 5/2 --format csv", "e728b4cb7e228250bdb03dddaa95ccf7730302dec60a2eb5720fcc438733d86c"),
     ("coeffs g --n 7 --p=-2/3 --format latex", "9fb1221052a5b3433844b6d26f7e434da38a083ab1d105f4f0a68e803ee41c36"),
+    ("verify --suite all --max-n 5 --format json", "4b88d9f6667967e6a054731f63bca0c1a98af2bfa2d835df08990e96eca3fd5a"),
+    ("verify --suite all --max-n 16 --format json", "632ed16c1121f024ddf5eab90d886c2756f0842ceadeeb5e331c3d8d8bfe2602"),
 ]
 
 

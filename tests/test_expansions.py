@@ -67,10 +67,10 @@ class TestLogSeries:
         s = s_coeffs(4)
         t = Poly.variable()
         assert s[0] == Poly.one()
-        assert s[1] == t - Poly.constant(F(1, 2))
-        assert s[2] == Poly.constant(F(1, 24))
-        assert s[3] == t * F(-1, 24) + Poly.constant(F(1, 48))
-        assert s[4] == t * t * F(1, 24) - t * F(1, 24) + Poly.constant(F(23, 5760))
+        assert s[1] == t - Poly((F(1, 2),))
+        assert s[2] == Poly((F(1, 24),))
+        assert s[3] == t * F(-1, 24) + Poly((F(1, 48),))
+        assert s[4] == t * t * F(1, 24) - t * F(1, 24) + Poly((F(23, 5760),))
 
     def test_matches_exponential_oracle(self):
         oracle = exp_series_oracle(8)
@@ -234,8 +234,14 @@ class TestExponentialSeries:
     def test_shift_rule_matches_direct_translation(self):
         g = g_via_bernoulli(6)
         s, t0 = F(1, 3), F(1, 4)
+        shifted = shift_compose(g, s, t0)
+        assert len(shifted) == len(g)
         for n in range(7):
-            assert shift_compose(g, n, s, t0) == g[n].eval_t(s + t0), n
+            assert shifted[n] == g[n].eval_t(s + t0), n
+
+    def test_shift_by_a_free_t_from_zero_gives_the_series_back(self):
+        g = g_via_bernoulli(8)
+        assert shift_compose(g, 0, BiPoly.var_t()).coeffs == g.coeffs
 
     def test_composition_route_agrees_at_order_24(self):
         c, b = g_via_compositions(24), g_via_bernoulli(24)

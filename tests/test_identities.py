@@ -7,7 +7,7 @@ from math import factorial
 
 import pytest
 
-from exppsi.algebra import BiPoly, Poly
+from exppsi.algebra import BiPoly, Poly, json_canonical
 from exppsi.expansions import Series, g_via_bernoulli
 from exppsi.identities import (
     CheckReport,
@@ -24,7 +24,6 @@ from exppsi.identities import (
     check_shift_identity,
     compare_reference_tables,
     errata_report,
-    identity_text,
     reference_entries,
     reference_statements,
 )
@@ -125,6 +124,20 @@ class TestTheoremChecks:
                 # residuals of polynomials in p carry only p exponents
                 assert all(j == 0 for _, j in report.witness.terms), check.__name__
 
+    def test_binomial_rule_checks_report_the_first_failure(self):
+        # G_2 carries an extra p*t/7: the t^1 coefficient of G_2 is off by p/7,
+        # and the first shift trial (s = -7, t = 7/9) is off by -p*t/7 = -p/9
+        bad = corrupted_series(8)
+        assert json_canonical(check_coefficient_table(8, g=bad).to_json_dict()) == (
+            '{"check":"coefficient-table","parameters":{"k":1,"n":2},"status":"fail",'
+            '"witness":{"terms":[{"den":"7","num":"1","p":1,"t":0}],"var_order":["p","t"]}}'
+        )
+        assert json_canonical(check_shift_identity(8, g=bad).to_json_dict()) == (
+            '{"check":"shift-identity","parameters":{"n":2,"s":"-7","t":"7/9","trial":0},'
+            '"status":"fail","witness":{"terms":[{"den":"9","num":"-1","p":1,"t":0}],'
+            '"var_order":["p","t"]}}'
+        )
+
 
 class TestProductIdentity:
     def test_vanishes_for_small_indices(self):
@@ -162,10 +175,6 @@ class TestProductIdentity:
             comps = ordered_compositions(2 * n + 1)
             assert len(set(comps)) == len(comps) == 2 ** (2 * n), n
             assert all(sum(comp) == 2 * n + 1 and min(comp) >= 1 for comp in comps)
-
-    def test_rendering(self):
-        terms = sorted(bernoulli_identity_terms(1), key=lambda item: item[1])
-        assert identity_text(terms) == "-4/3*B_1^3 + 2*B_1*B_2 - 2/3*B_3"
 
     def test_sign_flip_variant_does_not_vanish(self):
         # flipping the sign of the single-factor term breaks the identity

@@ -11,6 +11,7 @@ import mpmath
 import pytest
 from mpmath import mp, mpf
 
+from exppsi import numeric
 from exppsi.bernoulli import bernoulli_poly
 from exppsi.expansions import _log_series, g_via_bernoulli
 from exppsi.numeric import (
@@ -197,6 +198,21 @@ class TestApproximations:
         for approx in (approx_gamma, approx_harmonic, approx_exp_psi):
             with pytest.raises(ValueError):
                 approx(10, -3)
+
+    def test_nonpositive_point_fails_before_any_series(self, monkeypatch):
+        def no_series(order):
+            raise AssertionError("the series was built for a rejected sample")
+
+        monkeypatch.setattr(numeric, "_exp_series", no_series)
+        for call, text in (
+            (lambda: approx_gamma(1, 28, t=2), "need n + 1 - t > 0, got n = 1, t = 2"),
+            (lambda: approx_harmonic(3, 28, t=F(9, 2)), "need n + 1 - t > 0, got n = 3, t = 9/2"),
+            (lambda: approx_exp_psi(5, 28, t=-6), "need n + t > 0, got n = 5, t = -6"),
+            (lambda: approx_exp_psi(5, 28, p=2, t=-5), "need n + t > 0, got n = 5, t = -5"),
+        ):
+            with pytest.raises(ValueError) as excinfo:
+                call()
+            assert str(excinfo.value) == text
 
 
 class TestConvergenceOrder:
