@@ -61,6 +61,11 @@ from .numeric import (
 
 __all__ = ["main", "run"]
 
+# Ceiling on ``approx --prec``. The digamma reference needs Bernoulli numbers
+# up to index about prec/4, and the tangent table behind them costs about
+# 1 s at 8192 bits but grows as the square of the index times its bit length.
+MAX_PREC = 8192
+
 
 def _rational(text: str) -> Fraction:
     try:
@@ -85,6 +90,13 @@ def _positive_int(text: str) -> int:
 
 def _nonnegative_int(text: str) -> int:
     return _int_at_least(text, 0, "nonnegative")
+
+
+def _prec_bits(text: str) -> int:
+    bits = _positive_int(text)
+    if bits > MAX_PREC:
+        raise argparse.ArgumentTypeError(f"precision is limited to {MAX_PREC} bits, got {bits}")
+    return bits
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +407,8 @@ def _build_parser() -> argparse.ArgumentParser:
     a.add_argument("--order", type=_nonnegative_int, default=4, metavar="K")
     a.add_argument("--t", type=_rational, default=Fraction(1), metavar="RAT")
     a.add_argument("--p", type=_rational, default=Fraction(1), metavar="RAT")
-    a.add_argument("--prec", type=_positive_int, default=256, metavar="BITS")
+    a.add_argument("--prec", type=_prec_bits, default=256, metavar="BITS",
+                   help=f"working precision in bits, at most {MAX_PREC}")
     a.add_argument("--sweep", action="store_true",
                    help="sample n, 2n, 4n, 8n and fit the convergence order")
     a.add_argument("--format", choices=["text", "json", "csv"], default="text")

@@ -213,11 +213,14 @@ def check_derivative_relation(n_max: int, g: Optional[Series] = None) -> CheckRe
 
 def check_coefficient_table(n_max: int, g: Optional[Series] = None) -> CheckReport:
     """Coefficient of t^k in G_n equals C(p-n+k, k) times the constant
-    coefficient of G_{n-k}: the shift rule at s = 0 with t left free."""
+    coefficient of G_{n-k}: the shift rule at s = 0 with t left free. Every
+    power of t present on either side is compared, so a term above t^n
+    fails too."""
     g = g or g_via_bernoulli(n_max)
     shifted = shift_compose(g, 0, BiPoly.var_t())
     for n in range(n_max + 1):
-        for k in range(n + 1):
+        top = max((j for side in (g[n], shifted[n]) for (_, j) in side.terms), default=-1)
+        for k in range(top + 1):
             lhs = g[n].coeff_of_t_power(k)
             rhs = shifted[n].coeff_of_t_power(k)
             if lhs != rhs:

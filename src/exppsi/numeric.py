@@ -7,11 +7,12 @@ final floating evaluation, so the only rounding happens in the mpmath
 arithmetic itself.
 
 The digamma reference value is computed from scratch: the argument is
-lifted by an integer shift until the asymptotic tail series converges well
-inside the guard precision, the tail is summed with even-index Bernoulli
-numbers, and the shift is undone with exact harmonic corrections. The
-library digamma is deliberately not used here so the tests can treat it as
-an independent cross-check.
+lifted by an integer shift m until the asymptotic tail series converges
+well inside the guard precision, the tail is summed with even-index
+Bernoulli numbers, and the shift is undone with the exact correction
+sum_{k<m} 1/(x+k), summed by binary splitting (``_reciprocal_sum``, which
+also gives the harmonic numbers). The library digamma is deliberately not
+used here so the tests can treat it as an independent cross-check.
 
 Results are returned as ``ApproxResult`` values and convergence orders as
 rationals; the command line renders them.
@@ -59,11 +60,36 @@ def to_mpf(value: RationalLike, prec: int) -> mpf:
         return +mpf(value)
 
 
+def _reciprocal_sum(x: Fraction, m: int) -> Fraction:
+    """Exact sum_{k<m} 1/(x+k) for a positive rational x = a/b.
+
+    Binary splitting over the integer terms b/(a+kb): each half of the
+    range is carried as one fraction P/Q, unreduced, and a single Fraction
+    (one gcd) is built at the end.
+    """
+    a, b = x.numerator, x.denominator
+
+    def split(lo: int, hi: int) -> tuple[int, int]:
+        # sum_{lo<=k<hi} 1/(a+kb) = P/Q
+        if hi - lo == 1:
+            return 1, a + lo * b
+        mid = (lo + hi) // 2
+        p1, q1 = split(lo, mid)
+        p2, q2 = split(mid, hi)
+        return p1 * q2 + p2 * q1, q1 * q2
+
+    if m <= 0:
+        return Fraction(0)
+    p, q = split(0, m)
+    return Fraction(b * p, q)
+
+
 def harmonic(n: int) -> Fraction:
-    """Exact n-th harmonic number 1 + 1/2 + ... + 1/n."""
+    """Exact n-th harmonic number 1 + 1/2 + ... + 1/n, as the reciprocal
+    sum of 1, 2, ..., n by binary splitting."""
     if n < 0:
         raise ValueError(f"harmonic numbers need n >= 0, got {n}")
-    return sum((Fraction(1, k) for k in range(1, n + 1)), Fraction(0))
+    return _reciprocal_sum(Fraction(1), n)
 
 
 def _round_to(value: mpf, prec: int) -> mpf:
@@ -90,15 +116,15 @@ def psi_ref(x: RationalLike, prec: int = 256) -> mpf:
             c = to_mpf(Fraction(bernoulli_number(2 * j), 2 * j), mp.prec)
             acc = (acc + c) * w
         value = mpmath.log(z) - 1 / (2 * z) - acc
-        # undo the recurrence shift psi(x+m) = psi(x) + sum 1/(x+k)
-        correction = sum((Fraction(1, 1) / (x + k) for k in range(m)), Fraction(0))
-        value -= to_mpf(correction, mp.prec)
+        # undo the recurrence shift psi(x+m) = psi(x) + sum_{k<m} 1/(x+k)
+        value -= to_mpf(_reciprocal_sum(x, m), mp.prec)
     return _round_to(value, prec)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def euler_gamma(prec: int = 256) -> mpf:
-    """Euler's constant as -psi(1), at ``prec`` bits."""
+    """Euler's constant as -psi(1), at ``prec`` bits. The cache holds a few
+    precisions, so a caller sweeping many of them does not grow it."""
     value = psi_ref(1, prec + GUARD)
     with mp.workprec(prec):
         return -value

@@ -1,14 +1,18 @@
 """Tests for Bernoulli numbers and polynomials.
 
-The number table is cross-checked against an independent oracle computed
-here with the Akiyama-Tanigawa algorithm, which shares no code with the
-package's defining recurrence.
+The number table is cross-checked against two references written here,
+sharing no code with the package's tangent-number method: the defining
+recurrence and the Akiyama-Tanigawa algorithm.
 """
 
+import sys
+import threading
 from fractions import Fraction
+from math import comb
 
 import pytest
 
+from exppsi import bernoulli
 from exppsi.algebra import Poly
 from exppsi.bernoulli import bernoulli_number, bernoulli_poly
 
@@ -24,6 +28,20 @@ def akiyama_tanigawa(n: int) -> Fraction:
     if n == 1:
         value = -value  # the algorithm produces the +1/2 convention at n=1
     return value
+
+
+def defining_recurrence(n: int) -> list[Fraction]:
+    """B_0..B_n from sum_{j=0}^{k} C(k+1, j) B_j = 0 (k >= 1)."""
+    out = [F(1)]
+    for k in range(1, n + 1):
+        out.append(-sum((comb(k + 1, j) * out[j] for j in range(k)), F(0)) / (k + 1))
+    return out
+
+
+@pytest.fixture
+def empty_cache(monkeypatch):
+    monkeypatch.setattr(bernoulli, "_numbers", [F(1)])
+    monkeypatch.setattr(bernoulli, "_polys", [Poly.one()])
 
 
 KNOWN_NUMBERS = {
@@ -50,12 +68,58 @@ def test_matches_independent_oracle():
         assert bernoulli_number(k) == akiyama_tanigawa(k), k
 
 
+def test_matches_defining_recurrence(empty_cache):
+    assert [bernoulli_number(k) for k in range(257)] == defining_recurrence(256)
+
+
+def test_growth_order_does_not_matter(monkeypatch):
+    def fill(order):
+        monkeypatch.setattr(bernoulli, "_numbers", [F(1)])
+        monkeypatch.setattr(bernoulli, "_polys", [Poly.one()])
+        for k in order:
+            bernoulli_number(k)
+            bernoulli_poly(k)
+        return [(bernoulli_number(k), bernoulli_poly(k)) for k in range(61)]
+
+    ascending = fill(range(61))
+    assert fill([300, 40]) == ascending
+    assert fill(range(60, -1, -1)) == ascending
+    assert [b for b, _ in ascending] == defining_recurrence(60)
+
+
+def test_concurrent_calls_grow_one_consistent_prefix(empty_cache):
+    want = defining_recurrence(90)
+    results = []
+
+    def worker(indices):
+        for k in indices:
+            results.append((k, bernoulli_number(k), bernoulli_poly(k)))
+
+    plans = [(3, 90), (90, 2), (5, 40, 77), (1, 60), (33,), (90, 90)]
+    threads = [threading.Thread(target=worker, args=(plan,)) for plan in plans]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert len(results) == sum(len(plan) for plan in plans)
+    for k, number, poly in results:
+        assert number == want[k] and poly[0] == want[k], k
+    assert bernoulli._numbers[:91] == want
+    assert len(bernoulli._polys) == 91
+
+
 def test_odd_numbers_vanish():
     for k in range(3, 30, 2):
         assert bernoulli_number(k) == 0
 
 
-def test_negative_index_rejected():
+def test_negative_index_rejected(empty_cache):
     with pytest.raises(ValueError):
         bernoulli_number(-1)
     with pytest.raises(ValueError):

@@ -17,7 +17,7 @@ from jsonschema import Draft202012Validator
 from referencing import Registry, Resource
 
 import exppsi
-from exppsi.cli import _errata_latex, main
+from exppsi.cli import MAX_PREC, _build_parser, _errata_latex, main
 from exppsi.identities import ErrataEntry, errata_report
 
 
@@ -116,11 +116,19 @@ class TestCoeffs:
             (["coeffs", "g", "--n", "-1"], "--n", "expected a nonnegative integer, got -1"),
             (["verify", "--max-n", "x"], "--max-n", "expected a positive integer, got x"),
             (["approx", "gamma", "--n", "3", "--prec", "1.5"], "--prec", "expected a positive integer, got 1.5"),
+            (["approx", "gamma", "--n", "3", "--prec", str(MAX_PREC + 1)], "--prec",
+             f"precision is limited to {MAX_PREC} bits, got {MAX_PREC + 1}"),
         ):
             with pytest.raises(SystemExit) as excinfo:
                 main(argv)
             assert excinfo.value.code == 2
             assert capsys.readouterr().err.splitlines()[-1].endswith(f"argument {opt}: {want}")
+
+    def test_precision_ceiling_admits_8192_bits(self):
+        # parsed only: the ceiling itself is never run here
+        assert MAX_PREC >= 8192
+        args = _build_parser().parse_args(["approx", "gamma", "--n", "3", "--prec", str(MAX_PREC)])
+        assert args.prec == MAX_PREC
 
     def test_nonpositive_point_is_a_usage_error(self, capsys):
         for argv, want in (
@@ -353,6 +361,8 @@ STDOUT_SHA256 = [
     ("coeffs g --n 7 --p=-2/3 --format latex", "9fb1221052a5b3433844b6d26f7e434da38a083ab1d105f4f0a68e803ee41c36"),
     ("verify --suite all --max-n 5 --format json", "4b88d9f6667967e6a054731f63bca0c1a98af2bfa2d835df08990e96eca3fd5a"),
     ("verify --suite all --max-n 16 --format json", "632ed16c1121f024ddf5eab90d886c2756f0842ceadeeb5e331c3d8d8bfe2602"),
+    ("approx harmonic --n 16 --t 1/2 --order 10 --prec 1536 --sweep --format json", "d38a6c4d9cf60035990613e82f61f16024f07f5b7fab42b2f6e1ceafa645d723"),
+    ("approx gamma --n 2500 --order 4 --sweep", "ca88529ccee8e5f413fd2fd20a103a82df95e34eb07b057f4bca204d8a2a2ca6"),
 ]
 
 

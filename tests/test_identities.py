@@ -138,6 +138,18 @@ class TestTheoremChecks:
             '"var_order":["p","t"]}}'
         )
 
+    def test_coefficient_table_sees_a_term_above_t_to_the_n(self):
+        # G_2 given an extra p*t^3/7: a power the table never reached at t^k, k <= n
+        coeffs = list(g_via_bernoulli(8).coeffs)
+        coeffs[2] = coeffs[2] + BiPoly({(1, 3): F(1, 7)})
+        bad = Series(tuple(coeffs))
+        assert json_canonical(check_coefficient_table(8, g=bad).to_json_dict()) == (
+            '{"check":"coefficient-table","parameters":{"k":3,"n":2},"status":"fail",'
+            '"witness":{"terms":[{"den":"7","num":"1","p":1,"t":0}],"var_order":["p","t"]}}'
+        )
+        for check in (check_reflection, check_derivative_relation, check_shift_identity):
+            assert check(8, g=bad).status == "fail", check.__name__
+
 
 class TestProductIdentity:
     def test_vanishes_for_small_indices(self):

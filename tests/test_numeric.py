@@ -46,6 +46,19 @@ class TestHarmonic:
         with pytest.raises(ValueError):
             harmonic(-1)
 
+    def test_equals_the_naive_sum(self):
+        naive = F(0)
+        for n in range(301):
+            assert harmonic(n) == naive, n
+            naive += F(1, n + 1)
+        assert harmonic(5000) == sum((F(1, k) for k in range(1, 5001)), F(0))
+
+    def test_reciprocal_sum_equals_the_naive_sum(self):
+        for x in (F(1), F(1, 2), F(5, 7), F(3), F(47, 2), F(1001, 10)):
+            for m in (0, 1, 2, 7, 64, 129):
+                naive = sum((1 / (x + k) for k in range(m)), F(0))
+                assert numeric._reciprocal_sum(x, m) == naive, (x, m)
+
 
 class TestPsiRef:
     def test_rejects_nonpositive_arguments(self):
