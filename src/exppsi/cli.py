@@ -66,6 +66,13 @@ __all__ = ["main", "run"]
 # 1 s at 8192 bits but grows as the square of the index times its bit length.
 MAX_PREC = 8192
 
+# Ceilings on ``verify --max-n`` and ``approx --order``: on a 2-core x86-64
+# host ``verify --suite all --max-n 56`` took 62 s and ``approx exp-psi
+# --n 40 --order 72 --p 2/3 --t 5/4 --sweep`` 58 s; each cost doubles with
+# about 8 more orders.
+MAX_VERIFY_N = 56
+MAX_ORDER = 72
+
 
 def _rational(text: str) -> Fraction:
     try:
@@ -74,29 +81,23 @@ def _rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _int_at_least(text: str, low: int, kind: str) -> int:
-    try:
-        value = int(text)
-        if value >= low:
-            return value
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"expected a {kind} integer, got {text}")
+def _count(low: int, high: Optional[int] = None, limit: str = ""):
+    """Parser of an integer at least ``low`` (0 or 1) and, if ``high`` is
+    given, at most ``high``; ``limit`` words that ceiling in the error."""
+    kind = "positive" if low else "nonnegative"
 
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < low:
+            raise argparse.ArgumentTypeError(f"expected a {kind} integer, got {text}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"{limit.format(high)}, got {value}")
+        return value
 
-def _positive_int(text: str) -> int:
-    return _int_at_least(text, 1, "positive")
-
-
-def _nonnegative_int(text: str) -> int:
-    return _int_at_least(text, 0, "nonnegative")
-
-
-def _prec_bits(text: str) -> int:
-    bits = _positive_int(text)
-    if bits > MAX_PREC:
-        raise argparse.ArgumentTypeError(f"precision is limited to {MAX_PREC} bits, got {bits}")
-    return bits
+    return parse
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +374,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("coeffs", help="print expansion coefficients")
     c.add_argument("kind", choices=["s", "g"], help="series family")
-    c.add_argument("--n", type=_nonnegative_int, required=True, metavar="N",
+    c.add_argument("--n", type=_count(0), required=True, metavar="N",
                    help="highest order to print")
     c.add_argument("--p", type=_rational, default=None, metavar="RAT",
                    help="specialize the exponent (g only)")
@@ -389,7 +390,8 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=["all", "even-p", "degrees", "reflection", "half", "identity", "routes"],
         default="all",
     )
-    v.add_argument("--max-n", type=_positive_int, default=12, metavar="N")
+    v.add_argument("--max-n", type=_count(1, MAX_VERIFY_N, "checks are limited to order {}"),
+                   default=12, metavar="N", help=f"highest order checked, at most {MAX_VERIFY_N}")
     v.add_argument("--format", choices=["text", "json"], default="text")
     v.set_defaults(func=_cmd_verify)
 
@@ -403,11 +405,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     a = sub.add_parser("approx", help="numerically evaluate the expansions")
     a.add_argument("target", choices=["gamma", "harmonic", "exp-psi"])
-    a.add_argument("--n", type=_positive_int, required=True, metavar="N")
-    a.add_argument("--order", type=_nonnegative_int, default=4, metavar="K")
+    a.add_argument("--n", type=_count(1), required=True, metavar="N")
+    a.add_argument("--order", type=_count(0, MAX_ORDER, "series order is limited to {}"),
+                   default=4, metavar="K", help=f"series order, at most {MAX_ORDER}")
     a.add_argument("--t", type=_rational, default=Fraction(1), metavar="RAT")
     a.add_argument("--p", type=_rational, default=Fraction(1), metavar="RAT")
-    a.add_argument("--prec", type=_prec_bits, default=256, metavar="BITS",
+    a.add_argument("--prec", type=_count(1, MAX_PREC, "precision is limited to {} bits"),
+                   default=256, metavar="BITS",
                    help=f"working precision in bits, at most {MAX_PREC}")
     a.add_argument("--sweep", action="store_true",
                    help="sample n, 2n, 4n, 8n and fit the convergence order")

@@ -14,12 +14,14 @@ Both families come from one log-series recurrence,
 
 with beta_k = B_k(t) the Bernoulli polynomials: c = 1 gives S_n and c = p
 gives G_n. ``_log_series`` holds it once, over whatever ring the a_n, beta_k
-and c belong to, and four functions are instances of it:
+and c belong to, and five series are instances of it:
 
 * ``g_via_bernoulli`` (canonical): G_n(p,t) as bivariate polynomials, c = p.
 * ``g_series_at_p``: G_n(p0,t) as polynomials in t, c = p0.
 * ``g_series_at_t``: G_n(p,t0) as polynomials in p, beta_k = B_k(t0), c = p.
 * ``s_coeffs``: the p0 = 1 instance, since S_n(t) = G_n(1,t).
+* the point series G_n(p0,t0) of ``coefficients`` with both p and t fixed:
+  rationals, beta_k = B_k(t0), c = p0, so no polynomial is built.
 
 ``coefficients(kind, n_max, p, t)`` is the one place that picks, for S or G
 with p, t, both or neither fixed, which of these instances serves and what
@@ -44,8 +46,8 @@ term:
 
 Every series comes back as one ``Series``: its coeffs are Polys in t for
 S_n and for G_n at fixed p, Polys with ``var == "p"`` for G_n at fixed t,
-BiPolys in (p, t) for the bivariate G_n, and rationals once ``specialize``
-fixes both p and t.
+BiPolys in (p, t) for the bivariate G_n, and rationals once both p and t
+are fixed, by the point series or by ``specialize``.
 
 The G_n are Appell polynomials in t, dG_n/dt = (p+1-n) G_{n-1}, so a shift
 of t is a binomial sum: G_n(p, s+t) = sum_k C(p-n+k, k) G_{n-k}(p, s) t^k.
@@ -226,8 +228,9 @@ def coefficients(kind: str, n_max: int, p=None, t=None) -> Series:
         raise ValueError(f"series kind is 's' or 'g', not {kind!r}")
     if p is None:
         return g_via_bernoulli(n_max) if t is None else g_series_at_t(t, n_max)
-    series = g_series_at_p(p, n_max)
-    return series if t is None else Series(tuple(c.eval(t) for c in series.coeffs))
+    if t is None:
+        return g_series_at_p(p, n_max)
+    return _grown([Fraction(1)], n_max, lambda k: bernoulli_poly(k).eval(t), Fraction(p))
 
 
 def shift_compose(g: Series, s, t) -> Series:

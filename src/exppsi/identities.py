@@ -181,13 +181,16 @@ def check_half_argument(n_max: int, g: Optional[Series] = None) -> CheckReport:
     return CheckReport.passed("half-argument", n_max=n_max)
 
 
-def check_shift_identity(
-    n_max: int, trials: int = 20, seed: int = 20260815, g: Optional[Series] = None
-) -> CheckReport:
+# the shift check's random rational points (s, t): how many, and their seed
+SHIFT_TRIALS = 20
+SHIFT_SEED = 20260815
+
+
+def check_shift_identity(n_max: int, g: Optional[Series] = None) -> CheckReport:
     """G_n(p, s+t) == sum_k C(p-n+k, k) G_{n-k}(p, s) t^k for random rational (s, t)."""
     g = Series((g or g_via_bernoulli(n_max)).coeffs[: n_max + 1])
-    rng = random.Random(seed)
-    for trial in range(trials):
+    rng = random.Random(SHIFT_SEED)
+    for trial in range(SHIFT_TRIALS):
         s = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
         t = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
         shifted = shift_compose(g, s, t)
@@ -197,7 +200,7 @@ def check_shift_identity(
                 return CheckReport.failed(
                     "shift-identity", residual, n=n, s=str(s), t=str(t), trial=trial
                 )
-    return CheckReport.passed("shift-identity", n_max=n_max, trials=trials, seed=seed)
+    return CheckReport.passed("shift-identity", n_max=n_max, trials=SHIFT_TRIALS, seed=SHIFT_SEED)
 
 
 def check_derivative_relation(n_max: int, g: Optional[Series] = None) -> CheckReport:

@@ -33,7 +33,6 @@ from .bernoulli import bernoulli_number
 from .expansions import Series, specialize
 
 __all__ = [
-    "GUARD",
     "to_mpf",
     "harmonic",
     "psi_ref",

@@ -17,7 +17,7 @@ from jsonschema import Draft202012Validator
 from referencing import Registry, Resource
 
 import exppsi
-from exppsi.cli import MAX_PREC, _build_parser, _errata_latex, main
+from exppsi.cli import MAX_ORDER, MAX_PREC, MAX_VERIFY_N, _build_parser, _errata_latex, main
 from exppsi.identities import ErrataEntry, errata_report
 
 
@@ -118,11 +118,23 @@ class TestCoeffs:
             (["approx", "gamma", "--n", "3", "--prec", "1.5"], "--prec", "expected a positive integer, got 1.5"),
             (["approx", "gamma", "--n", "3", "--prec", str(MAX_PREC + 1)], "--prec",
              f"precision is limited to {MAX_PREC} bits, got {MAX_PREC + 1}"),
+            (["verify", "--max-n", str(MAX_VERIFY_N + 1)], "--max-n",
+             f"checks are limited to order {MAX_VERIFY_N}, got {MAX_VERIFY_N + 1}"),
+            (["approx", "gamma", "--n", "3", "--order", str(MAX_ORDER + 1)], "--order",
+             f"series order is limited to {MAX_ORDER}, got {MAX_ORDER + 1}"),
         ):
             with pytest.raises(SystemExit) as excinfo:
                 main(argv)
             assert excinfo.value.code == 2
             assert capsys.readouterr().err.splitlines()[-1].endswith(f"argument {opt}: {want}")
+
+    def test_order_ceilings_admit_their_value(self):
+        # parsed only: neither ceiling is ever run here
+        assert MAX_VERIFY_N >= 40 and MAX_ORDER >= 40
+        parser = _build_parser()
+        assert parser.parse_args(["verify", "--max-n", str(MAX_VERIFY_N)]).max_n == MAX_VERIFY_N
+        argv = ["approx", "gamma", "--n", "3", "--order", str(MAX_ORDER)]
+        assert parser.parse_args(argv).order == MAX_ORDER
 
     def test_precision_ceiling_admits_8192_bits(self):
         # parsed only: the ceiling itself is never run here
@@ -321,6 +333,10 @@ def test_closed_pipe_exits_quietly():
     assert "Traceback" not in err and "BrokenPipeError" not in err
 
 
+# SHA-256 of the package's exported names, sorted and joined by spaces
+EXPORTED_SHA256 = "9e9561f9182e775ca372bb3f2f539f0b44b04ad812d8c9fb0803a41fbe9b32d6"
+
+
 def test_every_exported_name_resolves():
     # perfbench/spans.py wraps the functions it finds by these names
     modules = [exppsi] + [
@@ -330,6 +346,13 @@ def test_every_exported_name_resolves():
     for module in modules:
         for name in module.__all__:
             assert hasattr(module, name), f"{module.__name__}.{name}"
+    # the package re-exports each name as the object its module defines
+    for module in modules[1:-1]:
+        for name in module.__all__:
+            assert getattr(exppsi, name) is getattr(module, name), name
+    assert len(set(exppsi.__all__)) == len(exppsi.__all__)
+    digest = hashlib.sha256(" ".join(sorted(exppsi.__all__)).encode()).hexdigest()
+    assert digest == EXPORTED_SHA256
 
 
 # SHA-256 of stdout for a fixed set of commands: the README commands and

@@ -316,6 +316,14 @@ class TestCoefficients:
             for y in POINTS:
                 at_both = tuple(c.eval(x, y) for c in g.coeffs)
                 assert coefficients("g", n, p=x, t=y).coeffs == at_both, (x, y)
+        # the point series runs its own recurrence over the rationals
+        n = 24
+        g, s = g_via_bernoulli(n), s_coeffs(n)
+        for x in POINTS[2:]:
+            assert coefficients("s", n, t=x).coeffs == tuple(c.eval(x) for c in s.coeffs), x
+            for y in POINTS[2:]:
+                at_both = tuple(c.eval(x, y) for c in g.coeffs)
+                assert coefficients("g", n, p=x, t=y).coeffs == at_both, (x, y)
 
     def test_each_shape_has_its_type(self):
         x = F(-2, 3)

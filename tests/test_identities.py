@@ -94,11 +94,6 @@ class TestTheoremChecks:
     def test_half_argument(self):
         assert check_half_argument(12).ok
 
-    def test_shift_identity_seeded(self):
-        report = check_shift_identity(8, trials=5, seed=11)
-        assert report.ok
-        assert report.parameters["seed"] == 11
-
     def test_derivative_relation(self):
         assert check_derivative_relation(10).ok
 
