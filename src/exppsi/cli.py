@@ -20,6 +20,9 @@ reports as data. All data output goes to stdout and is byte-deterministic
 for fixed arguments; diagnostics go to stderr. Exit codes: 0 success,
 1 failed verification, 2 usage error, 141 (128 + SIGPIPE) when the reader
 closes stdout early.
+
+Only ``approx`` evaluates floats, so only it loads mpmath; ``coeffs``,
+``verify`` and ``errata`` run on exact rationals alone.
 """
 
 from __future__ import annotations
@@ -31,8 +34,6 @@ import re
 import sys
 from fractions import Fraction
 from typing import Optional, Sequence
-
-import mpmath
 
 from .algebra import BiPoly, _render, json_canonical, parse_rational
 from .expansions import coefficients
@@ -66,10 +67,11 @@ __all__ = ["main", "run"]
 # 1 s at 8192 bits but grows as the square of the index times its bit length.
 MAX_PREC = 8192
 
-# Ceilings on ``verify --max-n`` and ``approx --order``: on a 2-core x86-64
-# host ``verify --suite all --max-n 56`` took 62 s and ``approx exp-psi
-# --n 40 --order 72 --p 2/3 --t 5/4 --sweep`` 58 s; each cost doubles with
-# about 8 more orders.
+# Ceilings on ``verify --max-n``, and on ``approx --order`` and ``coeffs --n``:
+# on a 2-core x86-64 host ``verify --suite all --max-n 56`` took 62 s,
+# ``approx exp-psi --n 40 --order 72 --p 2/3 --t 5/4 --sweep`` 58 s and
+# ``coeffs g --n 72 --format json`` 27 s (17 MB of output); each cost doubles
+# with about 8 more orders.
 MAX_VERIFY_N = 56
 MAX_ORDER = 72
 
@@ -297,10 +299,12 @@ def _fit(samples: Sequence[ApproxResult], prec: int) -> Optional[Fraction]:
     An error at most 2^8 times the rounding floor of the working precision,
     2^-(prec+GUARD) times max(1, |value|), is rounding noise and is left out.
     """
+    from mpmath import ldexp
+
     measurable = [
         (r.n, r.abs_error)
         for r in samples
-        if r.abs_error > mpmath.ldexp(max(1, abs(r.value)), 8 - prec - GUARD)
+        if r.abs_error > ldexp(max(1, abs(r.value)), 8 - prec - GUARD)
     ]
     try:
         return convergence_order(measurable)
@@ -309,6 +313,10 @@ def _fit(samples: Sequence[ApproxResult], prec: int) -> Optional[Fraction]:
 
 
 def _cmd_approx(args: argparse.Namespace, out) -> int:
+    if args.p is None:
+        args.p = Fraction(1)
+    elif args.target != "exp-psi":
+        raise ValueError("--p applies only to the target exp-psi")
     ns = [args.n * (2**k) for k in range(4)] if args.sweep else [args.n]
     samples = [_one_sample(args, n) for n in ns]
     # est[i] is the order fitted to samples i-1 and i
@@ -374,8 +382,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("coeffs", help="print expansion coefficients")
     c.add_argument("kind", choices=["s", "g"], help="series family")
-    c.add_argument("--n", type=_count(0), required=True, metavar="N",
-                   help="highest order to print")
+    c.add_argument("--n", type=_count(0, MAX_ORDER, "coefficients are limited to order {}"),
+                   required=True, metavar="N", help=f"highest order to print, at most {MAX_ORDER}")
     c.add_argument("--p", type=_rational, default=None, metavar="RAT",
                    help="specialize the exponent (g only)")
     c.add_argument("--t", type=_rational, default=None, metavar="RAT",
@@ -409,7 +417,8 @@ def _build_parser() -> argparse.ArgumentParser:
     a.add_argument("--order", type=_count(0, MAX_ORDER, "series order is limited to {}"),
                    default=4, metavar="K", help=f"series order, at most {MAX_ORDER}")
     a.add_argument("--t", type=_rational, default=Fraction(1), metavar="RAT")
-    a.add_argument("--p", type=_rational, default=Fraction(1), metavar="RAT")
+    a.add_argument("--p", type=_rational, default=None, metavar="RAT",
+                   help="the exponent (exp-psi only), 1 by default")
     a.add_argument("--prec", type=_count(1, MAX_PREC, "precision is limited to {} bits"),
                    default=256, metavar="BITS",
                    help=f"working precision in bits, at most {MAX_PREC}")

@@ -16,11 +16,10 @@ renders them.
 from __future__ import annotations
 
 import json
-import random
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from importlib import resources
 from math import factorial
 from typing import Optional
 
@@ -188,6 +187,8 @@ SHIFT_SEED = 20260815
 
 def check_shift_identity(n_max: int, g: Optional[Series] = None) -> CheckReport:
     """G_n(p, s+t) == sum_k C(p-n+k, k) G_{n-k}(p, s) t^k for random rational (s, t)."""
+    import random  # only this check uses it, so importing the package does not
+
     g = Series((g or g_via_bernoulli(n_max)).coeffs[: n_max + 1])
     rng = random.Random(SHIFT_SEED)
     for trial in range(SHIFT_TRIALS):
@@ -293,8 +294,10 @@ def bernoulli_identity_terms(n: int) -> list[tuple[Fraction, tuple[int, ...]]]:
 
 @lru_cache(maxsize=1)
 def _reference_doc() -> dict:
-    text = resources.files("exppsi").joinpath("reference_tables.json").read_text()
-    return json.loads(text)
+    # read beside this file: importlib.resources would import tempfile and random
+    path = os.path.join(os.path.dirname(__file__), "reference_tables.json")
+    with open(path, encoding="utf-8") as f:
+        return json.load(f)
 
 
 def reference_entries() -> list[dict]:

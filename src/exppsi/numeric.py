@@ -16,6 +16,10 @@ used here so the tests can treat it as an independent cross-check.
 
 Results are returned as ``ApproxResult`` values and convergence orders as
 rationals; the command line renders them.
+
+mpmath is imported the first time one of these routines runs, not when the
+package is imported: the exact commands (``coeffs``, ``verify``,
+``errata``) never evaluate a float and never load it.
 """
 
 from __future__ import annotations
@@ -25,9 +29,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence, Union
-
-import mpmath
-from mpmath import mp, mpf
 
 from .bernoulli import bernoulli_number
 from .expansions import Series, specialize
@@ -48,15 +49,32 @@ __all__ = [
 
 GUARD = 48
 
+
+class _Mpmath:
+    """Stands for the mpmath module in this module's globals until one of its
+    names is first read. That read imports mpmath and rebinds the global
+    ``mpmath`` to the module itself, so every later use is a plain module
+    attribute with no cost per call."""
+
+    def __getattr__(self, name: str):
+        global mpmath
+        import mpmath as module
+
+        mpmath = module
+        return getattr(module, name)
+
+
+mpmath = _Mpmath()
+
 RationalLike = Union[int, Fraction]
 
 
-def to_mpf(value: RationalLike, prec: int) -> mpf:
+def to_mpf(value: RationalLike, prec: int) -> mpmath.mpf:
     """Round an exact rational to an mpf at the given bit precision."""
-    with mp.workprec(prec):
+    with mpmath.mp.workprec(prec):
         if isinstance(value, Fraction):
-            return mpf(value.numerator) / mpf(value.denominator)
-        return +mpf(value)
+            return mpmath.mpf(value.numerator) / mpmath.mpf(value.denominator)
+        return +mpmath.mpf(value)
 
 
 def _reciprocal_sum(x: Fraction, m: int) -> Fraction:
@@ -91,41 +109,41 @@ def harmonic(n: int) -> Fraction:
     return _reciprocal_sum(Fraction(1), n)
 
 
-def _round_to(value: mpf, prec: int) -> mpf:
-    with mp.workprec(prec):
+def _round_to(value: mpmath.mpf, prec: int) -> mpmath.mpf:
+    with mpmath.mp.workprec(prec):
         return +value
 
 
-def psi_ref(x: RationalLike, prec: int = 256) -> mpf:
+def psi_ref(x: RationalLike, prec: int = 256) -> mpmath.mpf:
     """Digamma at a positive rational argument, correct to ``prec`` bits."""
     x = Fraction(x)
     if x <= 0:
         raise ValueError(f"argument must be positive, got {x}")
-    with mp.workprec(prec + GUARD):
+    with mpmath.mp.workprec(prec + GUARD):
         threshold = max(32, prec // 4)
         m = 0
         if x < threshold:
             m = threshold - math.floor(x)
-        z = to_mpf(x + m, mp.prec)
+        z = to_mpf(x + m, mpmath.mp.prec)
         # log z - 1/(2z) - sum_j B_{2j} / (2j z^(2j)), Horner in 1/z^2
         terms = 2 * ((prec + 15) // 16)
         w = 1 / (z * z)
-        acc = mpf(0)
+        acc = mpmath.mpf(0)
         for j in range(terms, 0, -1):
-            c = to_mpf(Fraction(bernoulli_number(2 * j), 2 * j), mp.prec)
+            c = to_mpf(Fraction(bernoulli_number(2 * j), 2 * j), mpmath.mp.prec)
             acc = (acc + c) * w
         value = mpmath.log(z) - 1 / (2 * z) - acc
         # undo the recurrence shift psi(x+m) = psi(x) + sum_{k<m} 1/(x+k)
-        value -= to_mpf(_reciprocal_sum(x, m), mp.prec)
+        value -= to_mpf(_reciprocal_sum(x, m), mpmath.mp.prec)
     return _round_to(value, prec)
 
 
 @lru_cache(maxsize=8)
-def euler_gamma(prec: int = 256) -> mpf:
+def euler_gamma(prec: int = 256) -> mpmath.mpf:
     """Euler's constant as -psi(1), at ``prec`` bits. The cache holds a few
     precisions, so a caller sweeping many of them does not grow it."""
     value = psi_ref(1, prec + GUARD)
-    with mp.workprec(prec):
+    with mpmath.mp.workprec(prec):
         return -value
 
 
@@ -136,7 +154,7 @@ def eval_expansion(
     x: RationalLike,
     order: int,
     prec: int = 256,
-) -> mpf:
+) -> mpmath.mpf:
     """Evaluate x^p * sum_{n<=order} G_n(p,t) x^(-n) at exact rational inputs."""
     p = Fraction(p)
     t = Fraction(t)
@@ -149,13 +167,13 @@ def eval_expansion(
         raise ValueError(f"series holds orders 0..{len(g.coeffs) - 1}, asked for {order}")
     exp = specialize(g, p, t)
     coeffs = exp.coeffs[: order + 1]
-    with mp.workprec(prec + GUARD):
-        xv = to_mpf(x, mp.prec)
+    with mpmath.mp.workprec(prec + GUARD):
+        xv = to_mpf(x, mpmath.mp.prec)
         inv = 1 / xv
-        acc = mpf(0)
+        acc = mpmath.mpf(0)
         for c in reversed(coeffs):
-            acc = acc * inv + to_mpf(c, mp.prec)
-        value = mpmath.power(xv, to_mpf(p, mp.prec)) * acc
+            acc = acc * inv + to_mpf(c, mpmath.mp.prec)
+        value = mpmath.power(xv, to_mpf(p, mpmath.mp.prec)) * acc
     return _round_to(value, prec)
 
 
@@ -165,8 +183,8 @@ class ApproxResult:
 
     n: int
     order_used: int
-    value: mpf
-    abs_error: mpf
+    value: mpmath.mpf
+    abs_error: mpmath.mpf
 
 
 def _check_sample(n: int, order: int, t: Fraction, arg: Fraction, arg_text: str) -> None:
@@ -195,10 +213,10 @@ def approx_gamma(
     x = Fraction(n + 1) - t
     _check_sample(n, order, t, x, "n + 1 - t")
     g = _exp_series(order)
-    with mp.workprec(prec + GUARD):
-        e = eval_expansion(g, 1, t, x, order, mp.prec)
-        value = to_mpf(harmonic(n), mp.prec) - mpmath.log(e)
-        err = abs(value - euler_gamma(mp.prec))
+    with mpmath.mp.workprec(prec + GUARD):
+        e = eval_expansion(g, 1, t, x, order, mpmath.mp.prec)
+        value = to_mpf(harmonic(n), mpmath.mp.prec) - mpmath.log(e)
+        err = abs(value - euler_gamma(mpmath.mp.prec))
     return ApproxResult(n, order, _round_to(value, prec), _round_to(err, prec))
 
 
@@ -210,10 +228,10 @@ def approx_harmonic(
     x = Fraction(n + 1) - t
     _check_sample(n, order, t, x, "n + 1 - t")
     g = _exp_series(order)
-    with mp.workprec(prec + GUARD):
-        e = eval_expansion(g, 1, t, x, order, mp.prec)
-        value = euler_gamma(mp.prec) + mpmath.log(e)
-        err = abs(value - to_mpf(harmonic(n), mp.prec))
+    with mpmath.mp.workprec(prec + GUARD):
+        e = eval_expansion(g, 1, t, x, order, mpmath.mp.prec)
+        value = euler_gamma(mpmath.mp.prec) + mpmath.log(e)
+        err = abs(value - to_mpf(harmonic(n), mpmath.mp.prec))
     return ApproxResult(n, order, _round_to(value, prec), _round_to(err, prec))
 
 
@@ -229,25 +247,25 @@ def approx_exp_psi(
     t = Fraction(t)
     _check_sample(n, order, t, n + t, "n + t")
     g = _exp_series(order)
-    with mp.workprec(prec + GUARD):
-        value = eval_expansion(g, p, t, n, order, mp.prec)
-        exact = mpmath.exp(to_mpf(p, mp.prec) * psi_ref(Fraction(n) + t, mp.prec))
+    with mpmath.mp.workprec(prec + GUARD):
+        value = eval_expansion(g, p, t, n, order, mpmath.mp.prec)
+        exact = mpmath.exp(to_mpf(p, mpmath.mp.prec) * psi_ref(Fraction(n) + t, mpmath.mp.prec))
         err = abs(value - exact)
     return ApproxResult(n, order, _round_to(value, prec), _round_to(err, prec))
 
 
-def convergence_order(points: Sequence[tuple[int, mpf]]) -> Fraction:
+def convergence_order(points: Sequence[tuple[int, mpmath.mpf]]) -> Fraction:
     """Least-squares slope of log(error) against log(n), negated.
 
     Given samples (n_i, err_i) with err_i ~ C n_i^(-q), returns q as a
     rational rounded to denominator <= 10**6.
     """
-    xs: list[mpf] = []
-    ys: list[mpf] = []
+    xs: list[mpmath.mpf] = []
+    ys: list[mpmath.mpf] = []
     for n, err in points:
         if err <= 0:
             raise ValueError("error vanished; exceeds measurable order")
-        xs.append(mpmath.log(mpf(n)))
+        xs.append(mpmath.log(mpmath.mpf(n)))
         ys.append(mpmath.log(err))
     if len(set(float(v) for v in xs)) < 2:
         raise ValueError("need at least two distinct sample sizes")
@@ -260,6 +278,6 @@ def convergence_order(points: Sequence[tuple[int, mpf]]) -> Fraction:
     return Fraction(float(slope)).limit_denominator(10**6)
 
 
-def format_mpf(value: mpf, prec: int = 256) -> str:
+def format_mpf(value: mpmath.mpf, prec: int = 256) -> str:
     """Decimal rendering with digits matched to the binary precision."""
     return mpmath.nstr(value, mpmath.libmp.prec_to_dps(prec))

@@ -122,6 +122,8 @@ class TestCoeffs:
              f"checks are limited to order {MAX_VERIFY_N}, got {MAX_VERIFY_N + 1}"),
             (["approx", "gamma", "--n", "3", "--order", str(MAX_ORDER + 1)], "--order",
              f"series order is limited to {MAX_ORDER}, got {MAX_ORDER + 1}"),
+            (["coeffs", "g", "--n", str(MAX_ORDER + 1)], "--n",
+             f"coefficients are limited to order {MAX_ORDER}, got {MAX_ORDER + 1}"),
         ):
             with pytest.raises(SystemExit) as excinfo:
                 main(argv)
@@ -135,6 +137,7 @@ class TestCoeffs:
         assert parser.parse_args(["verify", "--max-n", str(MAX_VERIFY_N)]).max_n == MAX_VERIFY_N
         argv = ["approx", "gamma", "--n", "3", "--order", str(MAX_ORDER)]
         assert parser.parse_args(argv).order == MAX_ORDER
+        assert parser.parse_args(["coeffs", "g", "--n", str(MAX_ORDER)]).n == MAX_ORDER
 
     def test_precision_ceiling_admits_8192_bits(self):
         # parsed only: the ceiling itself is never run here
@@ -249,6 +252,13 @@ class TestApprox:
         assert code == 0
         assert "n=10 order=0 value=10.0 " in out
 
+    def test_exponent_option_is_rejected_for_gamma_and_harmonic(self, capsys):
+        for target in ("gamma", "harmonic"):
+            argv = ["approx", target, "--n", "10", "--p", "5"]
+            assert run_cli(capsys, *argv) == (2, "", "error: --p applies only to the target exp-psi\n")
+        argv = ["approx", "exp-psi", "--n", "10"]
+        assert run_cli(capsys, *argv) == run_cli(capsys, *argv, "--p", "1")
+
     def test_sweep_reports_fitted_order(self, capsys):
         code, out, _ = run_cli(
             capsys, "approx", "gamma", "--n", "16", "--order", "3", "--sweep"
@@ -331,6 +341,58 @@ def test_closed_pipe_exits_quietly():
         err = proc.stderr.read().decode()
     assert proc.returncode == 141
     assert "Traceback" not in err and "BrokenPipeError" not in err
+
+
+def run_fresh(code: str) -> list[str]:
+    """Stdout lines of ``code`` run in a fresh interpreter without ``site``,
+    so no .pth file preloads modules; mpmath stays importable."""
+    import mpmath
+
+    path = [str(Path(exppsi.__file__).parents[1]), str(Path(mpmath.__file__).parents[1])]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
+def test_exact_commands_leave_mpmath_unloaded():
+    # loaded after the import, coeffs, errata and verify: mpmath never is;
+    # the shift check in verify draws its points with random
+    code = """
+import contextlib, io, sys
+import exppsi.cli
+def loaded():
+    print(" ".join(m for m in ("mpmath", "random") if m in sys.modules) or "-")
+loaded()
+for argv in (["coeffs", "g", "--n", "6", "--format", "json"], ["errata"],
+             ["verify", "--suite", "all", "--max-n", "6"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert exppsi.cli.main(argv) == 0
+    loaded()
+"""
+    assert run_fresh(code) == ["-", "-", "-", "random"]
+
+
+def test_float_results_load_mpmath_and_match(capsys):
+    argv = ["approx", "gamma", "--n", "10"]
+    code, want, _ = run_cli(capsys, *argv)
+    assert code == 0
+    lines = run_fresh(f"""
+import sys
+import exppsi.cli
+exppsi.cli.main({argv!r})
+print("mpmath" in sys.modules)
+""")
+    assert lines == [*want.splitlines(), "True"]
+    result = exppsi.approx_gamma(10, 4)
+    lines = run_fresh("""
+import sys
+import exppsi
+result = exppsi.approx_gamma(10, 4)
+print("mpmath" in sys.modules)
+print(result.value._mpf_, result.abs_error._mpf_)
+""")
+    assert lines == ["True", f"{result.value._mpf_} {result.abs_error._mpf_}"]
 
 
 # SHA-256 of the package's exported names, sorted and joined by spaces
