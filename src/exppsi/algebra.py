@@ -1,44 +1,55 @@
 """Exact rational polynomial arithmetic in one and two variables.
 
-All coefficients are ``fractions.Fraction``, so every operation in this
-module is exact. Two representations are used, matching how the series
-coefficients actually behave:
+Every operation in this module is exact. Two representations are used:
 
-* ``Poly`` is a dense univariate polynomial, a tuple of coefficients by
-  ascending power, in the variable named by its ``var``: ``"t"`` (the
-  default) or ``"p"``. Bernoulli polynomials and series specialized at a
-  numeric parameter live here. Operations keep the variable, and combining
-  a Poly in ``t`` with one in ``p`` raises ``ValueError``.
-* ``BiPoly`` is a sparse bivariate polynomial in the pair ``(p, t)``,
-  stored as a map from exponent pairs to nonzero coefficients. The
-  symbolic expansion coefficients are sparse once their degrees collapse,
-  so a map beats a dense grid.
+* ``Poly`` is a dense univariate polynomial in the variable named by its
+  ``var``: ``"t"`` (the default) or ``"p"``. Bernoulli polynomials and
+  series specialized at a numeric parameter live here. Operations keep the
+  variable, and combining a Poly in ``t`` with one in ``p`` raises
+  ``ValueError``.
+* ``BiPoly`` is a bivariate polynomial in the pair ``(p, t)``. The
+  coefficients G_n have about as many nonzero terms as their triangle of
+  exponents holds, so it is dense too: one row of ``t``-coefficients per
+  power of ``p``.
 
-Values are immutable and operations are pure. The zero polynomial is the
-empty tuple / empty map and reports degree ``None`` rather than a sentinel
-integer.
+Both store integers over one common denominator: a Poly holds
+``(nums, den)``, the coefficient of ``var^k`` being ``nums[k] / den``, and a
+BiPoly holds ``(rows, den)``, the coefficient of ``p^i t^j`` being
+``rows[i][j] / den``. The stored form is canonical: ``den > 0``, the
+numerators and ``den`` share no factor, and no row or list of rows ends in
+a zero, so ``==`` compares the stored form. The zero polynomial is empty,
+over 1, and reports degree ``None`` rather than a sentinel integer.
 
-Values are stored as a ``Fraction`` per term, but products and evaluations
-do their inner loops in integers: each operand's numerators are scaled to
-its common denominator (``_over_lcm``), the integer products are summed,
-and one ``Fraction`` is built per output term. A rational point ``a/b`` is
-substituted homogeneously, ``c_e x^e = c_e a^e b^(top-e) / b^top``, so no
-``Fraction`` is ever raised to a power (``_substitute``).
+Each ring operation works on the integers and pays one gcd at the end, to
+bring its result to lowest terms: a sum rescales both operands to the lcm
+of their denominators once, a product convolves the integer rows over the
+product of the denominators, and a rational scalar multiplies the
+numerators and the denominator. A rational point ``a/b`` is substituted
+homogeneously, ``sum_e n_e a^e b^(top-e) / (den b^top)``, so an evaluation
+is one integer pass and one ``Fraction`` at the end.
 
-Every printed form of a value, as text here and as LaTeX, CSV or JSON in
-the command line, is built from one term iterator, ``_terms``, which names
-each power by the variable the value carries. ``BiPoly.of`` places a Poly
-under its own variable, and ``BiPoly.as_poly(var)`` turns a BiPoly in one
-variable back into a Poly.
+``Fraction`` stays the only number type users see: ``Poly.coeffs`` is a
+tuple of Fractions and ``BiPoly.terms`` a read-only map from exponent pairs
+``(i, j)`` to nonzero Fractions, both built on first use. Constructors take
+ints and Fractions only, so no float enters a symbolic value.
+
+Values are immutable and operations are pure. Every printed form of a
+value, as text here and as LaTeX, CSV or JSON in the command line, is
+built from one term iterator, ``_terms``, which names each power by the
+variable the value carries. ``BiPoly.of`` places a Poly under its own
+variable, and ``BiPoly.as_poly(var)`` turns a BiPoly in one variable back
+into a Poly.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, zip_longest
+from math import gcd, lcm
+from operator import index, mul
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
 __all__ = [
@@ -87,25 +98,54 @@ def _join_terms(terms: Iterable[tuple[Fraction, str]], number=str, sep: str = "*
     return " ".join(out) if out else "0"
 
 
-def _over_lcm(values: Iterable[Fraction]) -> tuple[list[int], int]:
-    """The numerators of ``values`` over their common denominator L, and L."""
-    values = list(values)
-    den = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (den // v.denominator) for v in values], den
+def _trimmed(xs: Sequence[int]) -> tuple[int, ...]:
+    """``xs`` as a tuple without its trailing zeros."""
+    n = len(xs)
+    while n and not xs[n - 1]:
+        n -= 1
+    return tuple(xs[:n])
 
 
-def _substitute(terms: Sequence[tuple[int, object, Fraction]], x) -> dict:
-    """Substitute the rational x for one variable, exactly.
+def _lowest(rows: Iterable[Sequence[int]], den: int) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """``rows`` over ``den`` in canonical form: each row without trailing
+    zeros, no trailing empty row, and in lowest terms by one gcd. The zero
+    value is ((), 1)."""
+    rows = [_trimmed(row) for row in rows]
+    while rows and not rows[-1]:
+        rows.pop()
+    if not rows:
+        return (), 1
+    g = gcd(den, *chain.from_iterable(rows))
+    if g != 1:
+        return tuple(tuple(x // g for x in row) for row in rows), den // g
+    return tuple(rows), den
 
-    ``terms`` holds (e, rest, c) for each term c * var^e * rest; the result
-    maps each ``rest`` to its nonzero coefficient sum_e c * x^e. With
-    x = a/b and the coefficients over their common denominator L, each term
-    adds the integer n_e * a^e * b^(top-e), and each sum is divided once by
-    L * b^top, where top is the highest e.
-    """
+
+def _over_one_den(cs: Iterable) -> tuple[list[int], int]:
+    """The coefficients ``cs`` as numerators over the lcm of their
+    denominators, and that lcm. Each must be an int or a Fraction."""
+    cs = list(cs)
+    for c in cs:
+        if not isinstance(c, (int, Fraction)):
+            raise TypeError(f"polynomial coefficients are int or Fraction, not {c!r}")
+    den = lcm(*(c.denominator for c in cs))
+    return [c.numerator * (den // c.denominator) for c in cs], den
+
+
+def _convolve_into(out: list[int], xs: Sequence[int], ys: Sequence[int]) -> None:
+    """Add the product of the integer polynomials xs and ys, by ascending
+    powers, into ``out``, which is long enough to hold it."""
+    for i, x in enumerate(xs):
+        if x:
+            for k, y in enumerate(ys, i):
+                out[k] += x * y
+
+
+def _weights(x, top: int) -> tuple[list[int], int]:
+    """For x = a/b, the integers a^e b^(top-e) for e = 0..top, and b^top:
+    a polynomial's numerators dotted with them give its value at x times
+    b^top."""
     x = Fraction(x)
-    nums, den = _over_lcm(c for _, _, c in terms)
-    top = max((e for e, _, _ in terms), default=0)
     a, b = x.numerator, x.denominator
     weight = [1] * (top + 1)
     for e in range(1, top + 1):
@@ -114,11 +154,7 @@ def _substitute(terms: Sequence[tuple[int, object, Fraction]], x) -> dict:
     for e in range(top - 1, -1, -1):
         b_pow *= b
         weight[e] *= b_pow
-    sums: dict = {}
-    for (e, rest, _), n in zip(terms, nums):
-        sums[rest] = sums.get(rest, 0) + n * weight[e]
-    den *= b_pow
-    return {rest: Fraction(n, den) for rest, n in sums.items() if n}
+    return weight, b_pow
 
 
 def _terms(value) -> Iterator[tuple[Fraction, tuple[tuple[str, int], ...]]]:
@@ -131,8 +167,8 @@ def _terms(value) -> Iterator[tuple[Fraction, tuple[tuple[str, int], ...]]]:
         for i, j, c in value.sorted_terms():
             yield c, tuple((name, e) for name, e in (("p", i), ("t", j)) if e)
     elif isinstance(value, Poly):
-        for k in range(len(value.coeffs) - 1, -1, -1):
-            if value.coeffs[k]:
+        for k in range(len(value.nums) - 1, -1, -1):
+            if value.nums[k]:
                 yield value.coeffs[k], ((value.var, k),) if k else ()
     else:
         yield Fraction(value), ()
@@ -152,21 +188,31 @@ def _render(value, number=str, sep: str = "*", power: str = "{}^{}") -> str:
     )
 
 
-@dataclass(frozen=True)
 class Poly:
-    """Dense univariate polynomial with Fraction coefficients, ascending
-    powers, in the variable ``var``: "t" or "p"."""
+    """Dense univariate polynomial in the variable ``var`` ("t" or "p"):
+    the integers ``nums`` by ascending power over the denominator ``den``.
+    ``Poly(coeffs, var)`` takes the coefficients as ints or Fractions."""
 
-    coeffs: tuple[Fraction, ...] = ()
-    var: str = "t"
+    __slots__ = ("nums", "den", "var", "_coeffs")
 
-    def __post_init__(self) -> None:
-        if self.var not in ("p", "t"):
-            raise ValueError(f"a polynomial is in p or in t, not {self.var!r}")
-        cs = tuple(c if type(c) is Fraction else Fraction(c) for c in self.coeffs)
-        while cs and cs[-1] == 0:
-            cs = cs[:-1]
-        object.__setattr__(self, "coeffs", cs)
+    def __init__(self, coeffs: Iterable = (), var: str = "t") -> None:
+        nums, den = _over_one_den(coeffs)
+        self._set(nums, den, var)
+
+    def _set(self, nums: Sequence[int], den: int, var: str) -> None:
+        if var not in ("p", "t"):
+            raise ValueError(f"a polynomial is in p or in t, not {var!r}")
+        rows, self.den = _lowest([nums], den)
+        self.nums = rows[0] if rows else ()
+        self.var = var
+        self._coeffs = None
+
+    @classmethod
+    def _make(cls, nums: Sequence[int], den: int, var: str) -> "Poly":
+        """The Poly ``nums / den`` in ``var``, brought to canonical form."""
+        out = cls.__new__(cls)
+        out._set(nums, den, var)
+        return out
 
     @classmethod
     def zero(cls, var: str = "t") -> "Poly":
@@ -181,17 +227,35 @@ class Poly:
         return cls((Fraction(0), Fraction(1)), var)
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients by ascending power, as Fractions."""
+        if self._coeffs is None:
+            self._coeffs = tuple(Fraction(n, self.den) for n in self.nums)
+        return self._coeffs
+
+    @property
     def degree(self) -> int | None:
-        return len(self.coeffs) - 1 if self.coeffs else None
+        return len(self.nums) - 1 if self.nums else None
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     def __getitem__(self, k: int) -> Fraction:
-        if 0 <= k < len(self.coeffs):
+        if 0 <= k < len(self.nums):
             return self.coeffs[k]
         return Fraction(0)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, Poly):
+            return (self.var, self.den, self.nums) == (other.var, other.den, other.nums)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.var, self.den, self.nums))
+
+    def __repr__(self) -> str:
+        return f"Poly({self.to_text()})"
 
     def _var_with(self, other: "Poly") -> str:
         """The variable shared with ``other``; polynomials in p and t do not mix."""
@@ -199,68 +263,80 @@ class Poly:
             raise ValueError(f"cannot combine a polynomial in {self.var} with one in {other.var}")
         return self.var
 
+    def _plus(self, other: "Poly", sign: int) -> "Poly":
+        var = self._var_with(other)
+        den = lcm(self.den, other.den)
+        sx, sy = den // self.den, sign * (den // other.den)
+        nums = [x * sx + y * sy for x, y in zip_longest(self.nums, other.nums, fillvalue=0)]
+        return Poly._make(nums, den, var)
+
     def __add__(self, other: "Poly") -> "Poly":
         if not isinstance(other, Poly):
             return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(tuple(self[k] + other[k] for k in range(n)), self._var_with(other))
+        return self._plus(other, 1)
 
     def __sub__(self, other: "Poly") -> "Poly":
         if not isinstance(other, Poly):
             return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(tuple(self[k] - other[k] for k in range(n)), self._var_with(other))
+        return self._plus(other, -1)
 
     def __neg__(self) -> "Poly":
-        return Poly(tuple(-c for c in self.coeffs), self.var)
+        return Poly._make([-n for n in self.nums], self.den, self.var)
 
     def __mul__(self, other):
         if isinstance(other, Poly):
             var = self._var_with(other)
             if self.is_zero or other.is_zero:
                 return Poly.zero(var)
-            xs, dx = _over_lcm(self.coeffs)
-            ys, dy = _over_lcm(other.coeffs)
-            out = [0] * (len(xs) + len(ys) - 1)
-            for i, x in enumerate(xs):
-                if x:
-                    for j, y in enumerate(ys):
-                        out[i + j] += x * y
-            den = dx * dy
-            return Poly(tuple(Fraction(n, den) for n in out), var)
+            out = [0] * (len(self.nums) + len(other.nums) - 1)
+            _convolve_into(out, self.nums, other.nums)
+            return Poly._make(out, self.den * other.den, var)
         if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            return Poly(tuple(c * q for c in self.coeffs), self.var)
+            num = other.numerator
+            return Poly._make([n * num for n in self.nums], self.den * other.denominator, self.var)
         return NotImplemented
 
     __rmul__ = __mul__
 
     def eval(self, x) -> Fraction:
-        return _substitute([(k, 0, c) for k, c in enumerate(self.coeffs)], x).get(0, Fraction(0))
+        if not self.nums:
+            return Fraction(0)
+        weight, scale = _weights(x, len(self.nums) - 1)
+        return Fraction(sum(map(mul, self.nums, weight)), self.den * scale)
 
     def to_text(self) -> str:
         return _render(self)
 
 
 class BiPoly:
-    """Sparse bivariate polynomial in (p, t): map (p_pow, t_pow) -> Fraction."""
+    """Dense bivariate polynomial in (p, t): ``rows[i][j] / den`` is the
+    coefficient of p^i t^j. ``BiPoly(mapping)`` takes a map from exponent
+    pairs to ints or Fractions; ``terms`` gives the nonzero ones back."""
 
-    __slots__ = ("terms",)
-    __hash__ = None  # mutable mapping inside; never hash
+    __slots__ = ("rows", "den", "_terms")
 
-    def __init__(self, terms: Mapping[tuple[int, int], Fraction]):
-        self.terms = {}
-        for (i, j), c in terms.items():
-            q = Fraction(c)
-            if q != 0:
-                self.terms[(int(i), int(j))] = q
+    def __init__(self, terms: Mapping[tuple[int, int], Fraction]) -> None:
+        keys = [(index(i), index(j)) for i, j in terms]
+        width: dict[int, int] = {}
+        for i, j in keys:
+            if i < 0 or j < 0:
+                raise ValueError(f"exponents must be >= 0, got p^{i} t^{j}")
+            width[i] = max(width.get(i, 0), j + 1)
+        nums, den = _over_one_den(terms.values())
+        rows = [[0] * width.get(i, 0) for i in range(max(width, default=-1) + 1)]
+        for (i, j), n in zip(keys, nums):
+            rows[i][j] = n
+        self._set(rows, den)
+
+    def _set(self, rows: Iterable[Sequence[int]], den: int) -> None:
+        self.rows, self.den = _lowest(rows, den)
+        self._terms = None
 
     @classmethod
-    def _of(cls, terms: dict[tuple[int, int], Fraction]) -> "BiPoly":
-        """A BiPoly that takes ``terms`` as they are: int exponent pairs
-        mapped to nonzero Fractions, as the ring operations produce them."""
+    def _make(cls, rows: Iterable[Sequence[int]], den: int) -> "BiPoly":
+        """The BiPoly ``rows / den``, brought to canonical form."""
         out = cls.__new__(cls)
-        out.terms = terms
+        out._set(rows, den)
         return out
 
     @classmethod
@@ -273,7 +349,7 @@ class BiPoly:
 
     @classmethod
     def constant(cls, q) -> "BiPoly":
-        return cls({(0, 0): Fraction(q)})
+        return cls({(0, 0): q})
 
     @classmethod
     def var_p(cls) -> "BiPoly":
@@ -288,54 +364,70 @@ class BiPoly:
         """A Poly with each power under its own variable; a BiPoly as it is."""
         if isinstance(value, BiPoly):
             return value
-        return cls({(k, 0) if value.var == "p" else (0, k): c for k, c in enumerate(value.coeffs)})
+        if value.var == "p":
+            return cls._make([(n,) for n in value.nums], value.den)
+        return cls._make([value.nums], value.den)
+
+    @property
+    def terms(self) -> Mapping[tuple[int, int], Fraction]:
+        """The nonzero coefficients as a read-only map (p_pow, t_pow) -> Fraction,
+        in sorted order."""
+        if self._terms is None:
+            den = self.den
+            self._terms = MappingProxyType({
+                (i, j): Fraction(n, den)
+                for i, row in enumerate(self.rows)
+                for j, n in enumerate(row)
+                if n
+            })
+        return self._terms
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.rows
 
     def __eq__(self, other) -> bool:
         if isinstance(other, BiPoly):
-            return self.terms == other.terms
+            return self.den == other.den and self.rows == other.rows
         return NotImplemented
 
     def __repr__(self) -> str:
         return f"BiPoly({self.to_text()})"
 
+    def _plus(self, other: "BiPoly", sign: int) -> "BiPoly":
+        den = lcm(self.den, other.den)
+        sx, sy = den // self.den, sign * (den // other.den)
+        rows = [
+            [x * sx + y * sy for x, y in zip_longest(xs, ys, fillvalue=0)]
+            for xs, ys in zip_longest(self.rows, other.rows, fillvalue=())
+        ]
+        return BiPoly._make(rows, den)
+
     def __add__(self, other: "BiPoly") -> "BiPoly":
         if not isinstance(other, BiPoly):
             return NotImplemented
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, 0) + c
-        return BiPoly._of({k: c for k, c in out.items() if c})
+        return self._plus(other, 1)
 
     def __sub__(self, other: "BiPoly") -> "BiPoly":
         if not isinstance(other, BiPoly):
             return NotImplemented
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, 0) - c
-        return BiPoly._of({k: c for k, c in out.items() if c})
+        return self._plus(other, -1)
 
     def __neg__(self) -> "BiPoly":
-        return BiPoly._of({k: -c for k, c in self.terms.items()})
+        return BiPoly._make([[-n for n in row] for row in self.rows], self.den)
 
     def __mul__(self, other):
         if isinstance(other, BiPoly):
-            xs, dx = _over_lcm(self.terms.values())
-            ys, dy = _over_lcm(other.terms.values())
-            right = list(zip(other.terms, ys))
-            out: dict[tuple[int, int], int] = {}
-            for (i1, j1), x in zip(self.terms, xs):
-                for (i2, j2), y in right:
-                    key = (i1 + i2, j1 + j2)
-                    out[key] = out.get(key, 0) + x * y
-            den = dx * dy
-            return BiPoly._of({k: Fraction(n, den) for k, n in out.items() if n})
+            width = max(map(len, self.rows), default=0) + max(map(len, other.rows), default=0)
+            out = [[0] * width for _ in range(len(self.rows) + len(other.rows))]
+            for i, xs in enumerate(self.rows):
+                for acc, ys in zip(out[i:], other.rows):
+                    _convolve_into(acc, xs, ys)
+            return BiPoly._make(out, self.den * other.den)
         if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            return BiPoly({k: c * q for k, c in self.terms.items()})
+            num = other.numerator
+            return BiPoly._make([[n * num for n in row] for row in self.rows],
+                                self.den * other.denominator)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -345,35 +437,43 @@ class BiPoly:
 
     def coeff_of_t_power(self, j: int) -> Poly:
         """The coefficient of t^j, as a polynomial in p."""
-        top = max((i for (i, _) in self.terms), default=-1)
-        return Poly(tuple(self.terms.get((i, j), Fraction(0)) for i in range(top + 1)), "p")
+        return Poly._make([row[j] if j < len(row) else 0 for row in self.rows], self.den, "p")
 
     def eval_t(self, t0) -> "BiPoly":
         """Substitute t := t0 exactly; the result has t-degree <= 0."""
-        return BiPoly._of(_substitute([(j, (i, 0), c) for (i, j), c in self.terms.items()], t0))
+        weight, scale = _weights(t0, max(map(len, self.rows), default=1) - 1)
+        return BiPoly._make([(sum(map(mul, row, weight)),) for row in self.rows], self.den * scale)
 
     def eval_p(self, p0) -> "BiPoly":
         """Substitute p := p0 exactly; the result has p-degree <= 0."""
-        return BiPoly._of(_substitute([(i, (0, j), c) for (i, j), c in self.terms.items()], p0))
+        weight, scale = _weights(p0, max(len(self.rows) - 1, 0))
+        row = [sum(map(mul, col, weight)) for col in zip_longest(*self.rows, fillvalue=0)]
+        return BiPoly._make([row], self.den * scale)
 
     def eval(self, p0, t0) -> Fraction:
-        return self.eval_t(t0).eval_p(p0).coeff(0, 0)
+        if not self.rows:
+            return Fraction(0)
+        t_weight, t_scale = _weights(t0, max(map(len, self.rows)) - 1)
+        p_weight, p_scale = _weights(p0, len(self.rows) - 1)
+        total = sum(map(mul, (sum(map(mul, row, t_weight)) for row in self.rows), p_weight))
+        return Fraction(total, self.den * t_scale * p_scale)
 
     def as_poly(self, var: str) -> Poly:
         """This polynomial as a Poly in ``var``, which must be its only variable."""
-        axis = "pt".index(var)
-        if any(key[1 - axis] for key in self.terms):
-            raise ValueError(f"polynomial still depends on {'pt'[1 - axis]}")
-        coeffs = [Fraction(0)] * (max((key[axis] for key in self.terms), default=-1) + 1)
-        for key, c in self.terms.items():
-            coeffs[key[axis]] = c
-        return Poly(tuple(coeffs), var)
+        if var == "t":
+            if len(self.rows) > 1:
+                raise ValueError("polynomial still depends on p")
+            return Poly._make(self.rows[0] if self.rows else (), self.den, "t")
+        if any(len(row) > 1 for row in self.rows):
+            raise ValueError("polynomial still depends on t")
+        return Poly._make([row[0] if row else 0 for row in self.rows], self.den, var)
 
     def derivative_t(self) -> "BiPoly":
-        return BiPoly({(i, j - 1): j * c for (i, j), c in self.terms.items() if j >= 1})
+        return BiPoly._make([[j * n for j, n in enumerate(row[1:], 1)] for row in self.rows],
+                            self.den)
 
     def sorted_terms(self) -> list[tuple[int, int, Fraction]]:
-        return [(i, j, self.terms[(i, j)]) for (i, j) in sorted(self.terms)]
+        return [(i, j, c) for (i, j), c in self.terms.items()]
 
     def to_json_dict(self) -> dict:
         return {
@@ -386,4 +486,3 @@ class BiPoly:
 
     def to_text(self) -> str:
         return _render(self)
-

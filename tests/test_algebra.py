@@ -1,6 +1,7 @@
 """Unit tests for the exact polynomial layer."""
 
 import json
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -144,6 +145,26 @@ class TestBiPoly:
     def test_json_canonical_is_compact_and_sorted(self):
         text = json_canonical({"b": 1, "a": [1, 2]})
         assert text == '{"a":[1,2],"b":1}'
+
+
+class TestExactCoefficients:
+    @pytest.mark.parametrize("bad", [1.5, 0.0, Decimal("0.5"), "1/2"])
+    def test_constructors_refuse_a_non_rational_coefficient(self, bad):
+        with pytest.raises(TypeError):
+            Poly((F(1), bad))
+        with pytest.raises(TypeError):
+            BiPoly({(1, 2): bad})
+
+    @pytest.mark.parametrize("key", [(-1, 0), (0, -2)])
+    def test_negative_exponent_is_refused(self, key):
+        with pytest.raises(ValueError):
+            BiPoly({key: 1})
+
+    def test_terms_are_a_read_only_view(self):
+        b = BiPoly({(1, 0): F(1, 2), (0, 3): 2})
+        assert b.terms == {(0, 3): F(2), (1, 0): F(1, 2)}
+        with pytest.raises(TypeError):
+            b.terms[(0, 0)] = F(1)
 
 
 class TestExpansionContainer:

@@ -1,6 +1,8 @@
 """Property-based tests for the polynomial ring operations."""
 
 from fractions import Fraction
+from itertools import chain
+from math import gcd
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -111,29 +113,39 @@ def wide_bipolys(draw):
     return BiPoly(draw(st.dictionaries(keys, wide_rationals, max_size=8)))
 
 
-def reference_poly_mul(a: Poly, b: Poly) -> Poly:
+def nonzero(terms: dict) -> dict:
+    return {k: c for k, c in terms.items() if c}
+
+
+def reference_poly_mul(a: Poly, b: Poly) -> tuple:
     out = [Fraction(0)] * (len(a.coeffs) + len(b.coeffs))
     for i, x in enumerate(a.coeffs):
         for j, y in enumerate(b.coeffs):
             out[i + j] += x * y
-    return Poly(tuple(out))
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
 
 
-def reference_bipoly_mul(a: BiPoly, b: BiPoly) -> BiPoly:
+def reference_bipoly_mul(a: BiPoly, b: BiPoly) -> dict:
     out = {}
     for (i1, j1), x in a.terms.items():
         for (i2, j2), y in b.terms.items():
             key = (i1 + i2, j1 + j2)
             out[key] = out.get(key, Fraction(0)) + x * y
-    return BiPoly(out)
+    return nonzero(out)
 
 
-def reference_substitute(a: BiPoly, var: int, x: Fraction) -> BiPoly:
+def reference_substitute(a: BiPoly, var: int, x: Fraction) -> dict:
     out = {}
     for key, c in a.terms.items():
         rest = (key[0], 0) if var == 1 else (0, key[1])
         out[rest] = out.get(rest, Fraction(0)) + c * x ** key[var]
-    return BiPoly(out)
+    return nonzero(out)
+
+
+def reference_sum(a: dict, b: dict, sign: int) -> dict:
+    return nonzero({k: a.get(k, 0) + sign * b.get(k, 0) for k in a.keys() | b.keys()})
 
 
 @settings(max_examples=100, deadline=None)
@@ -142,7 +154,7 @@ def reference_substitute(a: BiPoly, var: int, x: Fraction) -> BiPoly:
 @example(Poly((Fraction(1, 999983), Fraction(-1, 999979))), Poly.zero(), Fraction(-3, 7))
 def test_poly_kernel_matches_fraction_reference(a, b, x):
     product = a * b
-    assert product == reference_poly_mul(a, b)
+    assert product.coeffs == reference_poly_mul(a, b)
     assert all(type(c) is Fraction for c in product.coeffs)
     assert a.eval(x) == sum((c * x**k for k, c in enumerate(a.coeffs)), Fraction(0))
     assert type(a.eval(x)) is Fraction
@@ -154,10 +166,82 @@ def test_poly_kernel_matches_fraction_reference(a, b, x):
 @example(BiPoly({(3, 2): Fraction(1, 999983)}), BiPoly.zero(), Fraction(0), Fraction(0))
 def test_bipoly_kernel_matches_fraction_reference(a, b, p0, t0):
     product = a * b
-    assert product.terms == reference_bipoly_mul(a, b).terms
-    assert a.eval_t(t0).terms == reference_substitute(a, 1, t0).terms
-    assert a.eval_p(p0).terms == reference_substitute(a, 0, p0).terms
+    assert product.terms == reference_bipoly_mul(a, b)
+    assert a.eval_t(t0).terms == reference_substitute(a, 1, t0)
+    assert a.eval_p(p0).terms == reference_substitute(a, 0, p0)
     expected = sum((c * p0**i * t0**j for (i, j), c in a.terms.items()), Fraction(0))
     assert a.eval(p0, t0) == expected
     for value in (product, a.eval_t(t0), a.eval_p(p0)):
         assert all(type(c) is Fraction and c != 0 for c in value.terms.values())
+
+
+# The stored form is integers over one denominator, kept canonical by each
+# operation: den > 0, numerators and den in lowest terms, no trailing zero
+# in any row and no trailing empty row. That is what makes == structural.
+
+
+def assert_canonical(value: Poly | BiPoly) -> None:
+    rows = value.rows if isinstance(value, BiPoly) else ((value.nums,) if value.nums else ())
+    assert type(value.den) is int and value.den > 0
+    assert all(type(n) is int for row in rows for n in row)
+    assert all(not row or row[-1] for row in rows), "a row ends in zero"
+    assert not rows or rows[-1], "the rows end in an empty row"
+    assert gcd(value.den, *chain.from_iterable(rows)) == 1
+    if isinstance(value, Poly):
+        assert all(type(c) is Fraction for c in value.coeffs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(wide_bipolys(), wide_bipolys(), wide_rationals, points, points)
+@example(BiPoly.var_t(), BiPoly.var_t(), Fraction(0), Fraction(0), Fraction(0))
+@example(BiPoly({(2, 3): Fraction(2, 3)}), BiPoly({(2, 3): Fraction(-2, 3)}), Fraction(3, 2),
+         Fraction(1), Fraction(-1))
+def test_bipoly_stored_form_is_canonical(a, b, q, p0, t0):
+    A, B = dict(a.terms), dict(b.terms)
+    cases = [
+        (a, A),
+        (a + b, reference_sum(A, B, 1)),
+        (a - b, reference_sum(A, B, -1)),
+        (a * b, reference_bipoly_mul(a, b)),
+        (a * q, nonzero({k: c * q for k, c in A.items()})),
+        (a.eval_t(t0), reference_substitute(a, 1, t0)),
+        (a.eval_p(p0), reference_substitute(a, 0, p0)),
+        (a.derivative_t(), nonzero({(i, j - 1): j * c for (i, j), c in A.items() if j})),
+    ]
+    for value, expected in cases:
+        assert_canonical(value)
+        assert value.terms == expected
+    in_p = a.eval_t(t0).as_poly("p")
+    assert_canonical(in_p)
+    assert {(i, 0): c for i, c in enumerate(in_p.coeffs) if c} == reference_substitute(a, 1, t0)
+    in_t = a.eval_p(p0).as_poly("t")
+    assert_canonical(in_t)
+    assert {(0, j): c for j, c in enumerate(in_t.coeffs) if c} == reference_substitute(a, 0, p0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(wide_polys, wide_polys, wide_rationals, st.sampled_from(["p", "t"]))
+@example(Poly((Fraction(1, 2),)), Poly((Fraction(1, 2),)), Fraction(2), "t")
+def test_poly_stored_form_is_canonical(a, b, q, var):
+    a, b = Poly(a.coeffs, var), Poly(b.coeffs, var)
+    A = {k: c for k, c in enumerate(a.coeffs) if c}
+    B = {k: c for k, c in enumerate(b.coeffs) if c}
+    cases = [
+        (a, A),
+        (a + b, reference_sum(A, B, 1)),
+        (a - b, reference_sum(A, B, -1)),
+        (a * b, dict(enumerate(reference_poly_mul(a, b)))),
+        (a * q, {k: c * q for k, c in A.items()}),
+        (q * a, {k: c * q for k, c in A.items()}),
+        (-a, {k: -c for k, c in A.items()}),
+    ]
+    for value, expected in cases:
+        assert_canonical(value)
+        assert value.var == var
+        assert {k: c for k, c in enumerate(value.coeffs) if c} == nonzero(expected)
+    lifted = BiPoly.of(a)
+    assert_canonical(lifted)
+    assert lifted.terms == {((k, 0) if var == "p" else (0, k)): c for k, c in A.items()}
+    back = lifted.as_poly(var)
+    assert_canonical(back)
+    assert back == a

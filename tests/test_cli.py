@@ -17,7 +17,15 @@ from jsonschema import Draft202012Validator
 from referencing import Registry, Resource
 
 import exppsi
-from exppsi.cli import MAX_ORDER, MAX_PREC, MAX_VERIFY_N, _build_parser, _errata_latex, main
+from exppsi.cli import (
+    MAX_APPROX_N,
+    MAX_ORDER,
+    MAX_PREC,
+    MAX_VERIFY_N,
+    _build_parser,
+    _errata_latex,
+    main,
+)
 from exppsi.identities import ErrataEntry, errata_report
 
 
@@ -124,6 +132,9 @@ class TestCoeffs:
              f"series order is limited to {MAX_ORDER}, got {MAX_ORDER + 1}"),
             (["coeffs", "g", "--n", str(MAX_ORDER + 1)], "--n",
              f"coefficients are limited to order {MAX_ORDER}, got {MAX_ORDER + 1}"),
+            (["approx", "gamma", "--n", str(MAX_APPROX_N + 1), "--sweep"], "--n",
+             f"approximations are limited to n = {MAX_APPROX_N}, got {MAX_APPROX_N + 1}"),
+            (["approx", "gamma", "--n", "0"], "--n", "expected a positive integer, got 0"),
         ):
             with pytest.raises(SystemExit) as excinfo:
                 main(argv)
@@ -131,13 +142,15 @@ class TestCoeffs:
             assert capsys.readouterr().err.splitlines()[-1].endswith(f"argument {opt}: {want}")
 
     def test_order_ceilings_admit_their_value(self):
-        # parsed only: neither ceiling is ever run here
+        # parsed only: no ceiling is ever run here
         assert MAX_VERIFY_N >= 40 and MAX_ORDER >= 40
         parser = _build_parser()
         assert parser.parse_args(["verify", "--max-n", str(MAX_VERIFY_N)]).max_n == MAX_VERIFY_N
         argv = ["approx", "gamma", "--n", "3", "--order", str(MAX_ORDER)]
         assert parser.parse_args(argv).order == MAX_ORDER
         assert parser.parse_args(["coeffs", "g", "--n", str(MAX_ORDER)]).n == MAX_ORDER
+        argv = ["approx", "gamma", "--n", str(MAX_APPROX_N), "--sweep"]
+        assert parser.parse_args(argv).n == MAX_APPROX_N
 
     def test_precision_ceiling_admits_8192_bits(self):
         # parsed only: the ceiling itself is never run here
@@ -448,6 +461,10 @@ STDOUT_SHA256 = [
     ("verify --suite all --max-n 16 --format json", "632ed16c1121f024ddf5eab90d886c2756f0842ceadeeb5e331c3d8d8bfe2602"),
     ("approx harmonic --n 16 --t 1/2 --order 10 --prec 1536 --sweep --format json", "d38a6c4d9cf60035990613e82f61f16024f07f5b7fab42b2f6e1ceafa645d723"),
     ("approx gamma --n 2500 --order 4 --sweep", "ca88529ccee8e5f413fd2fd20a103a82df95e34eb07b057f4bca204d8a2a2ca6"),
+    ("coeffs g --n 16 --format json", "81b6f9c3a8b42a4dbbae5176b4d33343e77efe046bff23781e069bdc99cd73f8"),
+    ("coeffs g --n 14", "bc6f7fbc6404f7458c20f478f77e29a9ee7b70ea1108c522396e2b41cbaa5482"),
+    ("coeffs s --n 32 --format latex", "35a9fd3b9b3ee1217ced0bff4353231bfc46c97dc3a25775a306abf304462b01"),
+    ("verify --suite even-p --max-n 20 --format json", "00b0075c9487e2f802f1df1573de5d43b23543de29c57376d18bf40b347171eb"),
 ]
 
 
