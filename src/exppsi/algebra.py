@@ -30,8 +30,9 @@ is one integer pass and one ``Fraction`` at the end.
 
 ``Fraction`` stays the only number type users see: ``Poly.coeffs`` is a
 tuple of Fractions and ``BiPoly.terms`` a read-only map from exponent pairs
-``(i, j)`` to nonzero Fractions, both built on first use. Constructors take
-ints and Fractions only, so no float enters a symbolic value.
+``(i, j)`` to nonzero Fractions, both built on first use. Constructors and
+evaluation points take ints and Fractions only (``_rational``), so no float
+enters a symbolic value.
 
 Values are immutable and operations are pure. Every printed form of a
 value, as text here and as LaTeX, CSV or JSON in the command line, is
@@ -121,13 +122,18 @@ def _lowest(rows: Iterable[Sequence[int]], den: int) -> tuple[tuple[tuple[int, .
     return tuple(rows), den
 
 
+def _rational(x) -> Fraction:
+    """``x`` as a Fraction. Only an int or a Fraction is taken, so no float
+    enters an exact value; anything else raises ``TypeError``."""
+    if not isinstance(x, (int, Fraction)):
+        raise TypeError(f"exact values are int or Fraction, not {x!r}")
+    return Fraction(x)
+
+
 def _over_one_den(cs: Iterable) -> tuple[list[int], int]:
     """The coefficients ``cs`` as numerators over the lcm of their
     denominators, and that lcm. Each must be an int or a Fraction."""
-    cs = list(cs)
-    for c in cs:
-        if not isinstance(c, (int, Fraction)):
-            raise TypeError(f"polynomial coefficients are int or Fraction, not {c!r}")
+    cs = [_rational(c) for c in cs]
     den = lcm(*(c.denominator for c in cs))
     return [c.numerator * (den // c.denominator) for c in cs], den
 
@@ -145,7 +151,7 @@ def _weights(x, top: int) -> tuple[list[int], int]:
     """For x = a/b, the integers a^e b^(top-e) for e = 0..top, and b^top:
     a polynomial's numerators dotted with them give its value at x times
     b^top."""
-    x = Fraction(x)
+    x = _rational(x)
     a, b = x.numerator, x.denominator
     weight = [1] * (top + 1)
     for e in range(1, top + 1):

@@ -46,8 +46,8 @@ term:
 
 Every series comes back as one ``Series``: its coeffs are Polys in t for
 S_n and for G_n at fixed p, Polys with ``var == "p"`` for G_n at fixed t,
-BiPolys in (p, t) for the bivariate G_n, and rationals once both p and t
-are fixed, by the point series or by ``specialize``.
+BiPolys in (p, t) for the bivariate G_n, and rationals, from the point
+series, once both p and t are fixed.
 
 The G_n are Appell polynomials in t, dG_n/dt = (p+1-n) G_{n-1}, so a shift
 of t is a binomial sum: G_n(p, s+t) = sum_k C(p-n+k, k) G_{n-k}(p, s) t^k.
@@ -70,7 +70,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Callable, Sequence
 
-from .algebra import BiPoly, Poly
+from .algebra import BiPoly, Poly, _rational
 from .bernoulli import bernoulli_poly
 
 __all__ = [
@@ -83,7 +83,6 @@ __all__ = [
     "g_series_at_p",
     "g_series_at_t",
     "shift_compose",
-    "specialize",
     "composition_buckets",
 ]
 
@@ -205,11 +204,12 @@ def g_via_compositions(n_max: int) -> Series:
 
 def g_series_at_p(p0: Fraction, n_max: int) -> Series:
     """G_0..G_N at a fixed rational power p0, as polynomials in t."""
-    return _grown([Poly.one()], n_max, bernoulli_poly, Fraction(p0))
+    return _grown([Poly.one()], n_max, bernoulli_poly, _rational(p0))
 
 
 def g_series_at_t(t0: Fraction, n_max: int) -> Series:
     """G_0..G_N at a fixed rational shift t0, as polynomials in p."""
+    t0 = _rational(t0)
     return _grown(
         [Poly.one("p")], n_max, lambda k: bernoulli_poly(k).eval(t0), Poly.variable("p")
     )
@@ -226,11 +226,13 @@ def coefficients(kind: str, n_max: int, p=None, t=None) -> Series:
         p = 1
     elif kind != "g":
         raise ValueError(f"series kind is 's' or 'g', not {kind!r}")
+    p = None if p is None else _rational(p)
+    t = None if t is None else _rational(t)
     if p is None:
         return g_via_bernoulli(n_max) if t is None else g_series_at_t(t, n_max)
     if t is None:
         return g_series_at_p(p, n_max)
-    return _grown([Fraction(1)], n_max, lambda k: bernoulli_poly(k).eval(t), Fraction(p))
+    return _grown([Fraction(1)], n_max, lambda k: bernoulli_poly(k).eval(t), p)
 
 
 def shift_compose(g: Series, s, t) -> Series:
@@ -243,9 +245,8 @@ def shift_compose(g: Series, s, t) -> Series:
     holds. Each G_m(p, s) is read once and carried up the orders by
     C(p-m, k+1) = C(p-m, k) (p-m-k)/(k+1).
     """
-    s = Fraction(s)
     if not isinstance(t, BiPoly):
-        t = Fraction(t)
+        t = _rational(t)
     p = BiPoly.var_p()
     out = [BiPoly.zero()] * len(g)
     for m, coeff in enumerate(g.coeffs):
@@ -255,9 +256,3 @@ def shift_compose(g: Series, s, t) -> Series:
             term = term * ((p - BiPoly.constant(n - 1)) * (t * Fraction(1, n - m)))
             out[n] = out[n] + term
     return Series(tuple(out))
-
-
-def specialize(g: Series, p0: Fraction, t0: Fraction) -> Series:
-    """G_n(p0, t0) for every G_n of a bivariate series, as exact rationals."""
-    p0, t0 = Fraction(p0), Fraction(t0)
-    return Series(tuple(c.eval(p0, t0) for c in g.coeffs))

@@ -14,6 +14,11 @@ sum_{k<m} 1/(x+k), summed by binary splitting (``_reciprocal_sum``, which
 also gives the harmonic numbers). The library digamma is deliberately not
 used here so the tests can treat it as an independent cross-check.
 
+The expansion of exp(p*psi(x+t)) is evaluated from its point series, the
+rationals G_n(p, t) of ``expansions.coefficients``; no polynomial in p or t
+is built. Counts and orders must be integers and points ints or Fractions,
+so no float enters an exact value.
+
 Results are returned as ``ApproxResult`` values and convergence orders as
 rationals; the command line renders them.
 
@@ -28,10 +33,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import index
 from typing import Sequence, Union
 
+from .algebra import _rational
 from .bernoulli import bernoulli_number
-from .expansions import Series, specialize
+from .expansions import Series, coefficients
 
 __all__ = [
     "to_mpf",
@@ -104,7 +111,7 @@ def _reciprocal_sum(x: Fraction, m: int) -> Fraction:
 def harmonic(n: int) -> Fraction:
     """Exact n-th harmonic number 1 + 1/2 + ... + 1/n, as the reciprocal
     sum of 1, 2, ..., n by binary splitting."""
-    if n < 0:
+    if index(n) < 0:
         raise ValueError(f"harmonic numbers need n >= 0, got {n}")
     return _reciprocal_sum(Fraction(1), n)
 
@@ -116,7 +123,7 @@ def _round_to(value: mpmath.mpf, prec: int) -> mpmath.mpf:
 
 def psi_ref(x: RationalLike, prec: int = 256) -> mpmath.mpf:
     """Digamma at a positive rational argument, correct to ``prec`` bits."""
-    x = Fraction(x)
+    x = _rational(x)
     if x <= 0:
         raise ValueError(f"argument must be positive, got {x}")
     with mpmath.mp.workprec(prec + GUARD):
@@ -147,31 +154,18 @@ def euler_gamma(prec: int = 256) -> mpmath.mpf:
         return -value
 
 
-def eval_expansion(
-    g: Series,
-    p: RationalLike,
-    t: RationalLike,
-    x: RationalLike,
-    order: int,
-    prec: int = 256,
-) -> mpmath.mpf:
-    """Evaluate x^p * sum_{n<=order} G_n(p,t) x^(-n) at exact rational inputs."""
-    p = Fraction(p)
-    t = Fraction(t)
-    x = Fraction(x)
+def eval_expansion(g: Series, p: RationalLike, x: RationalLike, prec: int = 256) -> mpmath.mpf:
+    """Evaluate x^p * sum_{n<=g.order} g[n] x^(-n) for a point series g,
+    whose coefficients are the rationals G_n(p, t) at one (p, t)."""
+    p = _rational(p)
+    x = _rational(x)
     if x <= 0:
         raise ValueError(f"expansion variable must be positive, got {x}")
-    if order < 0:
-        raise ValueError(f"series order must be >= 0, got {order}")
-    if order >= len(g.coeffs):
-        raise ValueError(f"series holds orders 0..{len(g.coeffs) - 1}, asked for {order}")
-    exp = specialize(g, p, t)
-    coeffs = exp.coeffs[: order + 1]
     with mpmath.mp.workprec(prec + GUARD):
         xv = to_mpf(x, mpmath.mp.prec)
         inv = 1 / xv
         acc = mpmath.mpf(0)
-        for c in reversed(coeffs):
+        for c in reversed(g.coeffs):
             acc = acc * inv + to_mpf(c, mpmath.mp.prec)
         value = mpmath.power(xv, to_mpf(p, mpmath.mp.prec)) * acc
     return _round_to(value, prec)
@@ -187,34 +181,36 @@ class ApproxResult:
     abs_error: mpmath.mpf
 
 
-def _check_sample(n: int, order: int, t: Fraction, arg: Fraction, arg_text: str) -> None:
-    """Reject a sample before any series is built: n, the order, and a
-    point ``arg`` that must be positive (the expansion variable n + 1 - t,
-    or the digamma argument n + t), written ``arg_text`` in n and t."""
-    if n < 1:
+def _check_sample(n: int, order: int, prec: int, t: Fraction, arg: Fraction, arg_text: str) -> None:
+    """Reject a sample before any series or sum is built: n and the order,
+    which must be integers, the precision, and a point ``arg`` that must be
+    positive (the expansion variable n + 1 - t, or the digamma argument
+    n + t), written ``arg_text`` in n and t."""
+    if index(n) < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    if order < 0:
+    if index(order) < 0:
         raise ValueError(f"series order must be >= 0, got {order}")
+    if index(prec) < 1:
+        raise ValueError(f"precision must be >= 1 bit, got {prec}")
     if arg <= 0:
         raise ValueError(f"need {arg_text} > 0, got n = {n}, t = {t}")
 
 
-def _exp_series(order: int) -> Series:
-    from .expansions import g_via_bernoulli
-
-    return g_via_bernoulli(order)
+def _exp_series(order: int, p: Fraction, t: Fraction) -> Series:
+    """The point series G_0(p, t)..G_order(p, t), exact rationals."""
+    return coefficients("g", order, p, t)
 
 
 def approx_gamma(
     n: int, order: int, t: RationalLike = 1, prec: int = 256
 ) -> ApproxResult:
     """Euler's constant via H_n - log(expansion at x = n + 1 - t)."""
-    t = Fraction(t)
-    x = Fraction(n + 1) - t
-    _check_sample(n, order, t, x, "n + 1 - t")
-    g = _exp_series(order)
+    t = _rational(t)
+    x = n + 1 - t
+    _check_sample(n, order, prec, t, x, "n + 1 - t")
+    g = _exp_series(order, 1, t)
     with mpmath.mp.workprec(prec + GUARD):
-        e = eval_expansion(g, 1, t, x, order, mpmath.mp.prec)
+        e = eval_expansion(g, 1, x, mpmath.mp.prec)
         value = to_mpf(harmonic(n), mpmath.mp.prec) - mpmath.log(e)
         err = abs(value - euler_gamma(mpmath.mp.prec))
     return ApproxResult(n, order, _round_to(value, prec), _round_to(err, prec))
@@ -224,12 +220,12 @@ def approx_harmonic(
     n: int, order: int, t: RationalLike = 1, prec: int = 256
 ) -> ApproxResult:
     """H_n via gamma + log(expansion at x = n + 1 - t)."""
-    t = Fraction(t)
-    x = Fraction(n + 1) - t
-    _check_sample(n, order, t, x, "n + 1 - t")
-    g = _exp_series(order)
+    t = _rational(t)
+    x = n + 1 - t
+    _check_sample(n, order, prec, t, x, "n + 1 - t")
+    g = _exp_series(order, 1, t)
     with mpmath.mp.workprec(prec + GUARD):
-        e = eval_expansion(g, 1, t, x, order, mpmath.mp.prec)
+        e = eval_expansion(g, 1, x, mpmath.mp.prec)
         value = euler_gamma(mpmath.mp.prec) + mpmath.log(e)
         err = abs(value - to_mpf(harmonic(n), mpmath.mp.prec))
     return ApproxResult(n, order, _round_to(value, prec), _round_to(err, prec))
@@ -243,13 +239,13 @@ def approx_exp_psi(
     prec: int = 256,
 ) -> ApproxResult:
     """exp(p * psi(n + t)) via the truncated expansion at x = n."""
-    p = Fraction(p)
-    t = Fraction(t)
-    _check_sample(n, order, t, n + t, "n + t")
-    g = _exp_series(order)
+    p = _rational(p)
+    t = _rational(t)
+    _check_sample(n, order, prec, t, n + t, "n + t")
+    g = _exp_series(order, p, t)
     with mpmath.mp.workprec(prec + GUARD):
-        value = eval_expansion(g, p, t, n, order, mpmath.mp.prec)
-        exact = mpmath.exp(to_mpf(p, mpmath.mp.prec) * psi_ref(Fraction(n) + t, mpmath.mp.prec))
+        value = eval_expansion(g, p, n, mpmath.mp.prec)
+        exact = mpmath.exp(to_mpf(p, mpmath.mp.prec) * psi_ref(n + t, mpmath.mp.prec))
         err = abs(value - exact)
     return ApproxResult(n, order, _round_to(value, prec), _round_to(err, prec))
 

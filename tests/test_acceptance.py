@@ -14,6 +14,7 @@ import mpmath
 from mpmath import mp, mpf
 
 from exppsi.expansions import (
+    coefficients,
     g_via_bernoulli,
     g_via_compositions,
     g_via_power_transform,
@@ -150,12 +151,12 @@ def test_criterion_5_numeric_demonstrations():
             exact = to_mpf(F(7381, 2520), prec + 40)
             assert abs(harmonic_result.value - exact) < 1e-7
 
-        g = g_via_bernoulli(5)
+        g = coefficients("g", 4, 1, 1)
         eval_points = []
         with mp.workprec(prec + 40):
             for x in (16, 32, 64, 128):
                 reference = mpmath.exp(psi_ref(x + 1, prec))
-                value = eval_expansion(g, 1, 1, x, 4, prec)
+                value = eval_expansion(g, 1, x, prec)
                 eval_points.append((x, abs(value - reference)))
         eval_order = float(convergence_order(eval_points))
         assert abs(eval_order - 4.0) < 0.15, eval_order

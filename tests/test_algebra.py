@@ -155,6 +155,44 @@ class TestExactCoefficients:
         with pytest.raises(TypeError):
             BiPoly({(1, 2): bad})
 
+    @pytest.mark.parametrize("bad", [0.1, 0.0, Decimal("0.5"), "1/2"])
+    def test_evaluation_points_refuse_a_non_rational(self, bad):
+        # a float point would give a rational with a 2^62-scale denominator
+        from exppsi import expansions, numeric
+
+        t = Poly((F(1), F(2)))
+        b = BiPoly({(1, 1): F(1, 3), (0, 2): 1})
+        g = expansions.g_via_bernoulli(2)
+        point = expansions.coefficients("g", 2, 1, 1)
+        calls = [
+            lambda: t.eval(bad),
+            lambda: b.eval(bad, 1),
+            lambda: b.eval(1, bad),
+            lambda: b.eval_t(bad),
+            lambda: b.eval_p(bad),
+            lambda: expansions.coefficients("g", 2, bad, F(1, 5)),
+            lambda: expansions.coefficients("g", 2, F(1, 5), bad),
+            lambda: expansions.coefficients("g", 0, bad, bad),
+            lambda: expansions.coefficients("g", 2, p=bad),
+            lambda: expansions.coefficients("g", 2, t=bad),
+            lambda: expansions.coefficients("s", 2, t=bad),
+            lambda: expansions.g_series_at_p(bad, 2),
+            lambda: expansions.g_series_at_t(bad, 2),
+            lambda: expansions.g_series_at_t(bad, 0),
+            lambda: expansions.shift_compose(g, bad, 1),
+            lambda: expansions.shift_compose(g, 0, bad),
+            lambda: numeric.eval_expansion(point, bad, 10),
+            lambda: numeric.eval_expansion(point, 1, bad),
+            lambda: numeric.psi_ref(bad),
+            lambda: numeric.approx_gamma(10, 2, t=bad),
+            lambda: numeric.approx_harmonic(10, 2, t=bad),
+            lambda: numeric.approx_exp_psi(10, 2, p=bad),
+            lambda: numeric.approx_exp_psi(10, 2, t=bad),
+        ]
+        for call in calls:
+            with pytest.raises(TypeError, match="int or Fraction"):
+                call()
+
     @pytest.mark.parametrize("key", [(-1, 0), (0, -2)])
     def test_negative_exponent_is_refused(self, key):
         with pytest.raises(ValueError):

@@ -29,7 +29,6 @@ from exppsi.expansions import (
     g_via_power_transform,
     s_coeffs,
     shift_compose,
-    specialize,
 )
 
 F = Fraction
@@ -176,14 +175,13 @@ class TestExponentialSeries:
         assert g[2] == expected_g2
 
     def test_specialized_columns(self):
-        g = g_via_bernoulli(6)
-        assert specialize(g, 2, 0).coeffs == (
+        assert coefficients("g", 6, 2, 0).coeffs == (
             F(1), F(-1), F(1, 3), F(0), F(-1, 90), F(-1, 90), F(-1, 567),
         )
-        assert specialize(g, 4, 0).coeffs[:6] == (
+        assert coefficients("g", 5, 4, 0).coeffs == (
             F(1), F(-2), F(5, 3), F(-2, 3), F(4, 45), F(0),
         )
-        assert specialize(g, 1, 1).coeffs[:6] == (
+        assert coefficients("g", 5, 1, 1).coeffs == (
             F(1), F(1, 2), F(1, 24), F(-1, 48), F(23, 5760), F(17, 3840),
         )
 
@@ -198,7 +196,7 @@ class TestExponentialSeries:
             # the column the CLI prints when both values are given
             assert main(["coeffs", "g", "--n", "6", f"--p={p0}", f"--t={t0}", "--format", "csv"]) == 0
             rows = capsys.readouterr().out.splitlines()[1:]
-            assert rows == [f"{n},{v}" for n, v in enumerate(specialize(g, p0, t0).coeffs)]
+            assert rows == [f"{n},{c.eval(p0, t0)}" for n, c in enumerate(g.coeffs)]
 
     def test_concurrent_calls_grow_one_consistent_prefix(self, monkeypatch):
         want_g, want_s = g_via_bernoulli(9).coeffs, s_coeffs(9).coeffs

@@ -11,9 +11,9 @@ import mpmath
 import pytest
 from mpmath import mp, mpf
 
-from exppsi import numeric
-from exppsi.bernoulli import bernoulli_poly
-from exppsi.expansions import _log_series, g_via_bernoulli
+from exppsi import expansions, numeric
+from exppsi.algebra import BiPoly
+from exppsi.expansions import coefficients, g_via_compositions
 from exppsi.numeric import (
     approx_exp_psi,
     approx_gamma,
@@ -109,52 +109,41 @@ class TestEulerGamma:
 
 class TestEvalExpansion:
     def test_order_zero_is_the_pure_power(self):
-        g = g_via_bernoulli(4)
-        assert eval_expansion(g, 1, 1, 10, 0, 256) == mpf(10)
-        assert eval_expansion(g, 2, 1, 10, 0, 256) == mpf(100)
+        assert eval_expansion(coefficients("g", 0, 1, 1), 1, 10, 256) == mpf(10)
+        assert eval_expansion(coefficients("g", 0, 2, 1), 2, 10, 256) == mpf(100)
 
     def test_truncation_error_is_next_term_sized(self):
-        g = g_via_bernoulli(6)
         x = F(50)
         with mp.workprec(300):
             for order in (1, 2, 3, 4):
-                here = eval_expansion(g, 1, 1, x, order, 280)
-                next_up = eval_expansion(g, 1, 1, x, order + 1, 280)
-                step = abs(next_up - here)
-                coeff = g[order + 1].eval(1, 1)
-                expected = abs(to_mpf(coeff, 280)) * to_mpf(x, 280) ** (1 - (order + 1))
+                here = eval_expansion(coefficients("g", order, 1, 1), 1, x, 280)
+                longer = coefficients("g", order + 1, 1, 1)
+                step = abs(eval_expansion(longer, 1, x, 280) - here)
+                expected = abs(to_mpf(longer[order + 1], 280)) * to_mpf(x, 280) ** (1 - (order + 1))
                 assert abs(step - expected) <= expected * mpf(2) ** -200
 
     def test_rejects_bad_arguments(self):
-        g = g_via_bernoulli(3)
-        with pytest.raises(ValueError):
-            eval_expansion(g, 1, 1, 0, 2, 256)
-        with pytest.raises(ValueError):
-            eval_expansion(g, 1, 1, 10, 9, 256)
-
-    def test_negative_order_rejected(self):
-        # a negative order once sliced the series from its end
-        g = g_via_bernoulli(6)
-        for order in (-1, -3, -7):
+        g = coefficients("g", 3, 1, 1)
+        for x in (0, -1, F(-7, 2)):
             with pytest.raises(ValueError):
-                eval_expansion(g, 1, 1, 10, order)
+                eval_expansion(g, 1, x, 256)
 
     @pytest.mark.parametrize(
         "p, t, x", [(F(-2, 3), F(5, 4), F(7)), (F(7, 2), F(-3, 4), F(23, 3)), (F(1), F(1, 2), F(10))]
     )
     def test_matches_scalar_series(self, p, t, x):
-        # G_n(p, t) at fixed (p, t) by the scalar recurrence over the rationals
-        # B_k(t): no bivariate polynomial is built or specialized here
+        # the reference sums G_n(p, t) from the composition route, each
+        # bivariate G_n evaluated at (p, t): it shares no code with the
+        # log-series recurrence that gives the point series
         order, prec = 12, 256
-        beta = [bernoulli_poly(k).eval(t) for k in range(order + 1)]
-        coeffs = _log_series([F(1)], beta, p)
+        coeffs = [c.eval(p, t) for c in g_via_compositions(order).coeffs]
         with mp.workprec(prec + 64):
             xv = mpf(x.numerator) / x.denominator
             acc = mpf(0)
             for c in reversed(coeffs):
                 acc = acc / xv + mpf(c.numerator) / c.denominator
             expected = mpmath.power(xv, mpf(p.numerator) / p.denominator) * acc
-            got = eval_expansion(g_via_bernoulli(order), p, t, x, order, prec)
+            got = eval_expansion(coefficients("g", order, p, t), p, x, prec)
             assert abs(got - expected) <= abs(expected) * mpf(2) ** -(prec - 2)
 
 
@@ -211,9 +200,26 @@ class TestApproximations:
         for approx in (approx_gamma, approx_harmonic, approx_exp_psi):
             with pytest.raises(ValueError):
                 approx(10, -3)
+            # counts and orders must be integers: binary splitting over a
+            # float count never reaches its one-term base case
+            for n, order in ((F(21, 2), 2), (10.5, 2), (4.0, 2), (10, 3.0)):
+                with pytest.raises(TypeError):
+                    approx(n, order)
+        for n in (F(21, 2), 10.5, 4.0):
+            with pytest.raises(TypeError):
+                harmonic(n)
+
+    def test_no_bivariate_series_is_built(self, monkeypatch):
+        # the approximants read the point series G_n(p, t); the cache of
+        # bivariate G_n stays as it starts
+        monkeypatch.setattr(expansions, "_g", [BiPoly.one()])
+        approx_gamma(20, 6)
+        approx_harmonic(20, 6, t=F(1, 2))
+        approx_exp_psi(20, 6, p=F(2, 3), t=F(5, 4))
+        assert len(expansions._g) == 1
 
     def test_nonpositive_point_fails_before_any_series(self, monkeypatch):
-        def no_series(order):
+        def no_series(*args):
             raise AssertionError("the series was built for a rejected sample")
 
         monkeypatch.setattr(numeric, "_exp_series", no_series)
@@ -222,6 +228,9 @@ class TestApproximations:
             (lambda: approx_harmonic(3, 28, t=F(9, 2)), "need n + 1 - t > 0, got n = 3, t = 9/2"),
             (lambda: approx_exp_psi(5, 28, t=-6), "need n + t > 0, got n = 5, t = -6"),
             (lambda: approx_exp_psi(5, 28, p=2, t=-5), "need n + t > 0, got n = 5, t = -5"),
+            (lambda: approx_gamma(10, 3, prec=0), "precision must be >= 1 bit, got 0"),
+            (lambda: approx_harmonic(10, 3, prec=-5), "precision must be >= 1 bit, got -5"),
+            (lambda: approx_exp_psi(10, 3, prec=-5), "precision must be >= 1 bit, got -5"),
         ):
             with pytest.raises(ValueError) as excinfo:
                 call()
