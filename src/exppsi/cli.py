@@ -53,9 +53,8 @@ from .identities import (
 from .numeric import (
     GUARD,
     ApproxResult,
+    _harmonic_samples,
     approx_exp_psi,
-    approx_gamma,
-    approx_harmonic,
     convergence_order,
     format_mpf,
 )
@@ -77,9 +76,9 @@ MAX_ORDER = 72
 
 # Ceiling on ``approx --n``. A sweep evaluates n, 2n, 4n and 8n, and the exact
 # harmonic number H_8n behind ``gamma`` and ``harmonic`` grows with it: on the
-# same host ``approx gamma --n 50000 --sweep`` took 46 s, --n 56000 65 s and
-# --n 40000 32 s; the cost grows about 3.7-fold when n doubles.
-MAX_APPROX_N = 50000
+# same host ``approx gamma --n 100000 --sweep`` took 37-39 s, --n 110000 48 s
+# and --n 50000 12-13 s; the cost grows about 3.1-fold when n doubles.
+MAX_APPROX_N = 100000
 
 
 def _rational(text: str) -> Fraction:
@@ -291,14 +290,6 @@ def _cmd_errata(args: argparse.Namespace, out) -> int:
 # approx subcommand
 
 
-def _one_sample(args: argparse.Namespace, n: int) -> ApproxResult:
-    if args.target == "gamma":
-        return approx_gamma(n, args.order, t=args.t, prec=args.prec)
-    if args.target == "harmonic":
-        return approx_harmonic(n, args.order, t=args.t, prec=args.prec)
-    return approx_exp_psi(n, args.order, p=args.p, t=args.t, prec=args.prec)
-
-
 def _fit(samples: Sequence[ApproxResult], prec: int) -> Optional[Fraction]:
     """Convergence order of the samples whose error is measurable, or None.
 
@@ -324,7 +315,10 @@ def _cmd_approx(args: argparse.Namespace, out) -> int:
     elif args.target != "exp-psi":
         raise ValueError("--p applies only to the target exp-psi")
     ns = [args.n * (2**k) for k in range(4)] if args.sweep else [args.n]
-    samples = [_one_sample(args, n) for n in ns]
+    if args.target == "exp-psi":
+        samples = [approx_exp_psi(n, args.order, p=args.p, t=args.t, prec=args.prec) for n in ns]
+    else:
+        samples = _harmonic_samples(args.target, ns, args.order, args.t, args.prec)
     # est[i] is the order fitted to samples i-1 and i
     est = [None] + [_fit(samples[i - 1 : i + 1], args.prec) for i in range(1, len(samples))]
     fitted = _fit(samples, args.prec) if args.sweep else None

@@ -23,6 +23,10 @@ and c belong to, and five series are instances of it:
 * the point series G_n(p0,t0) of ``coefficients`` with both p and t fixed:
   rationals, beta_k = B_k(t0), c = p0, so no polynomial is built.
 
+Each step's sum of products is one ``_dot``: over the rationals an integer
+sum over one common denominator with a single gcd, and in a polynomial
+ring a running sum.
+
 ``coefficients(kind, n_max, p, t)`` is the one place that picks, for S or G
 with p, t, both or neither fixed, which of these instances serves and what
 type its coefficients have.
@@ -67,7 +71,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 from typing import Callable, Sequence
 
 from .algebra import BiPoly, Poly, _rational
@@ -108,6 +112,21 @@ class Series:
         return len(self.coeffs) - 1
 
 
+def _dot(xs: Sequence, ys: Sequence):
+    """sum_i xs[i] ys[i], for nonempty sequences of one length. Over the
+    rationals this is one integer sum over the lcm of the products'
+    denominators, and one Fraction; in a polynomial ring, a running sum."""
+    if isinstance(xs[0], (int, Fraction)) and isinstance(ys[0], (int, Fraction)):
+        nums = [x.numerator * y.numerator for x, y in zip(xs, ys)]
+        dens = [x.denominator * y.denominator for x, y in zip(xs, ys)]
+        den = lcm(*dens)
+        return Fraction(sum(n * (den // d) for n, d in zip(nums, dens)), den)
+    acc = xs[0] * ys[0]
+    for x, y in zip(xs[1:], ys[1:]):
+        acc = acc + x * y
+    return acc
+
+
 def _log_series(a: list, beta: Sequence, c) -> list:
     """Extend a = [a_0, ..., a_m] in place to a_0..a_N, N = len(beta) - 1, by
 
@@ -116,12 +135,9 @@ def _log_series(a: list, beta: Sequence, c) -> list:
     and return it. beta[0] is never read; the a_n, beta_k and c may be any
     ring elements whose products land in the ring of the a_n.
     """
+    signed = [b if k % 2 else -b for k, b in enumerate(beta)]
     for n in range(len(a), len(beta)):
-        acc = beta[1] * a[n - 1]
-        for k in range(2, n + 1):
-            term = beta[k] * a[n - k]
-            acc = acc - term if k % 2 == 0 else acc + term
-        a.append(c * acc * Fraction(1, n))
+        a.append(c * _dot(signed[n:0:-1], a) * Fraction(1, n))
     return a
 
 

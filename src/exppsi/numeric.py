@@ -1,10 +1,13 @@
 """High-precision evaluation and convergence measurement.
 
-Precision policy: every routine takes a working precision ``prec`` in bits
-and computes internally with ``prec + GUARD`` bits before rounding the
-result back to ``prec``. Series coefficients stay exact rationals until the
-final floating evaluation, so the only rounding happens in the mpmath
-arithmetic itself.
+Precision policy: every routine takes a working precision ``prec`` of at
+least one bit and computes internally with ``prec + GUARD`` bits before
+rounding the result back to ``prec``. Series coefficients and sums stay
+exact rationals until the floating evaluation, and each reaches mpmath as
+one correctly rounded division (``_round_ratio``: the nearest mpf, ties to
+even). That value does not depend on how the fraction is written, so sums
+stay unreduced pairs (P, Q) and no gcd is taken to round them; after that,
+the only rounding happens in the mpmath arithmetic itself.
 
 The digamma reference value is computed from scratch: the argument is
 lifted by an integer shift m until the asymptotic tail series converges
@@ -13,6 +16,10 @@ Bernoulli numbers, and the shift is undone with the exact correction
 sum_{k<m} 1/(x+k), summed by binary splitting (``_reciprocal_sum``, which
 also gives the harmonic numbers). The library digamma is deliberately not
 used here so the tests can treat it as an independent cross-check.
+
+``approx_gamma`` and ``approx_harmonic`` share one body,
+``_harmonic_samples``, which takes a list of n: a sweep over n, 2n, 4n, 8n
+carries H_n from each sample to the next instead of summing it anew.
 
 The expansion of exp(p*psi(x+t)) is evaluated from its point series, the
 rationals G_n(p, t) of ``expansions.coefficients``; no polynomial in p or t
@@ -76,20 +83,50 @@ mpmath = _Mpmath()
 RationalLike = Union[int, Fraction]
 
 
+def _check_prec(prec: int) -> None:
+    if index(prec) < 1:
+        raise ValueError(f"precision must be >= 1 bit, got {prec}")
+
+
+def _round_ratio(num: int, den: int, prec: int) -> mpmath.mpf:
+    """num/den, den > 0 and not necessarily in lowest terms, rounded once to
+    the nearest mpf of ``prec`` bits (ties to even).
+
+    When both operands are longer than prec + 64 bits, both are shifted
+    right by one count that leaves the shorter prec + 64 bits, giving n and
+    m. The quotient lies strictly between n/(m+1) and (n+1)/m, and rounding
+    is monotone, so when those two ends round alike that is the answer
+    (Ziv's strategy). Near a rounding boundary they can differ, and then the
+    full operands are divided.
+    """
+    libmp = mpmath.libmp
+    rnd = libmp.round_nearest
+    a = abs(num)
+    value = None
+    shift = min(a.bit_length(), den.bit_length()) - (prec + 64)
+    if shift > 0:
+        n, m = a >> shift, den >> shift
+        low = libmp.from_rational(n, m + 1, prec, rnd)
+        if low == libmp.from_rational(n + 1, m, prec, rnd):
+            value = low
+    if value is None:
+        value = libmp.from_rational(a, den, prec, rnd)
+    return mpmath.mp.make_mpf(libmp.mpf_neg(value) if num < 0 else value)
+
+
 def to_mpf(value: RationalLike, prec: int) -> mpmath.mpf:
-    """Round an exact rational to an mpf at the given bit precision."""
-    with mpmath.mp.workprec(prec):
-        if isinstance(value, Fraction):
-            return mpmath.mpf(value.numerator) / mpmath.mpf(value.denominator)
-        return +mpmath.mpf(value)
+    """Round an exact rational to the nearest mpf at the given bit precision."""
+    _check_prec(prec)
+    value = _rational(value)
+    return _round_ratio(value.numerator, value.denominator, prec)
 
 
-def _reciprocal_sum(x: Fraction, m: int) -> Fraction:
-    """Exact sum_{k<m} 1/(x+k) for a positive rational x = a/b.
+def _reciprocal_sum(x: Fraction, m: int) -> tuple[int, int]:
+    """Exact sum_{k<m} 1/(x+k) for a positive rational x = a/b, as a pair
+    (P, Q) with the sum P/Q and Q > 0, not in lowest terms.
 
     Binary splitting over the integer terms b/(a+kb): each half of the
-    range is carried as one fraction P/Q, unreduced, and a single Fraction
-    (one gcd) is built at the end.
+    range is carried as one fraction P/Q, and no gcd is taken.
     """
     a, b = x.numerator, x.denominator
 
@@ -103,17 +140,17 @@ def _reciprocal_sum(x: Fraction, m: int) -> Fraction:
         return p1 * q2 + p2 * q1, q1 * q2
 
     if m <= 0:
-        return Fraction(0)
+        return 0, 1
     p, q = split(0, m)
-    return Fraction(b * p, q)
+    return b * p, q
 
 
 def harmonic(n: int) -> Fraction:
     """Exact n-th harmonic number 1 + 1/2 + ... + 1/n, as the reciprocal
-    sum of 1, 2, ..., n by binary splitting."""
+    sum of 1, 2, ..., n by binary splitting, in lowest terms."""
     if index(n) < 0:
         raise ValueError(f"harmonic numbers need n >= 0, got {n}")
-    return _reciprocal_sum(Fraction(1), n)
+    return Fraction(*_reciprocal_sum(Fraction(1), n))
 
 
 def _round_to(value: mpmath.mpf, prec: int) -> mpmath.mpf:
@@ -123,25 +160,27 @@ def _round_to(value: mpmath.mpf, prec: int) -> mpmath.mpf:
 
 def psi_ref(x: RationalLike, prec: int = 256) -> mpmath.mpf:
     """Digamma at a positive rational argument, correct to ``prec`` bits."""
+    _check_prec(prec)
     x = _rational(x)
     if x <= 0:
         raise ValueError(f"argument must be positive, got {x}")
-    with mpmath.mp.workprec(prec + GUARD):
+    wp = prec + GUARD
+    with mpmath.mp.workprec(wp):
         threshold = max(32, prec // 4)
         m = 0
         if x < threshold:
             m = threshold - math.floor(x)
-        z = to_mpf(x + m, mpmath.mp.prec)
+        z = to_mpf(x + m, wp)
         # log z - 1/(2z) - sum_j B_{2j} / (2j z^(2j)), Horner in 1/z^2
         terms = 2 * ((prec + 15) // 16)
         w = 1 / (z * z)
         acc = mpmath.mpf(0)
         for j in range(terms, 0, -1):
-            c = to_mpf(Fraction(bernoulli_number(2 * j), 2 * j), mpmath.mp.prec)
-            acc = (acc + c) * w
+            b = bernoulli_number(2 * j)
+            acc = (acc + _round_ratio(b.numerator, 2 * j * b.denominator, wp)) * w
         value = mpmath.log(z) - 1 / (2 * z) - acc
         # undo the recurrence shift psi(x+m) = psi(x) + sum_{k<m} 1/(x+k)
-        value -= to_mpf(_reciprocal_sum(x, m), mpmath.mp.prec)
+        value -= _round_ratio(*_reciprocal_sum(x, m), wp)
     return _round_to(value, prec)
 
 
@@ -149,6 +188,7 @@ def psi_ref(x: RationalLike, prec: int = 256) -> mpmath.mpf:
 def euler_gamma(prec: int = 256) -> mpmath.mpf:
     """Euler's constant as -psi(1), at ``prec`` bits. The cache holds a few
     precisions, so a caller sweeping many of them does not grow it."""
+    _check_prec(prec)
     value = psi_ref(1, prec + GUARD)
     with mpmath.mp.workprec(prec):
         return -value
@@ -157,17 +197,19 @@ def euler_gamma(prec: int = 256) -> mpmath.mpf:
 def eval_expansion(g: Series, p: RationalLike, x: RationalLike, prec: int = 256) -> mpmath.mpf:
     """Evaluate x^p * sum_{n<=g.order} g[n] x^(-n) for a point series g,
     whose coefficients are the rationals G_n(p, t) at one (p, t)."""
+    _check_prec(prec)
     p = _rational(p)
     x = _rational(x)
     if x <= 0:
         raise ValueError(f"expansion variable must be positive, got {x}")
-    with mpmath.mp.workprec(prec + GUARD):
-        xv = to_mpf(x, mpmath.mp.prec)
+    wp = prec + GUARD
+    with mpmath.mp.workprec(wp):
+        xv = to_mpf(x, wp)
         inv = 1 / xv
         acc = mpmath.mpf(0)
         for c in reversed(g.coeffs):
-            acc = acc * inv + to_mpf(c, mpmath.mp.prec)
-        value = mpmath.power(xv, to_mpf(p, mpmath.mp.prec)) * acc
+            acc = acc * inv + _round_ratio(c.numerator, c.denominator, wp)
+        value = mpmath.power(xv, to_mpf(p, wp)) * acc
     return _round_to(value, prec)
 
 
@@ -190,8 +232,7 @@ def _check_sample(n: int, order: int, prec: int, t: Fraction, arg: Fraction, arg
         raise ValueError(f"need n >= 1, got {n}")
     if index(order) < 0:
         raise ValueError(f"series order must be >= 0, got {order}")
-    if index(prec) < 1:
-        raise ValueError(f"precision must be >= 1 bit, got {prec}")
+    _check_prec(prec)
     if arg <= 0:
         raise ValueError(f"need {arg_text} > 0, got n = {n}, t = {t}")
 
@@ -201,34 +242,48 @@ def _exp_series(order: int, p: Fraction, t: Fraction) -> Series:
     return coefficients("g", order, p, t)
 
 
+def _harmonic_samples(
+    target: str, ns: Sequence[int], order: int, t: RationalLike, prec: int
+) -> list[ApproxResult]:
+    """``approx_gamma`` (target "gamma") or ``approx_harmonic`` ("harmonic")
+    at each n of the nondecreasing ``ns``. H_n is one unreduced sum P/Q,
+    carried from each sample to the next and extended by the reciprocals
+    in between: P, Q = P q + p Q, Q q for the block p/q."""
+    t = _rational(t)
+    for n in ns:
+        _check_sample(n, order, prec, t, n + 1 - t, "n + 1 - t")
+    g = _exp_series(order, 1, t)
+    wp = prec + GUARD
+    out = []
+    h_num, h_den, done = 0, 1, 0
+    for n in ns:
+        p, q = _reciprocal_sum(Fraction(done + 1), n - done)
+        h_num, h_den, done = h_num * q + p * h_den, h_den * q, n
+        with mpmath.mp.workprec(wp):
+            e = eval_expansion(g, 1, n + 1 - t, wp)
+            h = _round_ratio(h_num, h_den, wp)
+            if target == "gamma":
+                value = h - mpmath.log(e)
+                err = abs(value - euler_gamma(wp))
+            else:
+                value = euler_gamma(wp) + mpmath.log(e)
+                err = abs(value - h)
+        out.append(ApproxResult(n, order, _round_to(value, prec), _round_to(err, prec)))
+    return out
+
+
 def approx_gamma(
     n: int, order: int, t: RationalLike = 1, prec: int = 256
 ) -> ApproxResult:
     """Euler's constant via H_n - log(expansion at x = n + 1 - t)."""
-    t = _rational(t)
-    x = n + 1 - t
-    _check_sample(n, order, prec, t, x, "n + 1 - t")
-    g = _exp_series(order, 1, t)
-    with mpmath.mp.workprec(prec + GUARD):
-        e = eval_expansion(g, 1, x, mpmath.mp.prec)
-        value = to_mpf(harmonic(n), mpmath.mp.prec) - mpmath.log(e)
-        err = abs(value - euler_gamma(mpmath.mp.prec))
-    return ApproxResult(n, order, _round_to(value, prec), _round_to(err, prec))
+    return _harmonic_samples("gamma", [n], order, t, prec)[0]
 
 
 def approx_harmonic(
     n: int, order: int, t: RationalLike = 1, prec: int = 256
 ) -> ApproxResult:
     """H_n via gamma + log(expansion at x = n + 1 - t)."""
-    t = _rational(t)
-    x = n + 1 - t
-    _check_sample(n, order, prec, t, x, "n + 1 - t")
-    g = _exp_series(order, 1, t)
-    with mpmath.mp.workprec(prec + GUARD):
-        e = eval_expansion(g, 1, x, mpmath.mp.prec)
-        value = euler_gamma(mpmath.mp.prec) + mpmath.log(e)
-        err = abs(value - to_mpf(harmonic(n), mpmath.mp.prec))
-    return ApproxResult(n, order, _round_to(value, prec), _round_to(err, prec))
+    return _harmonic_samples("harmonic", [n], order, t, prec)[0]
 
 
 def approx_exp_psi(

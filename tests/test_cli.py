@@ -314,6 +314,25 @@ class TestApprox:
             assert abs(Fraction(row[4]) - 3) < 1, row
         assert rows[5][0].startswith("# fitted_order")
 
+    @pytest.mark.parametrize("argv", [
+        ["gamma", "--n", "2500", "--order", "4"],
+        ["harmonic", "--n", "16", "--t", "1/2", "--order", "10", "--prec", "1536"],
+        ["gamma", "--n", "40", "--t", "3/4", "--order", "8", "--prec", "768"],
+    ])
+    def test_sweep_rows_equal_single_runs(self, capsys, argv):
+        # the sweep carries H_n from one sample to the next; each row must
+        # still be what a run at that n alone prints
+        code, out, _ = run_cli(capsys, "approx", *argv, "--sweep", "--format", "json")
+        assert code == 0
+        rows = json.loads(out)["samples"]
+        n = int(argv[2])
+        for k, row in enumerate(rows):
+            single = [*argv[:2], str(n * 2**k), *argv[3:]]
+            code, out, _ = run_cli(capsys, "approx", *single, "--format", "json")
+            assert code == 0
+            (alone,) = json.loads(out)["samples"]
+            assert {**row, "est_order": None} == alone, row["n"]
+
     def test_sweep_leaves_out_samples_at_the_rounding_floor(self, capsys):
         # at n = 32 the error is 2^-112, the rounding floor of 64 + 48 guard bits
         argv = ["approx", "gamma", "--n", "4", "--order", "30", "--sweep", "--prec", "64"]
@@ -460,7 +479,7 @@ STDOUT_SHA256 = [
     ("verify --suite all --max-n 5 --format json", "4b88d9f6667967e6a054731f63bca0c1a98af2bfa2d835df08990e96eca3fd5a"),
     ("verify --suite all --max-n 16 --format json", "632ed16c1121f024ddf5eab90d886c2756f0842ceadeeb5e331c3d8d8bfe2602"),
     ("approx harmonic --n 16 --t 1/2 --order 10 --prec 1536 --sweep --format json", "d38a6c4d9cf60035990613e82f61f16024f07f5b7fab42b2f6e1ceafa645d723"),
-    ("approx gamma --n 2500 --order 4 --sweep", "ca88529ccee8e5f413fd2fd20a103a82df95e34eb07b057f4bca204d8a2a2ca6"),
+    ("approx gamma --n 2500 --order 4 --sweep", "d39d4a47dbd2b0bd32c2dee07bcd64737ae6bb385e1750375329478a44000e82"),
     ("coeffs g --n 16 --format json", "81b6f9c3a8b42a4dbbae5176b4d33343e77efe046bff23781e069bdc99cd73f8"),
     ("coeffs g --n 14", "bc6f7fbc6404f7458c20f478f77e29a9ee7b70ea1108c522396e2b41cbaa5482"),
     ("coeffs s --n 32 --format latex", "35a9fd3b9b3ee1217ced0bff4353231bfc46c97dc3a25775a306abf304462b01"),

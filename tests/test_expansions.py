@@ -9,10 +9,13 @@ import json
 import sys
 import threading
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from exppsi import expansions
 from exppsi.algebra import BiPoly, Poly
@@ -293,6 +296,14 @@ class TestSerialization:
         assert lines[2:4] == ["1,1,0,-1,2", "1,1,1,1,1"]
 
 
+COMPOSITION_ORDER = 14
+
+
+@lru_cache(maxsize=1)
+def composition_route() -> tuple[BiPoly, ...]:
+    return g_via_compositions(COMPOSITION_ORDER).coeffs
+
+
 # 0, negative and non-integer rational points
 POINTS = (F(0), F(-3), F(-2, 3), F(5, 4), F(7, 2))
 
@@ -341,6 +352,18 @@ class TestCoefficients:
                     assert type(c) is Poly and c.var == want, (kind, p, t)
                 else:
                     assert type(c) is want, (kind, p, t)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, COMPOSITION_ORDER),
+        st.fractions(max_denominator=50, min_value=-20, max_value=20),
+        st.fractions(max_denominator=50, min_value=-20, max_value=20),
+    )
+    def test_point_series_matches_the_composition_route(self, n_max, p, t):
+        # the point series sums integer products over one denominator; the
+        # composition route shares no code with it
+        expected = tuple(c.eval(p, t) for c in composition_route()[: n_max + 1])
+        assert coefficients("g", n_max, p, t).coeffs == expected
 
     def test_log_series_takes_no_power(self):
         for p in (F(1), F(-2, 3)):

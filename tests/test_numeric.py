@@ -9,7 +9,10 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpf
+from mpmath.libmp import from_rational, round_nearest
 
 from exppsi import expansions, numeric
 from exppsi.algebra import BiPoly
@@ -30,6 +33,73 @@ from exppsi.numeric import (
 F = Fraction
 
 TIGHT = mpf(2) ** -240
+
+
+def correctly_rounded(value, prec: int) -> mpf:
+    """The reduced rational ``value`` divided once, to nearest, at ``prec`` bits."""
+    value = F(value)
+    return mp.make_mpf(from_rational(value.numerator, value.denominator, prec, round_nearest))
+
+
+class TestToMpf:
+    """``to_mpf`` is the exact quotient rounded once, to nearest, ties to even."""
+
+    @pytest.mark.parametrize("prec", [256, 304, 1632])
+    def test_harmonic_numbers(self, prec):
+        # three roundings (numerator, denominator, quotient) missed by an
+        # ulp on 19 of these 153 cases
+        for n in (*range(50, 394, 7), 2500):
+            h = harmonic(n)
+            assert to_mpf(h, prec)._mpf_ == correctly_rounded(h, prec)._mpf_, n
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.one_of(
+            st.integers(),
+            st.fractions(),
+            st.builds(F, st.integers(-(2**3000), 2**3000), st.integers(1, 2**3000)),
+        ),
+        st.integers(1, 1600),
+    )
+    def test_rationals(self, value, prec):
+        assert to_mpf(value, prec)._mpf_ == correctly_rounded(value, prec)._mpf_
+
+    def test_unreduced_sums_round_as_their_reduced_value(self):
+        for prec in (64, 256, 1632):
+            for n in (1, 2, 97, 2500):
+                p, q = numeric._reciprocal_sum(F(1), n)
+                assert numeric._round_ratio(p, q, prec)._mpf_ == to_mpf(harmonic(n), prec)._mpf_
+
+    @pytest.mark.parametrize("prec", [2, 53, 368])
+    def test_ties_and_near_ties_fall_back_to_the_exact_quotient(self, prec, monkeypatch):
+        # (2^prec + 1) / 2^(prec+1) lies halfway between 1/2 and the next
+        # mpf up; scaled by a long odd factor, both operands are long, and
+        # the two ends of the truncated quotient straddle the tie
+        divisions = []
+        exact = mpmath.libmp.from_rational
+
+        def spy(p, q, prec, rnd):
+            divisions.append((p.bit_length(), q.bit_length()))
+            return exact(p, q, prec, rnd)
+
+        monkeypatch.setattr(mpmath.libmp, "from_rational", spy)
+        odd = 3**800
+        num, den = (2**prec + 1) * odd, 2 ** (prec + 1) * odd
+        for sign in (1, -1):
+            with mp.workprec(prec + 1):
+                half = sign * mpf(0.5)
+                above = sign * (mpf(0.5) + mpf(2) ** -prec)
+            got = numeric._round_ratio(sign * num, den, prec)
+            assert got == half  # the tie goes to the even mantissa
+            assert (num.bit_length(), den.bit_length()) in divisions
+            divisions.clear()
+            # two more in the numerator: just above the tie, and reduced
+            near = F(sign * (num + 2), den)
+            assert near.denominator == den
+            assert to_mpf(near, prec) == above
+            assert to_mpf(near, prec)._mpf_ == correctly_rounded(near, prec)._mpf_
+            assert (num.bit_length(), den.bit_length()) in divisions
+            divisions.clear()
 
 
 class TestHarmonic:
@@ -57,7 +127,7 @@ class TestHarmonic:
         for x in (F(1), F(1, 2), F(5, 7), F(3), F(47, 2), F(1001, 10)):
             for m in (0, 1, 2, 7, 64, 129):
                 naive = sum((1 / (x + k) for k in range(m)), F(0))
-                assert numeric._reciprocal_sum(x, m) == naive, (x, m)
+                assert F(*numeric._reciprocal_sum(x, m)) == naive, (x, m)
 
 
 class TestPsiRef:
@@ -208,6 +278,17 @@ class TestApproximations:
         for n in (F(21, 2), 10.5, 4.0):
             with pytest.raises(TypeError):
                 harmonic(n)
+        # every routine that takes a precision refuses one below a bit
+        g = coefficients("g", 3, 1, 1)
+        for prec in (0, -5):
+            for call in (
+                lambda: psi_ref(1, prec),
+                lambda: euler_gamma(prec),
+                lambda: eval_expansion(g, 1, 10, prec),
+                lambda: to_mpf(F(1, 3), prec),
+            ):
+                with pytest.raises(ValueError, match=f"precision must be >= 1 bit, got {prec}"):
+                    call()
 
     def test_no_bivariate_series_is_built(self, monkeypatch):
         # the approximants read the point series G_n(p, t); the cache of
