@@ -3,10 +3,10 @@
 Every operation in this module is exact. Two representations are used:
 
 * ``Poly`` is a dense univariate polynomial in the variable named by its
-  ``var``: ``"t"`` (the default) or ``"p"``. Bernoulli polynomials and
-  series specialized at a numeric parameter live here. Operations keep the
-  variable, and combining a Poly in ``t`` with one in ``p`` raises
-  ``ValueError``.
+  ``var``: ``"t"`` (the default) or ``"p"``. Bernoulli polynomials, series
+  with p or t fixed, and BiPolys read at a fixed p or t live here.
+  Operations keep the variable, and combining a Poly in ``t`` with one in
+  ``p`` raises ``ValueError``.
 * ``BiPoly`` is a bivariate polynomial in the pair ``(p, t)``. The
   coefficients G_n have about as many nonzero terms as their triangle of
   exponents holds, so it is dense too: one row of ``t``-coefficients per
@@ -38,8 +38,8 @@ Values are immutable and operations are pure. Every printed form of a
 value, as text here and as LaTeX, CSV or JSON in the command line, is
 built from one term iterator, ``_terms``, which names each power by the
 variable the value carries. ``BiPoly.of`` places a Poly under its own
-variable, and ``BiPoly.as_poly(var)`` turns a BiPoly in one variable back
-into a Poly.
+variable, and a value in one variable is always a Poly: ``eval_t`` and
+``coeff_of_t_power`` give one in p, ``eval_p`` one in t.
 """
 
 from __future__ import annotations
@@ -445,16 +445,16 @@ class BiPoly:
         """The coefficient of t^j, as a polynomial in p."""
         return Poly._make([row[j] if j < len(row) else 0 for row in self.rows], self.den, "p")
 
-    def eval_t(self, t0) -> "BiPoly":
-        """Substitute t := t0 exactly; the result has t-degree <= 0."""
+    def eval_t(self, t0) -> Poly:
+        """Substitute t := t0 exactly: a Poly in p."""
         weight, scale = _weights(t0, max(map(len, self.rows), default=1) - 1)
-        return BiPoly._make([(sum(map(mul, row, weight)),) for row in self.rows], self.den * scale)
+        return Poly._make([sum(map(mul, row, weight)) for row in self.rows], self.den * scale, "p")
 
-    def eval_p(self, p0) -> "BiPoly":
-        """Substitute p := p0 exactly; the result has p-degree <= 0."""
+    def eval_p(self, p0) -> Poly:
+        """Substitute p := p0 exactly: a Poly in t."""
         weight, scale = _weights(p0, max(len(self.rows) - 1, 0))
         row = [sum(map(mul, col, weight)) for col in zip_longest(*self.rows, fillvalue=0)]
-        return BiPoly._make([row], self.den * scale)
+        return Poly._make(row, self.den * scale, "t")
 
     def eval(self, p0, t0) -> Fraction:
         if not self.rows:
@@ -463,16 +463,6 @@ class BiPoly:
         p_weight, p_scale = _weights(p0, len(self.rows) - 1)
         total = sum(map(mul, (sum(map(mul, row, t_weight)) for row in self.rows), p_weight))
         return Fraction(total, self.den * t_scale * p_scale)
-
-    def as_poly(self, var: str) -> Poly:
-        """This polynomial as a Poly in ``var``, which must be its only variable."""
-        if var == "t":
-            if len(self.rows) > 1:
-                raise ValueError("polynomial still depends on p")
-            return Poly._make(self.rows[0] if self.rows else (), self.den, "t")
-        if any(len(row) > 1 for row in self.rows):
-            raise ValueError("polynomial still depends on t")
-        return Poly._make([row[0] if row else 0 for row in self.rows], self.den, var)
 
     def derivative_t(self) -> "BiPoly":
         return BiPoly._make([[j * n for j, n in enumerate(row[1:], 1)] for row in self.rows],

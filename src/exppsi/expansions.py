@@ -14,22 +14,18 @@ Both families come from one log-series recurrence,
 
 with beta_k = B_k(t) the Bernoulli polynomials: c = 1 gives S_n and c = p
 gives G_n. ``_log_series`` holds it once, over whatever ring the a_n, beta_k
-and c belong to, and five series are instances of it:
+and c belong to. ``coefficients(kind, n_max, p, t)`` is the one entry point
+to its four instances, S_n(t) being G_n(1,t):
 
-* ``g_via_bernoulli`` (canonical): G_n(p,t) as bivariate polynomials, c = p.
-* ``g_series_at_p``: G_n(p0,t) as polynomials in t, c = p0.
-* ``g_series_at_t``: G_n(p,t0) as polynomials in p, beta_k = B_k(t0), c = p.
-* ``s_coeffs``: the p0 = 1 instance, since S_n(t) = G_n(1,t).
-* the point series G_n(p0,t0) of ``coefficients`` with both p and t fixed:
-  rationals, beta_k = B_k(t0), c = p0, so no polynomial is built.
+* G_n(p,t) as bivariate polynomials, c = p: ``g_via_bernoulli`` (canonical).
+* G_n(p0,t) at a fixed p0, as polynomials in t, c = p0.
+* G_n(p,t0) at a fixed t0, as polynomials in p, beta_k = B_k(t0), c = p.
+* the point series G_n(p0,t0): rationals, beta_k = B_k(t0), c = p0, so no
+  polynomial is built.
 
 Each step's sum of products is one ``_dot``: over the rationals an integer
 sum over one common denominator with a single gcd, and in a polynomial
 ring a running sum.
-
-``coefficients(kind, n_max, p, t)`` is the one place that picks, for S or G
-with p, t, both or neither fixed, which of these instances serves and what
-type its coefficients have.
 
 Two more constructions of G_n must agree with the canonical one term for
 term:
@@ -57,12 +53,13 @@ The G_n are Appell polynomials in t, dG_n/dt = (p+1-n) G_{n-1}, so a shift
 of t is a binomial sum: G_n(p, s+t) = sum_k C(p-n+k, k) G_{n-k}(p, s) t^k.
 ``shift_compose(g, s, t)`` writes that sum once, for the whole series, at a
 rational s and a rational or free t. The shift check compares it with
-G_n(p, s+t) at random rational (s, t); the coefficient-table check is the
-same sum at s = 0 with t left free, read one power of t at a time.
+G_n(p, s+t) at random rational (s, t), on polynomials in p; the
+coefficient-table check is the same sum at s = 0 with t left free, on
+polynomials in (p, t), read one power of t at a time.
 
 Caches: the bivariate G_n are kept as a prefix that only grows, under a
-lock, so order N+1 extends order N instead of rebuilding it. S_n, the
-single-variable series, the power route and the composition route are
+lock, so order N+1 extends order N instead of rebuilding it. The series
+with p or t fixed, the power route and the composition route are
 recomputed on every call.
 """
 
@@ -80,12 +77,9 @@ from .bernoulli import bernoulli_poly
 __all__ = [
     "Series",
     "coefficients",
-    "s_coeffs",
     "g_via_power_transform",
     "g_via_bernoulli",
     "g_via_compositions",
-    "g_series_at_p",
-    "g_series_at_t",
     "shift_compose",
     "composition_buckets",
 ]
@@ -151,11 +145,6 @@ def _grown(prefix: list, n_max: int, beta: Callable[[int], object], c) -> Series
     return Series(tuple(prefix[: n_max + 1]))
 
 
-def s_coeffs(n_max: int) -> Series:
-    """S_0..S_{n_max}: the p0 = 1 instance of the recurrence, S_n(t) = G_n(1, t)."""
-    return g_series_at_p(Fraction(1), n_max)
-
-
 def _power(a: Sequence[BiPoly]) -> list[BiPoly]:
     """b_0..b_N of (sum_k a_k x^-k)^p for a_0 = 1 and symbolic p, by the
     classical recurrence n b_n = sum_{k=1}^{n} (k(1+p) - n) a_k b_{n-k}."""
@@ -172,7 +161,7 @@ def _power(a: Sequence[BiPoly]) -> list[BiPoly]:
 
 def g_via_power_transform(n_max: int) -> Series:
     """G_n by raising the S series to a symbolic power p."""
-    return Series(tuple(_power([BiPoly.of(c) for c in s_coeffs(n_max).coeffs])))
+    return Series(tuple(_power([BiPoly.of(c) for c in coefficients("s", n_max).coeffs])))
 
 
 def g_via_bernoulli(n_max: int) -> Series:
@@ -218,19 +207,6 @@ def g_via_compositions(n_max: int) -> Series:
     return Series(tuple(out))
 
 
-def g_series_at_p(p0: Fraction, n_max: int) -> Series:
-    """G_0..G_N at a fixed rational power p0, as polynomials in t."""
-    return _grown([Poly.one()], n_max, bernoulli_poly, _rational(p0))
-
-
-def g_series_at_t(t0: Fraction, n_max: int) -> Series:
-    """G_0..G_N at a fixed rational shift t0, as polynomials in p."""
-    t0 = _rational(t0)
-    return _grown(
-        [Poly.one("p")], n_max, lambda k: bernoulli_poly(k).eval(t0), Poly.variable("p")
-    )
-
-
 def coefficients(kind: str, n_max: int, p=None, t=None) -> Series:
     """S_n (kind "s") or G_n (kind "g") for n <= n_max, at the rational p
     and t given. The coefficients are rationals once every variable is
@@ -244,10 +220,14 @@ def coefficients(kind: str, n_max: int, p=None, t=None) -> Series:
         raise ValueError(f"series kind is 's' or 'g', not {kind!r}")
     p = None if p is None else _rational(p)
     t = None if t is None else _rational(t)
-    if p is None:
-        return g_via_bernoulli(n_max) if t is None else g_series_at_t(t, n_max)
+    if p is None and t is None:
+        return g_via_bernoulli(n_max)
     if t is None:
-        return g_series_at_p(p, n_max)
+        return _grown([Poly.one()], n_max, bernoulli_poly, p)
+    if p is None:
+        return _grown(
+            [Poly.one("p")], n_max, lambda k: bernoulli_poly(k).eval(t), Poly.variable("p")
+        )
     return _grown([Fraction(1)], n_max, lambda k: bernoulli_poly(k).eval(t), p)
 
 
@@ -256,19 +236,20 @@ def shift_compose(g: Series, s, t) -> Series:
 
         sum_{k=0}^{n} C(p-n+k, k) G_{n-k}(p, s) t^k   for every n <= g.order,
 
-    as BiPolys: polynomials in p for a rational t, in (p, t) for
+    as Polys in p for a rational t, and as BiPolys in (p, t) for
     t = ``BiPoly.var_t()``. Equals G_n(p, s+t) term for term when the rule
     holds. Each G_m(p, s) is read once and carried up the orders by
     C(p-m, k+1) = C(p-m, k) (p-m-k)/(k+1).
     """
-    if not isinstance(t, BiPoly):
-        t = _rational(t)
-    p = BiPoly.var_p()
-    out = [BiPoly.zero()] * len(g)
-    for m, coeff in enumerate(g.coeffs):
-        term = coeff.eval_t(s)
-        out[m] = out[m] + term
-        for n in range(m + 1, len(g)):
-            term = term * ((p - BiPoly.constant(n - 1)) * (t * Fraction(1, n - m)))
-            out[n] = out[n] + term
+    if isinstance(t, BiPoly):
+        ring = BiPoly.of
+    else:
+        t, ring = _rational(t), (lambda value: value)
+    out, terms = [], []
+    for n, coeff in enumerate(g.coeffs):
+        # terms[m] = C(p-m, n-m) G_m(p, s) t^(n-m): carry each up from order n-1
+        step = ring(Poly((1 - n, 1), "p"))
+        terms = [term * (step * (t * Fraction(1, n - m))) for m, term in enumerate(terms)]
+        terms.append(ring(coeff.eval_t(s)))
+        out.append(sum(terms[1:], terms[0]))
     return Series(tuple(out))

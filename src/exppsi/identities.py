@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
+from operator import index
 from typing import Optional
 
 from .algebra import BiPoly, Poly, _render
@@ -29,7 +30,6 @@ from .expansions import (
     Series,
     coefficients,
     composition_buckets,
-    g_series_at_p,
     g_via_bernoulli,
     g_via_compositions,
     g_via_power_transform,
@@ -49,8 +49,6 @@ __all__ = [
     "check_route_agreement",
     "bernoulli_identity",
     "bernoulli_identity_terms",
-    "reference_entries",
-    "reference_statements",
     "compare_reference_tables",
     "errata_report",
 ]
@@ -112,9 +110,10 @@ class ErrataEntry:
 
 def check_even_p_vanishing(p: int) -> CheckReport:
     """G_{p+1}(p, t) must vanish identically for even p >= 2."""
+    p = index(p)
     if p < 2 or p % 2 != 0:
         raise ValueError(f"the vanishing theorem covers even p >= 2, got {p}")
-    g = g_series_at_p(Fraction(p), p + 1)
+    g = coefficients("g", p + 1, p=p)
     residual = g[p + 1]
     if residual.is_zero:
         return CheckReport.passed("even-p-vanishing", p=p)
@@ -124,11 +123,12 @@ def check_even_p_vanishing(p: int) -> CheckReport:
 def check_degree_collapse(p: int, n_max: int) -> CheckReport:
     """Degrees in t: exactly n for n <= p, at most n-p-1 past p, and for
     even p exactly k at order p+2+k."""
+    p = index(p)
     if p < 1:
         raise ValueError(f"need a positive integer power, got {p}")
     if n_max < p + 2:
         raise ValueError("order window must reach p+2 to see the collapse")
-    g = g_series_at_p(Fraction(p), n_max)
+    g = coefficients("g", n_max, p=p)
     for n in range(n_max + 1):
         d = g[n].degree
         if n <= p:
@@ -143,9 +143,18 @@ def check_degree_collapse(p: int, n_max: int) -> CheckReport:
     return CheckReport.passed("degree-collapse", p=p, n_max=n_max)
 
 
+def _through(n_max: int, g: Optional[Series]) -> Series:
+    """G_0..G_{n_max}: canonical if ``g`` is None, else cut from ``g``."""
+    if g is None:
+        return g_via_bernoulli(n_max)
+    if len(g) <= n_max:
+        raise ValueError(f"the series given ends at order {g.order}, the check needs {n_max}")
+    return Series(g.coeffs[: n_max + 1])
+
+
 def check_reflection(n_max: int, g: Optional[Series] = None) -> CheckReport:
     """G_n(p, 1) == (-1)^n G_n(p, 0) as exact polynomials in p."""
-    g = g or g_via_bernoulli(n_max)
+    g = _through(n_max, g)
     for n in range(n_max + 1):
         residual = g[n].eval_t(1) - g[n].eval_t(0) * Fraction((-1) ** n)
         if not residual.is_zero:
@@ -157,8 +166,8 @@ def check_half_argument(n_max: int, g: Optional[Series] = None) -> CheckReport:
     """At t=1/2: odd orders vanish, order 2m has p-degree m, and the
     even orders satisfy the corrected recurrence
     G_{2m} = (p/2m) sum_k (1 - 2^(1-2k)) B_{2k} G_{2m-2k}."""
-    g = g or g_via_bernoulli(n_max)
-    half = [g[n].eval_t(Fraction(1, 2)).as_poly("p") for n in range(n_max + 1)]
+    g = _through(n_max, g)
+    half = [g[n].eval_t(Fraction(1, 2)) for n in range(n_max + 1)]
     for n in range(n_max + 1):
         if n % 2 == 1:
             if not half[n].is_zero:
@@ -189,7 +198,7 @@ def check_shift_identity(n_max: int, g: Optional[Series] = None) -> CheckReport:
     """G_n(p, s+t) == sum_k C(p-n+k, k) G_{n-k}(p, s) t^k for random rational (s, t)."""
     import random  # only this check uses it, so importing the package does not
 
-    g = Series((g or g_via_bernoulli(n_max)).coeffs[: n_max + 1])
+    g = _through(n_max, g)
     rng = random.Random(SHIFT_SEED)
     for trial in range(SHIFT_TRIALS):
         s = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
@@ -206,7 +215,7 @@ def check_shift_identity(n_max: int, g: Optional[Series] = None) -> CheckReport:
 
 def check_derivative_relation(n_max: int, g: Optional[Series] = None) -> CheckReport:
     """dG_n/dt == (p + 1 - n) G_{n-1} exactly."""
-    g = g or g_via_bernoulli(n_max)
+    g = _through(n_max, g)
     p = BiPoly.var_p()
     for n in range(1, n_max + 1):
         residual = g[n].derivative_t() - (p + BiPoly.constant(1 - n)) * g[n - 1]
@@ -220,7 +229,7 @@ def check_coefficient_table(n_max: int, g: Optional[Series] = None) -> CheckRepo
     coefficient of G_{n-k}: the shift rule at s = 0 with t left free. Every
     power of t present on either side is compared, so a term above t^n
     fails too."""
-    g = g or g_via_bernoulli(n_max)
+    g = _through(n_max, g)
     shifted = shift_compose(g, 0, BiPoly.var_t())
     for n in range(n_max + 1):
         top = max((j for side in (g[n], shifted[n]) for (_, j) in side.terms), default=-1)
@@ -300,14 +309,6 @@ def _reference_doc() -> dict:
         return json.load(f)
 
 
-def reference_entries() -> list[dict]:
-    return list(_reference_doc()["tables"])
-
-
-def reference_statements() -> list[dict]:
-    return list(_reference_doc()["statements"])
-
-
 def _computed_value(entry: dict):
     """The S_n or G_n of a table entry (kind "s_..." or "g_...") at the p and
     t the entry fixes."""
@@ -316,20 +317,28 @@ def _computed_value(entry: dict):
 
 
 def _printed_value(entry: dict, computed):
-    """The printed value, read in the variable of the computed one."""
+    """The printed value, read in the variable of the computed one. Printed
+    terms are (p power, t power, coefficient); a term in a variable the
+    computed value does not have raises ``ValueError``."""
     printed = entry["printed"]
     if "value" in printed:
         return Fraction(printed["value"])
     if "coeffs" in printed:
         return Poly(tuple(Fraction(c) for c in printed["coeffs"]))
-    value = BiPoly({(int(i), int(j)): Fraction(c) for i, j, c in printed["terms"]})
-    return value.as_poly(computed.var) if isinstance(computed, Poly) else value
+    terms = {(int(i), int(j)): Fraction(c) for i, j, c in printed["terms"]}
+    if not isinstance(computed, Poly):
+        return BiPoly(terms)
+    var = computed.var
+    if any(j if var == "p" else i for i, j in terms):
+        raise ValueError(f"a printed term is not in {var}, the variable of the computed value")
+    coeffs = {i + j: c for (i, j), c in terms.items()}
+    return Poly([coeffs.get(k, 0) for k in range(max(coeffs, default=-1) + 1)], var)
 
 
 def compare_reference_tables() -> list[dict]:
     """Recompute every bundled table value; report printed vs computed."""
     results = []
-    for entry in reference_entries():
+    for entry in _reference_doc()["tables"]:
         computed = _computed_value(entry)
         printed = _printed_value(entry, computed)
         results.append(
@@ -352,7 +361,7 @@ def errata_report() -> list[ErrataEntry]:
             computed=st["computed"],
             note=st.get("note", ""),
         )
-        for st in reference_statements()
+        for st in _reference_doc()["statements"]
     ]
     for result in compare_reference_tables():
         if result["match"]:

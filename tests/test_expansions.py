@@ -25,12 +25,9 @@ from exppsi.expansions import (
     _power,
     coefficients,
     composition_buckets,
-    g_series_at_p,
-    g_series_at_t,
     g_via_bernoulli,
     g_via_compositions,
     g_via_power_transform,
-    s_coeffs,
     shift_compose,
 )
 
@@ -66,7 +63,7 @@ def exp_series_oracle(n_max: int) -> list[Poly]:
 
 class TestLogSeries:
     def test_first_coefficients(self):
-        s = s_coeffs(4)
+        s = coefficients("s", 4)
         t = Poly.variable()
         assert s[0] == Poly.one()
         assert s[1] == t - Poly((F(1, 2),))
@@ -77,30 +74,30 @@ class TestLogSeries:
     def test_matches_exponential_oracle(self):
         oracle = exp_series_oracle(8)
         for n_max in (0, 6, 8):
-            s = s_coeffs(n_max)
+            s = coefficients("s", n_max)
             assert s.coeffs == tuple(oracle[: n_max + 1]), n_max
             # S_n(t) = G_n(1, t), read off the bivariate series
-            assert s.coeffs == tuple(g.eval_p(1).as_poly("t") for g in g_via_bernoulli(n_max).coeffs)
+            assert s.coeffs == tuple(g.eval_p(1) for g in g_via_bernoulli(n_max).coeffs)
 
     def test_degree_drops_by_two_past_the_linear_term(self):
-        s = s_coeffs(10)
+        s = coefficients("s", 10)
         assert s[0].degree == 0
         assert s[1].degree == 1
         for n in range(2, 11):
             assert s[n].degree == n - 2, n
 
     def test_half_argument_value(self):
-        s = s_coeffs(8)
+        s = coefficients("s", 8)
         assert s[8].eval(F(1, 2)) == F(-5509121, 1393459200)
 
     def test_negative_order_rejected(self):
         for build in (
-            s_coeffs,
             g_via_bernoulli,
             g_via_power_transform,
             g_via_compositions,
-            lambda n: g_series_at_p(F(2), n),
-            lambda n: g_series_at_t(F(1, 2), n),
+            lambda n: coefficients("s", n),
+            lambda n: coefficients("g", n, p=F(2)),
+            lambda n: coefficients("g", n, t=F(1, 2)),
             lambda n: coefficients("s", n, t=F(1, 2)),
             lambda n: coefficients("g", n, F(2), F(1, 2)),
             composition_buckets,
@@ -191,24 +188,24 @@ class TestExponentialSeries:
     def test_specialization_matches_single_variable_series(self, capsys):
         g = g_via_bernoulli(6)
         for p0, t0 in ((F(3), F(1, 2)), (F(-2, 3), F(5, 4)), (F(7, 2), F(-3, 4)), (F(-1), F(0))):
-            at_p = g_series_at_p(p0, 6)
-            at_t = g_series_at_t(t0, 6)
+            at_p = coefficients("g", 6, p=p0)
+            at_t = coefficients("g", 6, t=t0)
             for n in range(7):
-                assert g[n].eval_p(p0).as_poly("t") == at_p[n], (p0, n)
-                assert g[n].eval_t(t0).as_poly("p") == at_t[n], (t0, n)
+                assert g[n].eval_p(p0) == at_p[n], (p0, n)
+                assert g[n].eval_t(t0) == at_t[n], (t0, n)
             # the column the CLI prints when both values are given
             assert main(["coeffs", "g", "--n", "6", f"--p={p0}", f"--t={t0}", "--format", "csv"]) == 0
             rows = capsys.readouterr().out.splitlines()[1:]
             assert rows == [f"{n},{c.eval(p0, t0)}" for n, c in enumerate(g.coeffs)]
 
     def test_concurrent_calls_grow_one_consistent_prefix(self, monkeypatch):
-        want_g, want_s = g_via_bernoulli(9).coeffs, s_coeffs(9).coeffs
+        want_g, want_s = g_via_bernoulli(9).coeffs, coefficients("s", 9).coeffs
         monkeypatch.setattr(expansions, "_g", [BiPoly.one()])
         results = []
 
         def worker(orders):
             for n in orders:
-                results.append((n, g_via_bernoulli(n).coeffs, s_coeffs(n).coeffs))
+                results.append((n, g_via_bernoulli(n).coeffs, coefficients("s", n).coeffs))
 
         plans = [(3, 9), (9, 2), (5, 7, 9), (1, 8), (6,), (9, 9)]
         threads = [threading.Thread(target=worker, args=(plan,)) for plan in plans]
@@ -229,7 +226,7 @@ class TestExponentialSeries:
 
     def test_even_power_column_terminates(self):
         # for p = 2 the coefficient at order p+1 vanishes identically in t
-        at_p = g_series_at_p(F(2), 3)
+        at_p = coefficients("g", 3, p=F(2))
         assert at_p[3].is_zero
 
     def test_shift_rule_matches_direct_translation(self):
@@ -313,23 +310,25 @@ class TestCoefficients:
 
     def test_every_shape_matches_the_evaluated_series(self):
         n = 7
-        g, s = g_via_bernoulli(n), s_coeffs(n)
+        g = g_via_bernoulli(n)
+        s = tuple(c.eval_p(1) for c in g.coeffs)  # S_n(t) = G_n(1, t)
         assert coefficients("g", n) == g
-        assert coefficients("s", n) == s
+        assert coefficients("s", n).coeffs == s
         for x in POINTS:
-            assert coefficients("s", n, t=x).coeffs == tuple(c.eval(x) for c in s.coeffs), x
-            at_p = tuple(c.eval_p(x).as_poly("t") for c in g.coeffs)
+            assert coefficients("s", n, t=x).coeffs == tuple(c.eval(x) for c in s), x
+            at_p = tuple(c.eval_p(x) for c in g.coeffs)
             assert coefficients("g", n, p=x).coeffs == at_p, x
-            at_t = tuple(c.eval_t(x).as_poly("p") for c in g.coeffs)
+            at_t = tuple(c.eval_t(x) for c in g.coeffs)
             assert coefficients("g", n, t=x).coeffs == at_t, x
             for y in POINTS:
                 at_both = tuple(c.eval(x, y) for c in g.coeffs)
                 assert coefficients("g", n, p=x, t=y).coeffs == at_both, (x, y)
         # the point series runs its own recurrence over the rationals
         n = 24
-        g, s = g_via_bernoulli(n), s_coeffs(n)
+        g = g_via_bernoulli(n)
         for x in POINTS[2:]:
-            assert coefficients("s", n, t=x).coeffs == tuple(c.eval(x) for c in s.coeffs), x
+            at_s = tuple(c.eval(1, x) for c in g.coeffs)
+            assert coefficients("s", n, t=x).coeffs == at_s, x
             for y in POINTS[2:]:
                 at_both = tuple(c.eval(x, y) for c in g.coeffs)
                 assert coefficients("g", n, p=x, t=y).coeffs == at_both, (x, y)

@@ -24,9 +24,8 @@ from exppsi.identities import (
     check_shift_identity,
     compare_reference_tables,
     errata_report,
-    reference_entries,
-    reference_statements,
 )
+from exppsi.identities import _printed_value, _reference_doc
 
 F = Fraction
 
@@ -87,6 +86,36 @@ class TestTheoremChecks:
     def test_degree_collapse_window_guard(self):
         with pytest.raises(ValueError):
             check_degree_collapse(4, 5)
+
+    @pytest.mark.parametrize("bad", [F(5, 2), 4.0, F(4), "4"])
+    def test_powers_must_be_integers(self, bad):
+        # both theorems are for integer powers; p = 5/2 used to give a FAIL
+        # report with the bound -1/2
+        with pytest.raises(TypeError):
+            check_even_p_vanishing(bad)
+        with pytest.raises(TypeError):
+            check_degree_collapse(bad, 8)
+
+    @pytest.mark.parametrize(
+        "check",
+        [
+            check_reflection,
+            check_half_argument,
+            check_shift_identity,
+            check_derivative_relation,
+            check_coefficient_table,
+        ],
+        ids=lambda check: check.__name__,
+    )
+    def test_a_given_series_must_reach_the_order_checked(self, check):
+        with pytest.raises(ValueError, match="order 4"):
+            check(6, g=g_via_bernoulli(4))
+        with pytest.raises(ValueError):
+            check(0, g=Series(()))
+        # a longer series is cut at n_max: the corrupted G_2 lies past it
+        report = check(1, g=corrupted_series(6))
+        assert report.ok and report.parameters["n_max"] == 1
+        assert not check(2, g=corrupted_series(6)).ok
 
     def test_reflection(self):
         assert check_reflection(12).ok
@@ -202,7 +231,7 @@ class TestProductIdentity:
 class TestReferenceTables:
     def test_every_entry_has_a_live_verdict(self):
         results = compare_reference_tables()
-        assert len(results) == len(reference_entries())
+        assert len(results) == len(_reference_doc()["tables"])
         for result in results:
             stored = result["entry"]["status"]
             live = "confirmed" if result["match"] else "erratum"
@@ -233,11 +262,27 @@ class TestReferenceTables:
         assert all(by_family["exp1"])
         assert all(by_family["exp2"])
 
+    def test_printed_terms_are_read_in_the_computed_variable(self):
+        def printed(*terms):
+            return {"printed": {"terms": [[i, j, c] for i, j, c in terms]}}
+
+        in_t = printed((0, 2, "1"), (0, 1, "-1"))
+        in_p = printed((2, 0, "4"))
+        mixed = printed((1, 1, "1"))
+        assert _printed_value(in_t, Poly.zero()) == Poly((F(0), F(-1), F(1)))
+        assert _printed_value(in_p, Poly.zero("p")) == Poly((F(0), F(0), F(4)), "p")
+        assert _printed_value(printed(), Poly.zero("p")) == Poly.zero("p")
+        assert _printed_value(mixed, BiPoly.zero()) == BiPoly.var_p() * BiPoly.var_t()
+        # a term in the variable the computed value does not have
+        for entry, var in ((mixed, "t"), (mixed, "p"), (in_p, "t"), (in_t, "p")):
+            with pytest.raises(ValueError, match=f"not in {var},"):
+                _printed_value(entry, Poly.zero(var))
+
 
 class TestErrataReport:
     def test_statements_come_first_then_table_rows(self):
         entries = errata_report()
-        statements = reference_statements()
+        statements = _reference_doc()["statements"]
         assert len(entries) == len(statements) + 7
         for got, stored in zip(entries, statements):
             assert got.location == stored["location"]
