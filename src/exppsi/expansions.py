@@ -49,14 +49,6 @@ S_n and for G_n at fixed p, Polys with ``var == "p"`` for G_n at fixed t,
 BiPolys in (p, t) for the bivariate G_n, and rationals, from the point
 series, once both p and t are fixed.
 
-The G_n are Appell polynomials in t, dG_n/dt = (p+1-n) G_{n-1}, so a shift
-of t is a binomial sum: G_n(p, s+t) = sum_k C(p-n+k, k) G_{n-k}(p, s) t^k.
-``shift_compose(g, s, t)`` writes that sum once, for the whole series, at a
-rational s and a rational or free t. The shift check compares it with
-G_n(p, s+t) at random rational (s, t), on polynomials in p; the
-coefficient-table check is the same sum at s = 0 with t left free, on
-polynomials in (p, t), read one power of t at a time.
-
 Caches: the bivariate G_n are kept as a prefix that only grows, under a
 lock, so order N+1 extends order N instead of rebuilding it. The series
 with p or t fixed, the power route and the composition route are
@@ -80,7 +72,6 @@ __all__ = [
     "g_via_power_transform",
     "g_via_bernoulli",
     "g_via_compositions",
-    "shift_compose",
     "composition_buckets",
 ]
 
@@ -230,26 +221,3 @@ def coefficients(kind: str, n_max: int, p=None, t=None) -> Series:
         )
     return _grown([Fraction(1)], n_max, lambda k: bernoulli_poly(k).eval(t), p)
 
-
-def shift_compose(g: Series, s, t) -> Series:
-    """The shift rule of G_n(p, s+t) applied to the whole series,
-
-        sum_{k=0}^{n} C(p-n+k, k) G_{n-k}(p, s) t^k   for every n <= g.order,
-
-    as Polys in p for a rational t, and as BiPolys in (p, t) for
-    t = ``BiPoly.var_t()``. Equals G_n(p, s+t) term for term when the rule
-    holds. Each G_m(p, s) is read once and carried up the orders by
-    C(p-m, k+1) = C(p-m, k) (p-m-k)/(k+1).
-    """
-    if isinstance(t, BiPoly):
-        ring = BiPoly.of
-    else:
-        t, ring = _rational(t), (lambda value: value)
-    out, terms = [], []
-    for n, coeff in enumerate(g.coeffs):
-        # terms[m] = C(p-m, n-m) G_m(p, s) t^(n-m): carry each up from order n-1
-        step = ring(Poly((1 - n, 1), "p"))
-        terms = [term * (step * (t * Fraction(1, n - m))) for m, term in enumerate(terms)]
-        terms.append(ring(coeff.eval_t(s)))
-        out.append(sum(terms[1:], terms[0]))
-    return Series(tuple(out))

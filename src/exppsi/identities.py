@@ -1,7 +1,10 @@
 """Exact verification of the structural theorems and the reference tables.
 
 Each check recomputes the expansion coefficients with exact arithmetic and
-compares both sides of an identity as polynomials. A failed comparison
+compares both sides of an identity as polynomials. The two binomial-rule
+checks read the binomials C(p-n+k, k) from one generator, ``_binomials``;
+the shift check compares Taylor coefficients in t, so it proves the shift
+rule for every s and t through the order checked. A failed comparison
 produces a ``CheckReport`` carrying the nonzero residual as a witness; it
 never raises, so a run always yields a full report.
 
@@ -22,7 +25,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 from operator import index
-from typing import Optional
+from typing import Iterator, Optional
 
 from .algebra import BiPoly, Poly, _render
 from .bernoulli import bernoulli_number
@@ -33,7 +36,6 @@ from .expansions import (
     g_via_bernoulli,
     g_via_compositions,
     g_via_power_transform,
-    shift_compose,
 )
 
 __all__ = [
@@ -189,28 +191,33 @@ def check_half_argument(n_max: int, g: Optional[Series] = None) -> CheckReport:
     return CheckReport.passed("half-argument", n_max=n_max)
 
 
-# the shift check's random rational points (s, t): how many, and their seed
-SHIFT_TRIALS = 20
-SHIFT_SEED = 20260815
+def _binomials(g: Series) -> Iterator[tuple[int, int, Poly]]:
+    """(n, k, C(p-n+k, k)) for each order n of ``g`` and k = 1..max(n, the
+    t-degree of G_n), the binomial a Poly in p. Each comes from the one
+    before it, C(p-n+k, k) = C(p-n+k-1, k-1) (p-n+k)/k. Past k = n the
+    binomial rule's right side is 0, so a term of G_n above t^n is reached."""
+    for n, coeff in enumerate(g.coeffs):
+        binom = Poly.one("p")
+        for k in range(1, max(n, max(map(len, coeff.rows), default=0) - 1) + 1):
+            binom = binom * Poly((k - n, 1), "p") * Fraction(1, k)
+            yield n, k, binom
 
 
 def check_shift_identity(n_max: int, g: Optional[Series] = None) -> CheckReport:
-    """G_n(p, s+t) == sum_k C(p-n+k, k) G_{n-k}(p, s) t^k for random rational (s, t)."""
-    import random  # only this check uses it, so importing the package does not
-
+    """d^k G_n/dt^k / k! == C(p-n+k, k) G_{n-k} for every k >= 1, with
+    G_{n-k} = 0 past k = n. By Taylor's theorem in t this is the shift rule
+    G_n(p, s+t) == sum_k C(p-n+k, k) G_{n-k}(p, s) t^k for every s and t.
+    It adds little to ``check_derivative_relation``: the G_n are Appell in
+    t, and the derivative rule iterated k times is this one."""
     g = _through(n_max, g)
-    rng = random.Random(SHIFT_SEED)
-    for trial in range(SHIFT_TRIALS):
-        s = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-        t = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-        shifted = shift_compose(g, s, t)
-        for n in range(n_max + 1):
-            residual = shifted[n] - g[n].eval_t(s + t)
-            if not residual.is_zero:
-                return CheckReport.failed(
-                    "shift-identity", residual, n=n, s=str(s), t=str(t), trial=trial
-                )
-    return CheckReport.passed("shift-identity", n_max=n_max, trials=SHIFT_TRIALS, seed=SHIFT_SEED)
+    for n, k, binom in _binomials(g):
+        if k == 1:
+            taylor = g[n]
+        taylor = taylor.derivative_t() * Fraction(1, k)
+        rhs = BiPoly.of(binom) * g[n - k] if k <= n else BiPoly.zero()
+        if taylor != rhs:
+            return CheckReport.failed("shift-identity", taylor - rhs, n=n, k=k)
+    return CheckReport.passed("shift-identity", n_max=n_max)
 
 
 def check_derivative_relation(n_max: int, g: Optional[Series] = None) -> CheckReport:
@@ -225,19 +232,15 @@ def check_derivative_relation(n_max: int, g: Optional[Series] = None) -> CheckRe
 
 
 def check_coefficient_table(n_max: int, g: Optional[Series] = None) -> CheckReport:
-    """Coefficient of t^k in G_n equals C(p-n+k, k) times the constant
-    coefficient of G_{n-k}: the shift rule at s = 0 with t left free. Every
-    power of t present on either side is compared, so a term above t^n
-    fails too."""
+    """Coefficient of t^k in G_n equals C(p-n+k, k) G_{n-k}(p, 0): the shift
+    rule at s = 0, compared as polynomials in p. Every power of t in G_n is
+    compared, so a term above t^n fails too."""
     g = _through(n_max, g)
-    shifted = shift_compose(g, 0, BiPoly.var_t())
-    for n in range(n_max + 1):
-        top = max((j for side in (g[n], shifted[n]) for (_, j) in side.terms), default=-1)
-        for k in range(top + 1):
-            lhs = g[n].coeff_of_t_power(k)
-            rhs = shifted[n].coeff_of_t_power(k)
-            if lhs != rhs:
-                return CheckReport.failed("coefficient-table", lhs - rhs, n=n, k=k)
+    for n, k, binom in _binomials(g):
+        lhs = g[n].coeff_of_t_power(k)
+        rhs = binom * g[n - k].coeff_of_t_power(0) if k <= n else Poly.zero("p")
+        if lhs != rhs:
+            return CheckReport.failed("coefficient-table", lhs - rhs, n=n, k=k)
     return CheckReport.passed("coefficient-table", n_max=n_max)
 
 

@@ -158,6 +158,14 @@ def _round_to(value: mpmath.mpf, prec: int) -> mpmath.mpf:
         return +value
 
 
+@lru_cache(maxsize=8)
+def _tail_coefficients(terms: int, wp: int) -> tuple[mpmath.mpf, ...]:
+    """B_2j/(2j) for j = 1..terms, each rounded once to ``wp`` bits. The
+    cache holds a few working precisions, as ``euler_gamma``'s does."""
+    bs = [(2 * j, bernoulli_number(2 * j)) for j in range(1, terms + 1)]
+    return tuple(_round_ratio(b.numerator, k * b.denominator, wp) for k, b in bs)
+
+
 def psi_ref(x: RationalLike, prec: int = 256) -> mpmath.mpf:
     """Digamma at a positive rational argument, correct to ``prec`` bits."""
     _check_prec(prec)
@@ -175,9 +183,8 @@ def psi_ref(x: RationalLike, prec: int = 256) -> mpmath.mpf:
         terms = 2 * ((prec + 15) // 16)
         w = 1 / (z * z)
         acc = mpmath.mpf(0)
-        for j in range(terms, 0, -1):
-            b = bernoulli_number(2 * j)
-            acc = (acc + _round_ratio(b.numerator, 2 * j * b.denominator, wp)) * w
+        for c in reversed(_tail_coefficients(terms, wp)):
+            acc = (acc + c) * w
         value = mpmath.log(z) - 1 / (2 * z) - acc
         # undo the recurrence shift psi(x+m) = psi(x) + sum_{k<m} 1/(x+k)
         value -= _round_ratio(*_reciprocal_sum(x, m), wp)

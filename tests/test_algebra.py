@@ -162,7 +162,6 @@ class TestExactCoefficients:
 
         t = Poly((F(1), F(2)))
         b = BiPoly({(1, 1): F(1, 3), (0, 2): 1})
-        g = expansions.g_via_bernoulli(2)
         point = expansions.coefficients("g", 2, 1, 1)
         calls = [
             lambda: t.eval(bad),
@@ -177,8 +176,6 @@ class TestExactCoefficients:
             lambda: expansions.coefficients("g", 2, t=bad),
             lambda: expansions.coefficients("s", 2, t=bad),
             lambda: expansions.coefficients("g", 0, t=bad),
-            lambda: expansions.shift_compose(g, bad, 1),
-            lambda: expansions.shift_compose(g, 0, bad),
             lambda: numeric.eval_expansion(point, bad, 10),
             lambda: numeric.eval_expansion(point, 1, bad),
             lambda: numeric.psi_ref(bad),

@@ -203,13 +203,14 @@ class TestVerify:
         assert out.splitlines() == ["PASS route-agreement [n_max=18]", "1/1 checks passed"]
 
     def test_json_validates_against_schema(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "verify", "--suite", "half", "--max-n", "8", "--format", "json"
-        )
-        assert code == 0
-        doc = json.loads(out)
-        validate(doc, "verify_report.json")
-        assert doc["failures"] == 0
+        for suite in ("half", "all"):
+            code, out, _ = run_cli(
+                capsys, "verify", "--suite", suite, "--max-n", "8", "--format", "json"
+            )
+            assert code == 0
+            doc = json.loads(out)
+            validate(doc, "verify_report.json")
+            assert doc["failures"] == 0
 
 
 class TestErrata:
@@ -388,8 +389,8 @@ def run_fresh(code: str) -> list[str]:
 
 
 def test_exact_commands_leave_mpmath_unloaded():
-    # loaded after the import, coeffs, errata and verify: mpmath never is;
-    # the shift check in verify draws its points with random
+    # loaded after the import, coeffs, errata and verify: neither mpmath nor
+    # random ever is
     code = """
 import contextlib, io, sys
 import exppsi.cli
@@ -402,7 +403,7 @@ for argv in (["coeffs", "g", "--n", "6", "--format", "json"], ["errata"],
         assert exppsi.cli.main(argv) == 0
     loaded()
 """
-    assert run_fresh(code) == ["-", "-", "-", "random"]
+    assert run_fresh(code) == ["-", "-", "-", "-"]
 
 
 def test_float_results_load_mpmath_and_match(capsys):
@@ -428,7 +429,7 @@ print(result.value._mpf_, result.abs_error._mpf_)
 
 
 # SHA-256 of the package's exported names, sorted and joined by spaces
-EXPORTED_SHA256 = "f8185d90f2549362f1d8eafee7ed9680308a8152fd98bc8050ba8af0a0c8e9b8"
+EXPORTED_SHA256 = "7ef94b6966f123bd4cda21222ea60ea643fdc464e7a2bdfd9d351e28835241a8"
 
 
 def test_every_exported_name_resolves():
@@ -456,7 +457,7 @@ STDOUT_SHA256 = [
     ("coeffs s --n 6", "10ab994b1496dc4cf869d98dd6b6b7a0e1b19f4dd5e248aacc4ec55f26836d94"),
     ("coeffs g --n 4 --p 2 --t 0 --format csv", "be40cae4d847b58048b64d7858c55ff977a8c5d8a81a05d00d734250fde97973"),
     ("coeffs g --n 8 --t 1/2 --format latex", "af5bea350161a26e117628e125b58f78487dcf199f363aa8d87cfb9dedc23cc1"),
-    ("verify --suite all --max-n 12", "0735d16a9500b62631e77262e5aec9ff05f9e2f1e7f88929ee29f1bd3e0a094d"),
+    ("verify --suite all --max-n 12", "ac30865c269de21af7ec808c028ddf1bba51255e2a35b6ba3dc48a63fcd5bd45"),
     ("verify --suite half --format json", "1ff4aff58f33bde958ff5391679dca524ea2cedd5cd5cb7d5335c5c6e348399b"),
     ("errata", "54c6cccc43dc24c2c24d8afd52c2c148310bc7155b322c7eccb450aa0e4e9a41"),
     ("errata --format markdown", "f6e832cde799951251dbcd0989c961d8cc7695d462b6f69e5c67ed7bc924485f"),
@@ -476,8 +477,8 @@ STDOUT_SHA256 = [
     ("errata --format latex", "4c0c43fb99b2bc711e1d7e6c3c97b8a25880c6db44be42cc7cf733f231164c38"),
     ("coeffs s --n 9 --t 5/2 --format csv", "e728b4cb7e228250bdb03dddaa95ccf7730302dec60a2eb5720fcc438733d86c"),
     ("coeffs g --n 7 --p=-2/3 --format latex", "9fb1221052a5b3433844b6d26f7e434da38a083ab1d105f4f0a68e803ee41c36"),
-    ("verify --suite all --max-n 5 --format json", "4b88d9f6667967e6a054731f63bca0c1a98af2bfa2d835df08990e96eca3fd5a"),
-    ("verify --suite all --max-n 16 --format json", "632ed16c1121f024ddf5eab90d886c2756f0842ceadeeb5e331c3d8d8bfe2602"),
+    ("verify --suite all --max-n 5 --format json", "76faf2397733a5a1ff2748a1a70e83157510e05854650c64304317b506034d60"),
+    ("verify --suite all --max-n 16 --format json", "2cadc03f5f75ce55f13da832a93015abdf432a02dd4698e4039284275c7da31d"),
     ("approx harmonic --n 16 --t 1/2 --order 10 --prec 1536 --sweep --format json", "d38a6c4d9cf60035990613e82f61f16024f07f5b7fab42b2f6e1ceafa645d723"),
     ("approx gamma --n 2500 --order 4 --sweep", "d39d4a47dbd2b0bd32c2dee07bcd64737ae6bb385e1750375329478a44000e82"),
     ("coeffs g --n 16 --format json", "81b6f9c3a8b42a4dbbae5176b4d33343e77efe046bff23781e069bdc99cd73f8"),

@@ -28,7 +28,6 @@ from exppsi.expansions import (
     g_via_bernoulli,
     g_via_compositions,
     g_via_power_transform,
-    shift_compose,
 )
 
 F = Fraction
@@ -228,18 +227,6 @@ class TestExponentialSeries:
         # for p = 2 the coefficient at order p+1 vanishes identically in t
         at_p = coefficients("g", 3, p=F(2))
         assert at_p[3].is_zero
-
-    def test_shift_rule_matches_direct_translation(self):
-        g = g_via_bernoulli(6)
-        s, t0 = F(1, 3), F(1, 4)
-        shifted = shift_compose(g, s, t0)
-        assert len(shifted) == len(g)
-        for n in range(7):
-            assert shifted[n] == g[n].eval_t(s + t0), n
-
-    def test_shift_by_a_free_t_from_zero_gives_the_series_back(self):
-        g = g_via_bernoulli(8)
-        assert shift_compose(g, 0, BiPoly.var_t()).coeffs == g.coeffs
 
     def test_composition_route_agrees_at_order_24(self):
         c, b = g_via_compositions(24), g_via_bernoulli(24)

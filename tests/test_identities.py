@@ -1,6 +1,7 @@
 """Tests for the theorem checks, the product identity, and the errata gate."""
 
 import itertools
+import random
 from collections import defaultdict
 from fractions import Fraction
 from math import factorial
@@ -149,18 +150,40 @@ class TestTheoremChecks:
                 assert all(j == 0 for _, j in report.witness.terms), check.__name__
 
     def test_binomial_rule_checks_report_the_first_failure(self):
-        # G_2 carries an extra p*t/7: the t^1 coefficient of G_2 is off by p/7,
-        # and the first shift trial (s = -7, t = 7/9) is off by -p*t/7 = -p/9
+        # G_2 carries an extra p*t/7: the t^1 coefficient of G_2, and so
+        # dG_2/dt against C(p-1, 1) G_1, is off by p/7
         bad = corrupted_series(8)
         assert json_canonical(check_coefficient_table(8, g=bad).to_json_dict()) == (
             '{"check":"coefficient-table","parameters":{"k":1,"n":2},"status":"fail",'
             '"witness":{"terms":[{"den":"7","num":"1","p":1,"t":0}],"var_order":["p","t"]}}'
         )
         assert json_canonical(check_shift_identity(8, g=bad).to_json_dict()) == (
-            '{"check":"shift-identity","parameters":{"n":2,"s":"-7","t":"7/9","trial":0},'
-            '"status":"fail","witness":{"terms":[{"den":"9","num":"-1","p":1,"t":0}],'
-            '"var_order":["p","t"]}}'
+            '{"check":"shift-identity","parameters":{"k":1,"n":2},"status":"fail",'
+            '"witness":{"terms":[{"den":"7","num":"1","p":1,"t":0}],"var_order":["p","t"]}}'
         )
+
+    def test_shift_check_sees_an_error_that_vanishes_at_sampled_points(self):
+        # G_10 given an extra p*delta(t), delta vanishing at each s and s+t of
+        # 20 rational draws (s, t): the shift rule still holds at every draw
+        rng = random.Random(20260815)
+        points = set()
+        for _ in range(20):
+            s = F(rng.randint(-9, 9), rng.randint(1, 9))
+            t = F(rng.randint(-9, 9), rng.randint(1, 9))
+            points |= {s, s + t}
+        assert len(points) == 37
+        delta = Poly.one()
+        for x in points:
+            delta = delta * Poly((-x, 1))
+        coeffs = list(g_via_bernoulli(10).coeffs)
+        coeffs[10] = coeffs[10] + BiPoly.var_p() * BiPoly.of(delta)
+        bad = Series(tuple(coeffs))
+        report = check_shift_identity(10, g=bad)
+        assert not report.ok
+        assert report.parameters == {"n": 10, "k": 1}
+        assert report.witness == BiPoly.var_p() * BiPoly.of(delta).derivative_t()
+        for check in (check_coefficient_table, check_derivative_relation):
+            assert not check(10, g=bad).ok, check.__name__
 
     def test_coefficient_table_sees_a_term_above_t_to_the_n(self):
         # G_2 given an extra p*t^3/7: a power the table never reached at t^k, k <= n
