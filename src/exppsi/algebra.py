@@ -12,21 +12,25 @@ Every operation in this module is exact. Two representations are used:
   exponents holds, so it is dense too: one row of ``t``-coefficients per
   power of ``p``.
 
-Both store integers over one common denominator: a Poly holds
-``(nums, den)``, the coefficient of ``var^k`` being ``nums[k] / den``, and a
-BiPoly holds ``(rows, den)``, the coefficient of ``p^i t^j`` being
-``rows[i][j] / den``. The stored form is canonical: ``den > 0``, the
-numerators and ``den`` share no factor, and no row or list of rows ends in
-a zero, so ``==`` compares the stored form. The zero polynomial is empty,
-over 1, and reports degree ``None`` rather than a sentinel integer.
+Both store rows of integers over one common denominator, and one private
+base class, ``_Rows``, holds that form and the ring arithmetic. A BiPoly
+has one row per power of p, the coefficient of ``p^i t^j`` being
+``rows[i][j] / den``; a Poly is the case of one row, ``nums``, the
+coefficient of ``var^k`` being ``nums[k] / den``. The stored form is
+canonical: ``den > 0``, the numerators and ``den`` share no factor, and no
+row or list of rows ends in a zero, so ``==`` compares the stored form. The
+zero polynomial has no rows, is over 1, and reports degree ``None`` rather
+than a sentinel integer.
 
-Each ring operation works on the integers and pays one gcd at the end, to
-bring its result to lowest terms: a sum rescales both operands to the lcm
-of their denominators once, a product convolves the integer rows over the
-product of the denominators, and a rational scalar multiplies the
-numerators and the denominator. A rational point ``a/b`` is substituted
-homogeneously, ``sum_e n_e a^e b^(top-e) / (den b^top)``, so an evaluation
-is one integer pass and one ``Fraction`` at the end.
+Each ring operation is written once, for any number of rows, and combines
+values of one kind only: a Poly and a BiPoly raise ``TypeError``. It works
+on the integers and pays one gcd at the end, to bring its result to lowest
+terms: a sum rescales both operands to the lcm of their denominators once,
+a product convolves every pair of integer rows over the product of the
+denominators, and a rational scalar multiplies the numerators and the
+denominator. A rational point ``a/b`` is substituted homogeneously,
+``sum_e n_e a^e b^(top-e) / (den b^top)``, so an evaluation is one integer
+pass and one ``Fraction`` at the end.
 
 ``Fraction`` stays the only number type users see: ``Poly.coeffs`` is a
 tuple of Fractions and ``BiPoly.terms`` a read-only map from exponent pairs
@@ -170,12 +174,12 @@ def _terms(value) -> Iterator[tuple[Fraction, tuple[tuple[str, int], ...]]]:
     sorted (p, t) exponents; zero terms are skipped, but a rational is
     always one term."""
     if isinstance(value, BiPoly):
-        for i, j, c in value.sorted_terms():
+        for (i, j), c in value.terms.items():
             yield c, tuple((name, e) for name, e in (("p", i), ("t", j)) if e)
     elif isinstance(value, Poly):
-        for k in range(len(value.nums) - 1, -1, -1):
-            if value.nums[k]:
-                yield value.coeffs[k], ((value.var, k),) if k else ()
+        for k, c in reversed(list(enumerate(value.coeffs))):
+            if c:
+                yield c, ((value.var, k),) if k else ()
     else:
         yield Fraction(value), ()
 
@@ -194,31 +198,111 @@ def _render(value, number=str, sep: str = "*", power: str = "{}^{}") -> str:
     )
 
 
-class Poly:
-    """Dense univariate polynomial in the variable ``var`` ("t" or "p"):
-    the integers ``nums`` by ascending power over the denominator ``den``.
-    ``Poly(coeffs, var)`` takes the coefficients as ints or Fractions."""
+class _Rows:
+    """Integer rows over one denominator, and the ring arithmetic that does
+    not depend on how many rows there are: ``rows[i][j] / den`` is the
+    coefficient of the ``j``-th power in row ``i``. ``_var`` names the kind
+    of value: a Poly's variable, or None for a BiPoly. Values of one kind
+    combine; a Poly and a BiPoly do not (``TypeError``), nor Polys in p and
+    in t (``ValueError``). ``_cache`` holds the Fractions built on first
+    use."""
 
-    __slots__ = ("nums", "den", "var", "_coeffs")
-
-    def __init__(self, coeffs: Iterable = (), var: str = "t") -> None:
-        nums, den = _over_one_den(coeffs)
-        self._set(nums, den, var)
-
-    def _set(self, nums: Sequence[int], den: int, var: str) -> None:
-        if var not in ("p", "t"):
-            raise ValueError(f"a polynomial is in p or in t, not {var!r}")
-        rows, self.den = _lowest([nums], den)
-        self.nums = rows[0] if rows else ()
-        self.var = var
-        self._coeffs = None
+    __slots__ = ("rows", "den", "_var", "_cache")
 
     @classmethod
-    def _make(cls, nums: Sequence[int], den: int, var: str) -> "Poly":
-        """The Poly ``nums / den`` in ``var``, brought to canonical form."""
-        out = cls.__new__(cls)
-        out._set(nums, den, var)
+    def _new(cls, rows: Iterable[Sequence[int]], den: int, var: str | None):
+        """``rows / den`` of kind ``var``, brought to canonical form."""
+        out = object.__new__(cls)
+        out.rows, out.den = _lowest(rows, den)
+        out._var, out._cache = var, None
         return out
+
+    def _mismatch(self, other: "_Rows"):
+        """NotImplemented against a value of another class, so the operator
+        raises ``TypeError``; ``ValueError`` for Polys in p and in t."""
+        if type(other) is not type(self):
+            return NotImplemented
+        raise ValueError(f"cannot combine a polynomial in {self._var} with one in {other._var}")
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.rows
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, _Rows) and other._var == self._var:
+            return self.den == other.den and self.rows == other.rows
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self._var, self.den, self.rows))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.to_text()})"
+
+    def __reduce__(self):
+        """Pickle and copy through ``_new``: ``BiPoly()`` needs its terms."""
+        return self._new, (self.rows, self.den, self._var)
+
+    def to_text(self) -> str:
+        return _render(self)
+
+    def _plus(self, other, sign: int):
+        if not isinstance(other, _Rows):
+            return NotImplemented
+        if other._var != self._var:
+            return self._mismatch(other)
+        den = lcm(self.den, other.den)
+        sx, sy = den // self.den, sign * (den // other.den)
+        rows = [
+            [x * sx + y * sy for x, y in zip_longest(xs, ys, fillvalue=0)]
+            for xs, ys in zip_longest(self.rows, other.rows, fillvalue=())
+        ]
+        return self._new(rows, den, self._var)
+
+    def __add__(self, other):
+        return self._plus(other, 1)
+
+    def __sub__(self, other):
+        return self._plus(other, -1)
+
+    def __neg__(self):
+        return self._new([[-n for n in row] for row in self.rows], self.den, self._var)
+
+    def __mul__(self, other):
+        if isinstance(other, _Rows):
+            if other._var != self._var:
+                return self._mismatch(other)
+            xr, yr = self.rows, other.rows
+            if not (xr and yr):
+                return self._new((), 1, self._var)
+            width = max(map(len, xr)) + max(map(len, yr)) - 1
+            out = [[0] * width for _ in range(len(xr) + len(yr) - 1)]
+            for i, xs in enumerate(xr):
+                for k, ys in enumerate(yr, i):
+                    _convolve_into(out[k], xs, ys)
+            return self._new(out, self.den * other.den, self._var)
+        if isinstance(other, (int, Fraction)):
+            num = other.numerator
+            rows = [[n * num for n in row] for row in self.rows]
+            return self._new(rows, self.den * other.denominator, self._var)
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+
+class Poly(_Rows):
+    """Dense univariate polynomial in the variable ``var`` ("t" or "p"):
+    one row, the integers ``nums`` by ascending power, over the denominator
+    ``den``. ``Poly(coeffs, var)`` takes the coefficients as ints or
+    Fractions."""
+
+    __slots__ = ()
+
+    def __new__(cls, coeffs: Iterable = (), var: str = "t") -> "Poly":
+        if var not in ("p", "t"):
+            raise ValueError(f"a polynomial is in p or in t, not {var!r}")
+        nums, den = _over_one_den(coeffs)
+        return cls._new([nums], den, var)
 
     @classmethod
     def zero(cls, var: str = "t") -> "Poly":
@@ -233,95 +317,45 @@ class Poly:
         return cls((Fraction(0), Fraction(1)), var)
 
     @property
+    def var(self) -> str:
+        return self._var
+
+    @property
+    def nums(self) -> tuple[int, ...]:
+        """The numerators by ascending power, over ``den``."""
+        return self.rows[0] if self.rows else ()
+
+    @property
     def coeffs(self) -> tuple[Fraction, ...]:
         """The coefficients by ascending power, as Fractions."""
-        if self._coeffs is None:
-            self._coeffs = tuple(Fraction(n, self.den) for n in self.nums)
-        return self._coeffs
+        if self._cache is None:
+            self._cache = tuple(Fraction(n, self.den) for n in self.nums)
+        return self._cache
 
     @property
     def degree(self) -> int | None:
-        return len(self.nums) - 1 if self.nums else None
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.nums
+        return len(self.rows[0]) - 1 if self.rows else None
 
     def __getitem__(self, k: int) -> Fraction:
         if 0 <= k < len(self.nums):
             return self.coeffs[k]
         return Fraction(0)
 
-    def __eq__(self, other) -> bool:
-        if isinstance(other, Poly):
-            return (self.var, self.den, self.nums) == (other.var, other.den, other.nums)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.var, self.den, self.nums))
-
-    def __repr__(self) -> str:
-        return f"Poly({self.to_text()})"
-
-    def _var_with(self, other: "Poly") -> str:
-        """The variable shared with ``other``; polynomials in p and t do not mix."""
-        if other.var != self.var:
-            raise ValueError(f"cannot combine a polynomial in {self.var} with one in {other.var}")
-        return self.var
-
-    def _plus(self, other: "Poly", sign: int) -> "Poly":
-        var = self._var_with(other)
-        den = lcm(self.den, other.den)
-        sx, sy = den // self.den, sign * (den // other.den)
-        nums = [x * sx + y * sy for x, y in zip_longest(self.nums, other.nums, fillvalue=0)]
-        return Poly._make(nums, den, var)
-
-    def __add__(self, other: "Poly") -> "Poly":
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return self._plus(other, 1)
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return self._plus(other, -1)
-
-    def __neg__(self) -> "Poly":
-        return Poly._make([-n for n in self.nums], self.den, self.var)
-
-    def __mul__(self, other):
-        if isinstance(other, Poly):
-            var = self._var_with(other)
-            if self.is_zero or other.is_zero:
-                return Poly.zero(var)
-            out = [0] * (len(self.nums) + len(other.nums) - 1)
-            _convolve_into(out, self.nums, other.nums)
-            return Poly._make(out, self.den * other.den, var)
-        if isinstance(other, (int, Fraction)):
-            num = other.numerator
-            return Poly._make([n * num for n in self.nums], self.den * other.denominator, self.var)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
     def eval(self, x) -> Fraction:
-        if not self.nums:
+        if not self.rows:
             return Fraction(0)
         weight, scale = _weights(x, len(self.nums) - 1)
         return Fraction(sum(map(mul, self.nums, weight)), self.den * scale)
 
-    def to_text(self) -> str:
-        return _render(self)
 
-
-class BiPoly:
+class BiPoly(_Rows):
     """Dense bivariate polynomial in (p, t): ``rows[i][j] / den`` is the
     coefficient of p^i t^j. ``BiPoly(mapping)`` takes a map from exponent
     pairs to ints or Fractions; ``terms`` gives the nonzero ones back."""
 
-    __slots__ = ("rows", "den", "_terms")
+    __slots__ = ()
 
-    def __init__(self, terms: Mapping[tuple[int, int], Fraction]) -> None:
+    def __new__(cls, terms: Mapping[tuple[int, int], Fraction]) -> "BiPoly":
         keys = [(index(i), index(j)) for i, j in terms]
         width: dict[int, int] = {}
         for i, j in keys:
@@ -332,18 +366,7 @@ class BiPoly:
         rows = [[0] * width.get(i, 0) for i in range(max(width, default=-1) + 1)]
         for (i, j), n in zip(keys, nums):
             rows[i][j] = n
-        self._set(rows, den)
-
-    def _set(self, rows: Iterable[Sequence[int]], den: int) -> None:
-        self.rows, self.den = _lowest(rows, den)
-        self._terms = None
-
-    @classmethod
-    def _make(cls, rows: Iterable[Sequence[int]], den: int) -> "BiPoly":
-        """The BiPoly ``rows / den``, brought to canonical form."""
-        out = cls.__new__(cls)
-        out._set(rows, den)
-        return out
+        return cls._new(rows, den, None)
 
     @classmethod
     def zero(cls) -> "BiPoly":
@@ -371,114 +394,53 @@ class BiPoly:
         if isinstance(value, BiPoly):
             return value
         if value.var == "p":
-            return cls._make([(n,) for n in value.nums], value.den)
-        return cls._make([value.nums], value.den)
+            return cls._new([(n,) for n in value.nums], value.den, None)
+        return cls._new(value.rows, value.den, None)
 
     @property
     def terms(self) -> Mapping[tuple[int, int], Fraction]:
         """The nonzero coefficients as a read-only map (p_pow, t_pow) -> Fraction,
         in sorted order."""
-        if self._terms is None:
+        if self._cache is None:
             den = self.den
-            self._terms = MappingProxyType({
+            self._cache = MappingProxyType({
                 (i, j): Fraction(n, den)
                 for i, row in enumerate(self.rows)
                 for j, n in enumerate(row)
                 if n
             })
-        return self._terms
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.rows
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, BiPoly):
-            return self.den == other.den and self.rows == other.rows
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return f"BiPoly({self.to_text()})"
-
-    def _plus(self, other: "BiPoly", sign: int) -> "BiPoly":
-        den = lcm(self.den, other.den)
-        sx, sy = den // self.den, sign * (den // other.den)
-        rows = [
-            [x * sx + y * sy for x, y in zip_longest(xs, ys, fillvalue=0)]
-            for xs, ys in zip_longest(self.rows, other.rows, fillvalue=())
-        ]
-        return BiPoly._make(rows, den)
-
-    def __add__(self, other: "BiPoly") -> "BiPoly":
-        if not isinstance(other, BiPoly):
-            return NotImplemented
-        return self._plus(other, 1)
-
-    def __sub__(self, other: "BiPoly") -> "BiPoly":
-        if not isinstance(other, BiPoly):
-            return NotImplemented
-        return self._plus(other, -1)
-
-    def __neg__(self) -> "BiPoly":
-        return BiPoly._make([[-n for n in row] for row in self.rows], self.den)
-
-    def __mul__(self, other):
-        if isinstance(other, BiPoly):
-            width = max(map(len, self.rows), default=0) + max(map(len, other.rows), default=0)
-            out = [[0] * width for _ in range(len(self.rows) + len(other.rows))]
-            for i, xs in enumerate(self.rows):
-                for acc, ys in zip(out[i:], other.rows):
-                    _convolve_into(acc, xs, ys)
-            return BiPoly._make(out, self.den * other.den)
-        if isinstance(other, (int, Fraction)):
-            num = other.numerator
-            return BiPoly._make([[n * num for n in row] for row in self.rows],
-                                self.den * other.denominator)
-        return NotImplemented
-
-    __rmul__ = __mul__
+        return self._cache
 
     def coeff(self, p_pow: int, t_pow: int) -> Fraction:
         return self.terms.get((p_pow, t_pow), Fraction(0))
 
     def coeff_of_t_power(self, j: int) -> Poly:
         """The coefficient of t^j, as a polynomial in p."""
-        return Poly._make([row[j] if j < len(row) else 0 for row in self.rows], self.den, "p")
+        return Poly._new([[row[j] if j < len(row) else 0 for row in self.rows]], self.den, "p")
 
     def eval_t(self, t0) -> Poly:
         """Substitute t := t0 exactly: a Poly in p."""
         weight, scale = _weights(t0, max(map(len, self.rows), default=1) - 1)
-        return Poly._make([sum(map(mul, row, weight)) for row in self.rows], self.den * scale, "p")
+        return Poly._new([[sum(map(mul, row, weight)) for row in self.rows]], self.den * scale, "p")
 
     def eval_p(self, p0) -> Poly:
         """Substitute p := p0 exactly: a Poly in t."""
         weight, scale = _weights(p0, max(len(self.rows) - 1, 0))
         row = [sum(map(mul, col, weight)) for col in zip_longest(*self.rows, fillvalue=0)]
-        return Poly._make(row, self.den * scale, "t")
+        return Poly._new([row], self.den * scale, "t")
 
     def eval(self, p0, t0) -> Fraction:
-        if not self.rows:
-            return Fraction(0)
-        t_weight, t_scale = _weights(t0, max(map(len, self.rows)) - 1)
-        p_weight, p_scale = _weights(p0, len(self.rows) - 1)
-        total = sum(map(mul, (sum(map(mul, row, t_weight)) for row in self.rows), p_weight))
-        return Fraction(total, self.den * t_scale * p_scale)
+        return self.eval_t(t0).eval(p0)
 
     def derivative_t(self) -> "BiPoly":
-        return BiPoly._make([[j * n for j, n in enumerate(row[1:], 1)] for row in self.rows],
-                            self.den)
-
-    def sorted_terms(self) -> list[tuple[int, int, Fraction]]:
-        return [(i, j, c) for (i, j), c in self.terms.items()]
+        rows = [[j * n for j, n in enumerate(row[1:], 1)] for row in self.rows]
+        return BiPoly._new(rows, self.den, None)
 
     def to_json_dict(self) -> dict:
         return {
             "var_order": ["p", "t"],
             "terms": [
                 {"p": i, "t": j, "num": str(c.numerator), "den": str(c.denominator)}
-                for i, j, c in self.sorted_terms()
+                for (i, j), c in self.terms.items()
             ],
         }
-
-    def to_text(self) -> str:
-        return _render(self)

@@ -21,6 +21,7 @@ from __future__ import annotations
 import threading
 from fractions import Fraction
 from math import comb
+from operator import index
 
 from .algebra import Poly
 
@@ -63,6 +64,7 @@ def _grow_numbers(k: int) -> None:
 
 def bernoulli_number(k: int) -> Fraction:
     """B_k with B_1 = -1/2."""
+    k = index(k)
     with _lock:
         _grow_numbers(k)
     return _numbers[k]
@@ -70,6 +72,7 @@ def bernoulli_number(k: int) -> Fraction:
 
 def bernoulli_poly(k: int) -> Poly:
     """B_k(t) as an exact univariate polynomial."""
+    k = index(k)
     with _lock:
         _grow_numbers(k)
         while len(_polys) <= k:

@@ -140,7 +140,7 @@ def _cmd_coeffs(args: argparse.Namespace, out) -> int:
         else:
             writer.writerow(["n", "p_pow", "t_pow", "num", "den"])
             for n, v in enumerate(values):
-                for i, j, coeff in BiPoly.of(v).sorted_terms():
+                for (i, j), coeff in BiPoly.of(v).terms.items():
                     writer.writerow([n, i, j, coeff.numerator, coeff.denominator])
     else:
         doc = {

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
-from operator import index
+from operator import index, itemgetter
 from typing import Iterator, Optional
 
 from .algebra import BiPoly, Poly, _render
@@ -198,7 +198,7 @@ def _binomials(g: Series) -> Iterator[tuple[int, int, Poly]]:
     binomial rule's right side is 0, so a term of G_n above t^n is reached."""
     for n, coeff in enumerate(g.coeffs):
         binom = Poly.one("p")
-        for k in range(1, max(n, max(map(len, coeff.rows), default=0) - 1) + 1):
+        for k in range(1, max(n, max(map(itemgetter(1), coeff.terms), default=0)) + 1):
             binom = binom * Poly((k - n, 1), "p") * Fraction(1, k)
             yield n, k, binom
 

@@ -1,6 +1,9 @@
 """Unit tests for the exact polynomial layer."""
 
+import copy
 import json
+import operator
+import pickle
 from decimal import Decimal
 from fractions import Fraction
 
@@ -86,6 +89,33 @@ class TestPoly:
                 combine()
         with pytest.raises(ValueError):
             Poly.variable("x")
+
+
+class TestKinds:
+    @pytest.mark.parametrize("poly", [Poly.variable(), Poly.variable("p"), Poly.zero()])
+    def test_poly_and_bipoly_do_not_mix(self, poly):
+        bi = BiPoly.var_p() + BiPoly.var_t()
+        for a, b in ((poly, bi), (bi, poly)):
+            for combine in (operator.add, operator.sub, operator.mul):
+                with pytest.raises(TypeError):
+                    combine(a, b)
+            assert not a == b and a != b
+        assert BiPoly.of(poly) != poly
+
+    def test_equal_polys_hash_equal(self):
+        a = Poly((F(1, 2), F(3)), "p")
+        b = Poly.variable("p") * 3 + Poly.one("p") * F(1, 2)
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b, Poly(a.coeffs)}) == 2
+
+    def test_equal_bipolys_hash_equal(self):
+        c = BiPoly.var_p() * BiPoly.var_t()
+        assert hash(c) == hash(BiPoly({(1, 1): 1}))
+
+    def test_pickle_and_copy_keep_the_value_and_its_kind(self):
+        for value in (Poly((F(1, 2), F(3)), "p"), Poly.zero(), BiPoly({(1, 2): F(-3, 4)})):
+            for again in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+                assert type(again) is type(value) and again == value
 
 
 class TestBiPoly:

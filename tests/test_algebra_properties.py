@@ -182,7 +182,7 @@ def test_bipoly_kernel_matches_fraction_reference(a, b, p0, t0):
 
 
 def assert_canonical(value: Poly | BiPoly) -> None:
-    rows = value.rows if isinstance(value, BiPoly) else ((value.nums,) if value.nums else ())
+    rows = value.rows
     assert type(value.den) is int and value.den > 0
     assert all(type(n) is int for row in rows for n in row)
     assert all(not row or row[-1] for row in rows), "a row ends in zero"

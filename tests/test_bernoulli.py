@@ -126,6 +126,18 @@ def test_negative_index_rejected(empty_cache):
         bernoulli_poly(-2)
 
 
+def test_float_index_rejected_before_the_cache_grows(empty_cache):
+    # with B_0..B_9 cached and only B_0(t) built, 5.0 used to build B_1(t)..B_5(t)
+    # before failing, and 2.0**40 to fail inside the tangent recurrence
+    bernoulli_number(8)
+    numbers, polys = len(bernoulli._numbers), len(bernoulli._polys)
+    for k in (2.0, 5.0, 2.0**40):
+        for fn in (bernoulli_number, bernoulli_poly):
+            with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+                fn(k)
+    assert (len(bernoulli._numbers), len(bernoulli._polys)) == (numbers, polys)
+
+
 def test_first_polynomials():
     t = Poly.variable()
     assert bernoulli_poly(0) == Poly.one()
