@@ -415,8 +415,8 @@ class BiPoly(_Rows):
         return self.terms.get((p_pow, t_pow), Fraction(0))
 
     def coeff_of_t_power(self, j: int) -> Poly:
-        """The coefficient of t^j, as a polynomial in p."""
-        return Poly._new([[row[j] if j < len(row) else 0 for row in self.rows]], self.den, "p")
+        """The coefficient of t^j, as a polynomial in p: zero for j < 0."""
+        return Poly._new([[row[j] if 0 <= j < len(row) else 0 for row in self.rows]], self.den, "p")
 
     def eval_t(self, t0) -> Poly:
         """Substitute t := t0 exactly: a Poly in p."""

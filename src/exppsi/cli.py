@@ -67,7 +67,7 @@ __all__ = ["main", "run"]
 MAX_PREC = 8192
 
 # Ceilings on ``verify --max-n``, and on ``approx --order`` and ``coeffs --n``:
-# on a 2-core x86-64 host ``verify --suite all --max-n 56`` took 20-21 s,
+# on a 2-core x86-64 host ``verify --suite all --max-n 56`` took 14-18 s,
 # ``approx exp-psi --n 40 --order 72 --p 2/3 --t 5/4 --sweep`` 58 s and
 # ``coeffs g --n 72 --format json`` 27 s (17 MB of output); each cost doubles
 # with about 8 more orders.

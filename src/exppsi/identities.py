@@ -1,12 +1,20 @@
 """Exact verification of the structural theorems and the reference tables.
 
 Each check recomputes the expansion coefficients with exact arithmetic and
-compares both sides of an identity as polynomials. The two binomial-rule
-checks read the binomials C(p-n+k, k) from one generator, ``_binomials``;
-the shift check compares Taylor coefficients in t, so it proves the shift
-rule for every s and t through the order checked. A failed comparison
+compares both sides of an identity as polynomials. A failed comparison
 produces a ``CheckReport`` carrying the nonzero residual as a witness; it
 never raises, so a run always yields a full report.
+
+The G_n are Appell in t, so three checks read R_n = dG_n/dt - (p+1-n) G_{n-1},
+G_{-1} = 0, from ``_residuals`` and build no binomial. Let T_k = d^k/dt^k / k!.
+If R_m = 0 for m < n, by induction the shift rule T_k G_m == C(p-m+k, k) G_{m-k}
+(0 past k = m) holds below n for every k, and at n-1 it gives
+T_k G_n - C(p-n+k, k) G_{n-k} = T_{k-1} R_n / k, also at t = 0, where it is
+the coefficient table. So row n holds exactly when R_n = 0, and both rules
+first fail at the first nonzero R_n: the shift rule at k = 1 with residual
+R_n, the table at k = j+1 with residual [t^j] R_n / (j+1), j the lowest
+power of t in R_n. By Taylor's theorem in t the shift rule is
+G_n(p, s+t) == sum_k C(p-n+k, k) G_{n-k}(p, s) t^k for every s and t.
 
 The bundled reference tables (``reference_tables.json``) hold the values a
 reader would look up, each with a status flag. Entries whose printed value
@@ -23,8 +31,9 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import count
 from math import factorial
-from operator import index, itemgetter
+from operator import index
 from typing import Iterator, Optional
 
 from .algebra import BiPoly, Poly, _render
@@ -146,7 +155,9 @@ def check_degree_collapse(p: int, n_max: int) -> CheckReport:
 
 
 def _through(n_max: int, g: Optional[Series]) -> Series:
-    """G_0..G_{n_max}: canonical if ``g`` is None, else cut from ``g``."""
+    """G_0..G_{n_max}, n_max an integer >= 0: canonical if ``g`` is None, else cut from ``g``."""
+    if index(n_max) < 0:
+        raise ValueError(f"the order checked must be >= 0, got {n_max}")
     if g is None:
         return g_via_bernoulli(n_max)
     if len(g) <= n_max:
@@ -191,56 +202,43 @@ def check_half_argument(n_max: int, g: Optional[Series] = None) -> CheckReport:
     return CheckReport.passed("half-argument", n_max=n_max)
 
 
-def _binomials(g: Series) -> Iterator[tuple[int, int, Poly]]:
-    """(n, k, C(p-n+k, k)) for each order n of ``g`` and k = 1..max(n, the
-    t-degree of G_n), the binomial a Poly in p. Each comes from the one
-    before it, C(p-n+k, k) = C(p-n+k-1, k-1) (p-n+k)/k. Past k = n the
-    binomial rule's right side is 0, so a term of G_n above t^n is reached."""
+def _residuals(g: Series) -> Iterator[tuple[int, BiPoly]]:
+    """(n, R_n) for each order n of ``g``, each one product by a linear factor."""
+    p, prev = BiPoly.var_p(), BiPoly.zero()
     for n, coeff in enumerate(g.coeffs):
-        binom = Poly.one("p")
-        for k in range(1, max(n, max(map(itemgetter(1), coeff.terms), default=0)) + 1):
-            binom = binom * Poly((k - n, 1), "p") * Fraction(1, k)
-            yield n, k, binom
+        yield n, coeff.derivative_t() - (p + BiPoly.constant(1 - n)) * prev
+        prev = coeff
 
 
 def check_shift_identity(n_max: int, g: Optional[Series] = None) -> CheckReport:
-    """d^k G_n/dt^k / k! == C(p-n+k, k) G_{n-k} for every k >= 1, with
-    G_{n-k} = 0 past k = n. By Taylor's theorem in t this is the shift rule
-    G_n(p, s+t) == sum_k C(p-n+k, k) G_{n-k}(p, s) t^k for every s and t.
-    It adds little to ``check_derivative_relation``: the G_n are Appell in
-    t, and the derivative rule iterated k times is this one."""
-    g = _through(n_max, g)
-    for n, k, binom in _binomials(g):
-        if k == 1:
-            taylor = g[n]
-        taylor = taylor.derivative_t() * Fraction(1, k)
-        rhs = BiPoly.of(binom) * g[n - k] if k <= n else BiPoly.zero()
-        if taylor != rhs:
-            return CheckReport.failed("shift-identity", taylor - rhs, n=n, k=k)
+    """T_k G_n == C(p-n+k, k) G_{n-k} for every k >= 1: the shift rule for
+    every s and t. By the induction in the module docstring the first
+    failure is (n, k=1) at the first nonzero R_n, with witness R_n."""
+    for n, residual in _residuals(_through(n_max, g)):
+        if not residual.is_zero:
+            return CheckReport.failed("shift-identity", residual, n=n, k=1)
     return CheckReport.passed("shift-identity", n_max=n_max)
 
 
 def check_derivative_relation(n_max: int, g: Optional[Series] = None) -> CheckReport:
-    """dG_n/dt == (p + 1 - n) G_{n-1} exactly."""
-    g = _through(n_max, g)
-    p = BiPoly.var_p()
-    for n in range(1, n_max + 1):
-        residual = g[n].derivative_t() - (p + BiPoly.constant(1 - n)) * g[n - 1]
-        if not residual.is_zero:
+    """dG_n/dt == (p + 1 - n) G_{n-1}, that is R_n == 0, for n >= 1; with
+    the induction in the module docstring it gives the shift rule."""
+    for n, residual in _residuals(_through(n_max, g)):
+        if n and not residual.is_zero:
             return CheckReport.failed("derivative-relation", residual, n=n)
     return CheckReport.passed("derivative-relation", n_max=n_max)
 
 
 def check_coefficient_table(n_max: int, g: Optional[Series] = None) -> CheckReport:
-    """Coefficient of t^k in G_n equals C(p-n+k, k) G_{n-k}(p, 0): the shift
-    rule at s = 0, compared as polynomials in p. Every power of t in G_n is
-    compared, so a term above t^n fails too."""
-    g = _through(n_max, g)
-    for n, k, binom in _binomials(g):
-        lhs = g[n].coeff_of_t_power(k)
-        rhs = binom * g[n - k].coeff_of_t_power(0) if k <= n else Poly.zero("p")
-        if lhs != rhs:
-            return CheckReport.failed("coefficient-table", lhs - rhs, n=n, k=k)
+    """[t^k] G_n == C(p-n+k, k) G_{n-k}(p, 0) in p for every k >= 1, so a
+    term above t^n fails. By the induction in the module docstring the first
+    failure is (n, k=j+1) at the first nonzero R_n, j its lowest power of t,
+    with witness [t^j] R_n / (j+1)."""
+    for n, residual in _residuals(_through(n_max, g)):
+        if not residual.is_zero:
+            j = next(j for j in count() if not residual.coeff_of_t_power(j).is_zero)
+            witness = residual.coeff_of_t_power(j) * Fraction(1, j + 1)
+            return CheckReport.failed("coefficient-table", witness, n=n, k=j + 1)
     return CheckReport.passed("coefficient-table", n_max=n_max)
 
 

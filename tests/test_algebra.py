@@ -159,6 +159,14 @@ class TestBiPoly:
         assert BiPoly.of(b) is b
         assert b.coeff_of_t_power(1) == Poly.variable("p")
 
+    def test_coefficient_of_a_power_of_t_outside_the_rows_is_zero(self):
+        p, t = BiPoly.var_p(), BiPoly.var_t()
+        b = BiPoly.one() + t * t * 3 + p * t * 5
+        assert b.coeff_of_t_power(1) == Poly((F(0), F(5)), "p")
+        assert b.coeff_of_t_power(2) == Poly((F(3),), "p")
+        for j in (-1, -2, -3, 3):
+            assert b.coeff_of_t_power(j) == Poly.zero("p"), j
+
     def test_derivative_in_shift_direction(self):
         t = BiPoly.var_t()
         b = t * t * t

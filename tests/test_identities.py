@@ -39,6 +39,36 @@ def corrupted_series(n_max: int) -> Series:
     return Series(tuple(coeffs))
 
 
+def binomial_rule_reports(n_max: int, g: Series) -> list[CheckReport]:
+    """The shift, derivative and coefficient-table reports read off the
+    rules themselves, as a reference for the checks: C(p-n+k, k) is built
+    for k = 1..max(n, t-degree of G_n), each from the last, and compared
+    against d^k G_n/dt^k / k! and [t^k] G_n, 0 past k = n."""
+    g = Series(g.coeffs[: n_max + 1])
+    shift = derivative = table = None
+    for n, coeff in enumerate(g.coeffs):
+        if n and derivative is None:
+            residual = coeff.derivative_t() - (BiPoly.var_p() + BiPoly.constant(1 - n)) * g[n - 1]
+            if not residual.is_zero:
+                derivative = CheckReport.failed("derivative-relation", residual, n=n)
+        binom, taylor = Poly.one("p"), coeff
+        for k in range(1, max(n, max((j for _, j in coeff.terms), default=0)) + 1):
+            binom = binom * Poly((k - n, 1), "p") * F(1, k)
+            taylor = taylor.derivative_t() * F(1, k)
+            rhs = BiPoly.of(binom) * g[n - k] if k <= n else BiPoly.zero()
+            if shift is None and taylor != rhs:
+                shift = CheckReport.failed("shift-identity", taylor - rhs, n=n, k=k)
+            lhs = coeff.coeff_of_t_power(k)
+            rhs = binom * g[n - k].coeff_of_t_power(0) if k <= n else Poly.zero("p")
+            if table is None and lhs != rhs:
+                table = CheckReport.failed("coefficient-table", lhs - rhs, n=n, k=k)
+    return [
+        shift or CheckReport.passed("shift-identity", n_max=n_max),
+        derivative or CheckReport.passed("derivative-relation", n_max=n_max),
+        table or CheckReport.passed("coefficient-table", n_max=n_max),
+    ]
+
+
 def ordered_compositions(m: int) -> list[tuple[int, ...]]:
     """Every ordered composition of m: each subset of the m-1 gaps between
     m unit parts is a set of cut points."""
@@ -113,6 +143,10 @@ class TestTheoremChecks:
             check(6, g=g_via_bernoulli(4))
         with pytest.raises(ValueError):
             check(0, g=Series(()))
+        # a negative order is refused with a series given, as without one
+        for g in (None, g_via_bernoulli(4)):
+            with pytest.raises(ValueError, match="must be >= 0"):
+                check(-3, g=g)
         # a longer series is cut at n_max: the corrupted G_2 lies past it
         report = check(1, g=corrupted_series(6))
         assert report.ok and report.parameters["n_max"] == 1
@@ -196,6 +230,35 @@ class TestTheoremChecks:
         )
         for check in (check_reflection, check_derivative_relation, check_shift_identity):
             assert check(8, g=bad).status == "fail", check.__name__
+
+    def test_binomial_rule_checks_match_the_rules_read_directly(self):
+        # seeded perturbations: of G_0, above t^n, in p alone, several at once
+        rng = random.Random(20261019)
+        canonical = g_via_bernoulli(9).coeffs
+        seen = defaultdict(set)
+        for trial in range(160):
+            coeffs = list(canonical)
+            for _ in range(rng.choice((1, 1, 2, 3))):
+                m = 0 if trial % 8 == 0 else rng.randint(0, 9)
+                j = m + rng.randint(1, 3) if trial % 8 == 1 else rng.randint(0, m + 1)
+                term = {(rng.randint(0, 3), j): F(rng.choice((-3, -1, 1, 2)), rng.randint(1, 9))}
+                coeffs[m] = coeffs[m] + BiPoly(term)
+            g = Series(tuple(coeffs))
+            n_max = 0 if trial % 8 == 2 else rng.randint(0, 9)
+            checks = (check_shift_identity, check_derivative_relation, check_coefficient_table)
+            for check, expected in zip(checks, binomial_rule_reports(n_max, g)):
+                got = check(n_max, g=g)
+                assert json_canonical(got.to_json_dict()) == json_canonical(
+                    expected.to_json_dict()
+                ), (trial, check.__name__)
+                seen[check.__name__].add(tuple(sorted(got.parameters.items())))
+        # the draws reach failures at G_0, at k past 1 and past n, and passes
+        # at n_max = 0
+        table = [dict(params) for params in seen["check_coefficient_table"]]
+        assert {1, 2, 3, 4} <= {params.get("k") for params in table}
+        assert any(params["k"] > params["n"] for params in table if "k" in params)
+        assert (("k", 1), ("n", 0)) in seen["check_shift_identity"]
+        assert (("n_max", 0),) in seen["check_coefficient_table"]
 
 
 class TestProductIdentity:
