@@ -167,6 +167,15 @@ def _weights(x, top: int) -> tuple[list[int], int]:
     return weight, b_pow
 
 
+def _values_at(polys: Sequence["Poly"], x) -> list[Fraction]:
+    """Each of ``polys`` at the rational x, from one table of ``_weights``:
+    for a Poly of degree d below the highest degree D, the weights
+    a^e b^(D-e) are b^(D-d) a^e b^(d-e), so its numerators dotted with them
+    give its value times den b^D all the same."""
+    weight, scale = _weights(x, max([0, *(len(q.nums) - 1 for q in polys)]))
+    return [Fraction(sum(map(mul, q.nums, weight)), q.den * scale) for q in polys]
+
+
 def _terms(value) -> Iterator[tuple[Fraction, tuple[tuple[str, int], ...]]]:
     """The terms of a rational, a Poly or a BiPoly in (p, t), in print
     order, as (coefficient, ((variable, power), ...)) with zero powers left
@@ -342,10 +351,7 @@ class Poly(_Rows):
         return Fraction(0)
 
     def eval(self, x) -> Fraction:
-        if not self.rows:
-            return Fraction(0)
-        weight, scale = _weights(x, len(self.nums) - 1)
-        return Fraction(sum(map(mul, self.nums, weight)), self.den * scale)
+        return _values_at((self,), x)[0]
 
 
 class BiPoly(_Rows):

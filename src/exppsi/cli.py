@@ -74,10 +74,10 @@ MAX_PREC = 8192
 MAX_VERIFY_N = 56
 MAX_ORDER = 72
 
-# Ceiling on ``approx --n``. A sweep evaluates n, 2n, 4n and 8n, and the exact
-# harmonic number H_8n behind ``gamma`` and ``harmonic`` grows with it: on the
-# same host ``approx gamma --n 100000 --sweep`` took 37-39 s, --n 110000 48 s
-# and --n 50000 12-13 s; the cost grows about 3.1-fold when n doubles.
+# Ceiling on ``approx --n``. A sweep evaluates n, 2n, 4n and 8n. Their harmonic
+# numbers are read off a certified digamma enclosure, not summed, and on the
+# same host ``approx gamma --n 100000 --sweep`` took 0.2 s; the ceiling was
+# set when it summed the exact H_800000 in 37-39 s, and awaits re-timing.
 MAX_APPROX_N = 100000
 
 

@@ -63,7 +63,7 @@ from fractions import Fraction
 from math import factorial, lcm
 from typing import Callable, Sequence
 
-from .algebra import BiPoly, Poly, _rational
+from .algebra import BiPoly, Poly, _rational, _values_at
 from .bernoulli import bernoulli_poly
 
 __all__ = [
@@ -126,14 +126,18 @@ def _log_series(a: list, beta: Sequence, c) -> list:
     return a
 
 
-def _grown(prefix: list, n_max: int, beta: Callable[[int], object], c) -> Series:
+def _grown(prefix: list, n_max: int, beta: Callable[[int], Sequence], c) -> Series:
     """The first n_max+1 terms of the series begun in ``prefix``, extending
-    it in place if short."""
+    it in place if short; ``beta(n_max)`` gives beta_0..beta_(n_max)."""
     if n_max < 0:
         raise ValueError("series order must be >= 0")
     if len(prefix) <= n_max:
-        _log_series(prefix, [beta(k) for k in range(n_max + 1)], c)
+        _log_series(prefix, beta(n_max), c)
     return Series(tuple(prefix[: n_max + 1]))
+
+
+def _bernoulli_polys(n_max: int) -> list[Poly]:
+    return [bernoulli_poly(k) for k in range(n_max + 1)]
 
 
 def _power(a: Sequence[BiPoly]) -> list[BiPoly]:
@@ -158,7 +162,7 @@ def g_via_power_transform(n_max: int) -> Series:
 def g_via_bernoulli(n_max: int) -> Series:
     """Canonical route: the Bernoulli-polynomial recurrence with p symbolic."""
     with _lock:
-        return _grown(_g, n_max, lambda k: BiPoly.of(bernoulli_poly(k)), BiPoly.var_p())
+        return _grown(_g, n_max, lambda n: [*map(BiPoly.of, _bernoulli_polys(n))], BiPoly.var_p())
 
 
 def _composition_table(n_max: int) -> list[dict[int, Poly]]:
@@ -214,10 +218,13 @@ def coefficients(kind: str, n_max: int, p=None, t=None) -> Series:
     if p is None and t is None:
         return g_via_bernoulli(n_max)
     if t is None:
-        return _grown([Poly.one()], n_max, bernoulli_poly, p)
+        return _grown([Poly.one()], n_max, _bernoulli_polys, p)
+
+    def at_t(n: int) -> list[Fraction]:
+        # every B_k(t) from one table of powers of t
+        return _values_at(_bernoulli_polys(n), t)
+
     if p is None:
-        return _grown(
-            [Poly.one("p")], n_max, lambda k: bernoulli_poly(k).eval(t), Poly.variable("p")
-        )
-    return _grown([Fraction(1)], n_max, lambda k: bernoulli_poly(k).eval(t), p)
+        return _grown([Poly.one("p")], n_max, at_t, Poly.variable("p"))
+    return _grown([Fraction(1)], n_max, at_t, p)
 

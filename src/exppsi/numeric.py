@@ -18,8 +18,29 @@ also gives the harmonic numbers). The library digamma is deliberately not
 used here so the tests can treat it as an independent cross-check.
 
 ``approx_gamma`` and ``approx_harmonic`` share one body,
-``_harmonic_samples``, which takes a list of n: a sweep over n, 2n, 4n, 8n
-carries H_n from each sample to the next instead of summing it anew.
+``_harmonic_samples``, which takes a list of n. A sample needs H_n only
+rounded once to the working precision wp, and ``_harmonic_rounded`` reads
+that value off H_n = psi(n+1) + gamma instead of summing n reciprocals:
+
+* For real z > 0, the digamma series log z - 1/(2z) - sum_j B_2j/(2j z^2j)
+  cut before j = J leaves a remainder bounded by the first neglected term
+  and of its sign (DLMF 5.11(ii)). So at z = n + 1, H_n lies between the
+  cut sum plus gamma and that less the first neglected term.
+* ``mpmath.iv`` rounds every operation outward, and its log and Euler's
+  constant are enclosures, so the interval it computes holds H_n.
+* Rounding to nearest is monotone: when both ends of the interval round to
+  the same wp-bit mpf, so does every point between them, H_n among them.
+  That mpf is H_n correctly rounded, bit for bit the exact sum rounded
+  once.
+* When the ends round apart, the interval is taken again with twice the
+  extra bits. More bits always settle it in the end, because H_n is never
+  a rounding midpoint: for n >= 3, Bertrand's postulate gives a prime p
+  with n/2 < p <= n, 1/p is the only term whose denominator p divides, so
+  the odd prime p divides the denominator of H_n and H_n is not dyadic
+  (H_1 and H_2 have two bits). When the series cannot reach the target
+  with the Bernoulli numbers ``euler_gamma(wp)`` builds, which is so at
+  the first attempt for small n or a high wp, the exact sum gives H_n
+  instead, carried from each sample of a sweep to the next.
 
 The expansion of exp(p*psi(x+t)) is evaluated from its point series, the
 rationals G_n(p, t) of ``expansions.coefficients``; no polynomial in p or t
@@ -158,10 +179,18 @@ def _round_to(value: mpmath.mpf, prec: int) -> mpmath.mpf:
         return +value
 
 
+def _psi_terms(prec: int) -> int:
+    """How many tail terms B_2j/(2j z^2j) ``psi_ref`` sums at ``prec`` bits."""
+    return 2 * ((prec + 15) // 16)
+
+
 @lru_cache(maxsize=8)
 def _tail_coefficients(terms: int, wp: int) -> tuple[mpmath.mpf, ...]:
     """B_2j/(2j) for j = 1..terms, each rounded once to ``wp`` bits. The
     cache holds a few working precisions, as ``euler_gamma``'s does."""
+    # the highest index first: the tangent table is then built once, to
+    # this length, not regrown by doubling on the way up
+    bernoulli_number(2 * terms)
     bs = [(2 * j, bernoulli_number(2 * j)) for j in range(1, terms + 1)]
     return tuple(_round_ratio(b.numerator, k * b.denominator, wp) for k, b in bs)
 
@@ -180,10 +209,9 @@ def psi_ref(x: RationalLike, prec: int = 256) -> mpmath.mpf:
             m = threshold - math.floor(x)
         z = to_mpf(x + m, wp)
         # log z - 1/(2z) - sum_j B_{2j} / (2j z^(2j)), Horner in 1/z^2
-        terms = 2 * ((prec + 15) // 16)
         w = 1 / (z * z)
         acc = mpmath.mpf(0)
-        for c in reversed(_tail_coefficients(terms, wp)):
+        for c in reversed(_tail_coefficients(_psi_terms(prec), wp)):
             acc = (acc + c) * w
         value = mpmath.log(z) - 1 / (2 * z) - acc
         # undo the recurrence shift psi(x+m) = psi(x) + sum_{k<m} 1/(x+k)
@@ -199,6 +227,67 @@ def euler_gamma(prec: int = 256) -> mpmath.mpf:
     value = psi_ref(1, prec + GUARD)
     with mpmath.mp.workprec(prec):
         return -value
+
+
+def _tail_length(z: int, bits: int, terms: int) -> int | None:
+    """The least J <= terms whose term |B_2J|/(2J z^2J), which bounds the
+    digamma remainder after J - 1 terms, is at most 2^-bits by a float
+    estimate of its logarithm; None when no J <= terms is.
+
+    By Euler's formula |B_2j| >= 2 (2j)!/(2 pi)^2j and Stirling's lower
+    bound for (2j)!, every such term is at least 2 sqrt(pi/terms)
+    e^(-2 pi z), the value at 2j = 2 pi z; when that is above 2^-bits, no
+    Bernoulli number is read."""
+    if 1 + math.log2(math.pi / terms) / 2 - 2 * math.pi * z * math.log2(math.e) > -bits:
+        return None
+    log_z = math.log2(z)
+    for j in range(1, terms + 1):
+        b = bernoulli_number(2 * j)
+        if math.log2(abs(b.numerator)) - math.log2(2 * j * b.denominator) <= 2 * j * log_z - bits:
+            return j
+    return None
+
+
+def _harmonic_enclosure(n: int, terms: int, prec: int):
+    """An ``mpmath.iv`` interval at ``prec`` bits that holds H_n = psi(z) +
+    gamma, z = n + 1: log z - 1/(2z) - sum_{j<terms} B_2j/(2j z^2j) - R +
+    gamma, with R between 0 and the first neglected term, j = terms."""
+    iv = mpmath.iv
+    saved, iv.prec = iv.prec, prec
+    try:
+        z = iv.mpf(n + 1)
+        w = 1 / (z * z)
+        acc = iv.mpf(0)
+        for j in range(terms, 0, -1):
+            b = bernoulli_number(2 * j)
+            c = iv.mpf(b.numerator) / (2 * j * b.denominator)
+            if j == terms:
+                c *= iv.mpf([0, 1])
+            acc = (acc + c) * w
+        return iv.log(z) - 1 / (2 * z) - acc + iv.euler
+    finally:
+        iv.prec = saved
+
+
+def _harmonic_rounded(n: int, wp: int) -> mpmath.mpf | None:
+    """H_n rounded to nearest at ``wp`` bits, certified from an interval
+    enclosure of psi(n+1) + gamma, or None when the digamma series cannot
+    reach the target with the Bernoulli numbers that ``euler_gamma(wp)``
+    builds, and the exact sum must give it.
+
+    The enclosure is taken at ``wp + extra`` bits with enough terms for a
+    remainder of at most 2^-(wp+extra). When its two ends round alike, that
+    is H_n rounded; otherwise ``extra``, from 32, is doubled."""
+    libmp = mpmath.libmp
+    terms = _psi_terms(wp + GUARD)
+    extra = 32
+    while (j := _tail_length(n + 1, wp + extra, terms)) is not None:
+        ends = _harmonic_enclosure(n, j, wp + extra)._mpi_
+        low, high = (libmp.mpf_pos(end, wp, libmp.round_nearest) for end in ends)
+        if low == high:
+            return mpmath.mp.make_mpf(low)
+        extra *= 2
+    return None
 
 
 def eval_expansion(g: Series, p: RationalLike, x: RationalLike, prec: int = 256) -> mpmath.mpf:
@@ -253,27 +342,32 @@ def _harmonic_samples(
     target: str, ns: Sequence[int], order: int, t: RationalLike, prec: int
 ) -> list[ApproxResult]:
     """``approx_gamma`` (target "gamma") or ``approx_harmonic`` ("harmonic")
-    at each n of the nondecreasing ``ns``. H_n is one unreduced sum P/Q,
-    carried from each sample to the next and extended by the reciprocals
-    in between: P, Q = P q + p Q, Q q for the block p/q."""
+    at each n of the nondecreasing ``ns``. H_n comes rounded from
+    ``_harmonic_rounded``; where that gives None, it is one unreduced sum
+    P/Q, carried from each such sample to the next and extended by the
+    reciprocals in between: P, Q = P q + p Q, Q q for the block p/q."""
     t = _rational(t)
     for n in ns:
         _check_sample(n, order, prec, t, n + 1 - t, "n + 1 - t")
     g = _exp_series(order, 1, t)
     wp = prec + GUARD
+    # also builds the Bernoulli numbers that _harmonic_rounded reads
+    gamma = euler_gamma(wp)
     out = []
     h_num, h_den, done = 0, 1, 0
     for n in ns:
-        p, q = _reciprocal_sum(Fraction(done + 1), n - done)
-        h_num, h_den, done = h_num * q + p * h_den, h_den * q, n
+        h = _harmonic_rounded(n, wp)
+        if h is None:
+            p, q = _reciprocal_sum(Fraction(done + 1), n - done)
+            h_num, h_den, done = h_num * q + p * h_den, h_den * q, n
+            h = _round_ratio(h_num, h_den, wp)
         with mpmath.mp.workprec(wp):
             e = eval_expansion(g, 1, n + 1 - t, wp)
-            h = _round_ratio(h_num, h_den, wp)
             if target == "gamma":
                 value = h - mpmath.log(e)
-                err = abs(value - euler_gamma(wp))
+                err = abs(value - gamma)
             else:
-                value = euler_gamma(wp) + mpmath.log(e)
+                value = gamma + mpmath.log(e)
                 err = abs(value - h)
         out.append(ApproxResult(n, order, _round_to(value, prec), _round_to(err, prec)))
     return out

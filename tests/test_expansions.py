@@ -17,8 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exppsi import expansions
-from exppsi.algebra import BiPoly, Poly
+from exppsi import algebra, expansions
+from exppsi.algebra import BiPoly, Poly, _values_at
 from exppsi.bernoulli import bernoulli_poly
 from exppsi.cli import main
 from exppsi.expansions import (
@@ -350,6 +350,28 @@ class TestCoefficients:
         # composition route shares no code with it
         expected = tuple(c.eval(p, t) for c in composition_route()[: n_max + 1])
         assert coefficients("g", n_max, p, t).coeffs == expected
+
+    @pytest.mark.parametrize("t", [F(3), F(-2), F(5, 4), F(-7, 3)])
+    def test_bernoulli_values_from_one_power_table(self, t, monkeypatch):
+        # the values read off one table of powers of t, against each B_k(t)
+        # summed by plain Fraction arithmetic
+        values = _values_at([bernoulli_poly(k) for k in range(41)], t)
+        for k, value in enumerate(values):
+            naive = sum((c * t**i for i, c in enumerate(bernoulli_poly(k).coeffs)), F(0))
+            assert value == naive == bernoulli_poly(k).eval(t), (k, t)
+        # and a series at fixed t builds that table once
+        tables = []
+        weights = algebra._weights
+
+        def spy(x, top):
+            tables.append(top)
+            return weights(x, top)
+
+        monkeypatch.setattr(algebra, "_weights", spy)
+        for p in (F(2, 3), None):
+            coefficients("g", 40, p, t)
+            assert tables == [40], p
+            tables.clear()
 
     def test_log_series_takes_no_power(self):
         for p in (F(1), F(-2, 3)):

@@ -6,6 +6,8 @@ plays no role in the implementation itself.
 
 import random
 from fractions import Fraction
+from functools import lru_cache
+from itertools import product
 
 import mpmath
 import pytest
@@ -14,8 +16,9 @@ from hypothesis import strategies as st
 from mpmath import mp, mpf
 from mpmath.libmp import from_rational, round_nearest
 
-from exppsi import expansions, numeric
-from exppsi.algebra import BiPoly
+from exppsi import bernoulli, expansions, numeric
+from exppsi.algebra import BiPoly, Poly
+from exppsi.cli import MAX_APPROX_N
 from exppsi.expansions import coefficients, g_via_compositions
 from exppsi.numeric import (
     approx_exp_psi,
@@ -159,6 +162,27 @@ class TestPsiRef:
                 theirs = mpmath.digamma(mpmath.mpf(x.numerator) / x.denominator)
                 assert abs(mine - theirs) < TIGHT, x
 
+    @pytest.mark.parametrize(
+        "x, prec",
+        [*product((F(1), F(1, 3), F(7, 2), F(41), F(2501)), (64, 256, 1024)), (F(2501), 8192)],
+    )
+    def test_within_an_ulp_of_the_library_digamma(self, x, prec):
+        mine = psi_ref(x, prec)
+        with mp.workprec(prec + 64):
+            theirs = mpmath.digamma(mpf(x.numerator) / x.denominator)
+            ulp = mpmath.ldexp(1, mpmath.frexp(mine)[1] - prec)
+            assert abs(mine - theirs) <= ulp, (x, prec)
+
+    def test_the_tail_is_built_once(self, monkeypatch):
+        # asked for its highest index first, the tangent table is built to
+        # the length the tail needs, not regrown by doubling past it
+        monkeypatch.setattr(bernoulli, "_numbers", [F(1)])
+        monkeypatch.setattr(bernoulli, "_polys", [Poly.one()])
+        numeric._tail_coefficients.cache_clear()
+        psi_ref(1, 1632)
+        terms = numeric._psi_terms(1632)
+        assert 2 * terms < len(bernoulli._numbers) <= 2 * terms + 2 == 410
+
     def test_precision_scales(self):
         with mp.workprec(600):
             low = psi_ref(F(7, 3), 256)
@@ -166,6 +190,122 @@ class TestPsiRef:
             assert abs(low - high) < mpf(2) ** -250
             theirs = mpmath.digamma(mpmath.mpf(7) / 3)
             assert abs(high - theirs) < mpf(2) ** -500
+
+
+@lru_cache(maxsize=None)
+def exact_harmonic(n: int) -> tuple[int, int]:
+    return numeric._reciprocal_sum(F(1), n)
+
+
+class TestCertifiedHarmonic:
+    """``_harmonic_rounded`` gives H_n rounded once to nearest, bit for bit
+    what the exact sum gives, from an interval enclosure of psi(n+1) + gamma."""
+
+    @pytest.mark.parametrize("wp", [112, 304])
+    def test_tail_length_is_the_least_term_under_the_target(self, wp):
+        # the float estimate and its Stirling pre-filter against the
+        # remainder bound |B_2J|/(2J z^2J) <= 2^-bits in exact rationals
+        bits, terms = wp + 32, numeric._psi_terms(wp + numeric.GUARD)
+        euler_gamma(wp)
+        coeffs = [abs(bernoulli.bernoulli_number(2 * j)) / (2 * j) for j in range(1, terms + 1)]
+        for z in range(2, 400):
+            under = (j for j, c in enumerate(coeffs, 1) if c / z ** (2 * j) <= F(1, 2**bits))
+            want = next(under, None)
+            assert numeric._tail_length(z, bits, terms) == want, z
+
+    @pytest.mark.parametrize("wp", [112, 304, 1680])
+    def test_equals_the_exact_sum_rounded(self, wp):
+        euler_gamma(wp)
+        terms = numeric._psi_terms(wp + numeric.GUARD)
+        admitted = [n for n in range(1, 1000) if numeric._tail_length(n + 1, wp + 32, terms)]
+        assert len(admitted) >= 50
+        for n in (*admitted[:50], 10**3, 12345, 10**5):
+            got = numeric._harmonic_rounded(n, wp)
+            assert got is not None, (n, wp)
+            assert got._mpf_ == numeric._round_ratio(*exact_harmonic(n), wp)._mpf_, (n, wp)
+        assert numeric._harmonic_rounded(admitted[0] - 1, wp) is None
+
+    def test_eight_hundred_thousand_against_a_fixed_point_sum(self):
+        # the exact sum takes tens of seconds at this n; the sum s of
+        # floor(2^b/k) lies within n below 2^b H_n, so H_n is in
+        # [s, s + n]/2^b, and where both ends round alike that is H_n rounded
+        n = 800_000
+        b = 1680 + 64 + n.bit_length()
+        s = sum((1 << b) // k for k in range(1, n + 1))
+        for wp in (112, 304, 1680):
+            want = numeric._round_ratio(s, 1 << b, wp)
+            assert numeric._round_ratio(s + n, 1 << b, wp)._mpf_ == want._mpf_
+            assert numeric._harmonic_rounded(n, wp)._mpf_ == want._mpf_, wp
+
+    def test_a_near_tie_is_retried_with_more_bits(self, monkeypatch):
+        n, wp = 12345, 304
+        want = numeric._round_ratio(*exact_harmonic(n), wp)
+        # halfway between want and the next wp-bit mpf up
+        half = mpmath.ldexp(1, mpmath.frexp(want)[1] - wp - 1)
+        enclosure = numeric._harmonic_enclosure
+        attempts = []
+
+        def first_straddles(n, terms, prec):
+            attempts.append(prec)
+            if len(attempts) > 1:
+                return enclosure(n, terms, prec)
+            # mpf ends are taken exactly: just below and above the midpoint
+            with mp.workprec(wp + 64):
+                return mpmath.iv.mpf([want + half - half / 2**32, want + half + half / 2**32])
+
+        monkeypatch.setattr(numeric, "_harmonic_enclosure", first_straddles)
+        assert numeric._harmonic_rounded(n, wp)._mpf_ == want._mpf_
+        assert attempts == [wp + 32, wp + 64]
+
+    def test_past_the_reach_of_the_series_the_exact_sum_gives_the_value(self, monkeypatch):
+        n, prec = 12345, 256
+        before = approx_harmonic(n, 4, prec=prec)
+        attempts, sums = [], []
+
+        def never_settles(n, terms, prec):
+            attempts.append(prec)
+            return mpmath.iv.mpf([-1, 1])
+
+        reciprocal_sum = numeric._reciprocal_sum
+
+        def spy(x, m):
+            sums.append(m)
+            return reciprocal_sum(x, m)
+
+        monkeypatch.setattr(numeric, "_harmonic_enclosure", never_settles)
+        monkeypatch.setattr(numeric, "_reciprocal_sum", spy)
+        assert approx_harmonic(n, 4, prec=prec) == before
+        wp = prec + numeric.GUARD
+        # the extra bits double until the series cannot reach 2^-(wp+extra)
+        assert attempts == [wp + 32 * 2**k for k in range(len(attempts))]
+        terms = numeric._psi_terms(wp + numeric.GUARD)
+        assert numeric._tail_length(n + 1, 2 * attempts[-1] - wp, terms) is None
+        assert n in sums
+
+    def test_a_sweep_at_the_limit_sums_no_long_range(self, monkeypatch):
+        lengths = []
+        reciprocal_sum = numeric._reciprocal_sum
+
+        def spy(x, m):
+            lengths.append(m)
+            return reciprocal_sum(x, m)
+
+        monkeypatch.setattr(numeric, "_reciprocal_sum", spy)
+        ns = [MAX_APPROX_N * 2**k for k in range(4)]
+        assert [r.n for r in numeric._harmonic_samples("gamma", ns, 4, 1, 256)] == ns
+        # at most psi_ref's shift for Euler's constant, about prec/4 terms
+        assert max(lengths, default=0) < 1000
+
+    def test_the_benchmark_session_calls_build_no_interval(self, monkeypatch):
+        def no_interval(*args):
+            raise AssertionError("an interval was built")
+
+        monkeypatch.setattr(numeric, "_harmonic_enclosure", no_interval)
+        # the session's shape: n = 40 at 320 bits, t from 1/4, 3/4, 5/4, 7/4
+        for t in (F(1, 4), F(3, 4), F(5, 4), F(7, 4)):
+            for order in (2, 16):
+                approx_gamma(40, order, t=t, prec=320)
+                approx_harmonic(40, order, t=t, prec=320)
 
 
 class TestEulerGamma:
