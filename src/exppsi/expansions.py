@@ -49,10 +49,15 @@ S_n and for G_n at fixed p, Polys with ``var == "p"`` for G_n at fixed t,
 BiPolys in (p, t) for the bivariate G_n, and rationals, from the point
 series, once both p and t are fixed.
 
-Caches: the bivariate G_n are kept as a prefix that only grows, under a
-lock, so order N+1 extends order N instead of rebuilding it. The series
-with p or t fixed, the power route and the composition route are
-recomputed on every call.
+Caches: every series is kept as a prefix that only grows, under one lock,
+so order N+1 extends order N instead of rebuilding it. The bivariate G_n
+are one pinned prefix. A series with p, t or both fixed keeps its own
+prefix, with the beta_k it has read, per fixed value; the least recently
+used of them is dropped past a fixed number of keys, so the cache does not
+grow with the number of points asked for. The composition table is one
+prefix too, as row n reads only the rows below it, and its rows are
+read-only mappings. The power route is recomputed on every call from the
+cached S series.
 """
 
 from __future__ import annotations
@@ -60,8 +65,10 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial, lcm
-from typing import Callable, Sequence
+from types import MappingProxyType
+from typing import Callable, Mapping, Sequence
 
 from .algebra import BiPoly, Poly, _rational, _values_at
 from .bernoulli import bernoulli_poly
@@ -75,9 +82,13 @@ __all__ = [
     "composition_buckets",
 ]
 
-# the bivariate G_0..G_N computed so far; they only grow
+# guards every prefix below as it grows
 _lock = threading.Lock()
+# the bivariate G_0..G_N computed so far; they only grow
 _g: list[BiPoly] = [BiPoly.one()]
+
+# how many series with p, t or both fixed ``_prefix`` keeps
+_SERIES_KEYS = 16
 
 
 @dataclass(frozen=True)
@@ -126,18 +137,34 @@ def _log_series(a: list, beta: Sequence, c) -> list:
     return a
 
 
-def _grown(prefix: list, n_max: int, beta: Callable[[int], Sequence], c) -> Series:
-    """The first n_max+1 terms of the series begun in ``prefix``, extending
-    it in place if short; ``beta(n_max)`` gives beta_0..beta_(n_max)."""
+@lru_cache(maxsize=_SERIES_KEYS)
+def _prefix(p: Fraction | None, t: Fraction | None) -> tuple[list, list]:
+    """The terms a_0.. of the series at the fixed p, t or both (None where
+    the variable is free) and the beta_k they read; both lists only grow.
+    It is called under the lock, so each key has one pair."""
+    if t is None:
+        return [Poly.one()], []
+    return [Poly.one("p") if p is None else Fraction(1)], []
+
+
+def _grown(
+    prefix: Callable[[], tuple[list, list]], n_max: int, more: Callable[[int, int], list], c
+) -> Series:
+    """The first n_max+1 terms of the series whose terms a and beta_k so far
+    are ``prefix()``, extending both in place if short; ``more(lo, hi)``
+    gives beta_lo..beta_(hi-1)."""
     if n_max < 0:
         raise ValueError("series order must be >= 0")
-    if len(prefix) <= n_max:
-        _log_series(prefix, beta(n_max), c)
-    return Series(tuple(prefix[: n_max + 1]))
+    with _lock:
+        a, beta = prefix()
+        if len(a) <= n_max:
+            beta += more(len(beta), n_max + 1)
+            _log_series(a, beta, c)
+        return Series(tuple(a[: n_max + 1]))
 
 
-def _bernoulli_polys(n_max: int) -> list[Poly]:
-    return [bernoulli_poly(k) for k in range(n_max + 1)]
+def _bernoulli_polys(lo: int, hi: int) -> list[Poly]:
+    return [bernoulli_poly(k) for k in range(lo, hi)]
 
 
 def _power(a: Sequence[BiPoly]) -> list[BiPoly]:
@@ -161,30 +188,41 @@ def g_via_power_transform(n_max: int) -> Series:
 
 def g_via_bernoulli(n_max: int) -> Series:
     """Canonical route: the Bernoulli-polynomial recurrence with p symbolic."""
-    with _lock:
-        return _grown(_g, n_max, lambda n: [*map(BiPoly.of, _bernoulli_polys(n))], BiPoly.var_p())
+
+    def more(lo: int, hi: int) -> list[BiPoly]:
+        return [*map(BiPoly.of, _bernoulli_polys(lo, hi))]
+
+    return _grown(lambda: (_g, []), n_max, more, BiPoly.var_p())
 
 
-def _composition_table(n_max: int) -> list[dict[int, Poly]]:
+@lru_cache(maxsize=1)
+def _compositions() -> list[Mapping[int, Poly]]:
+    """The composition table's rows so far, read-only; they only grow."""
+    return [MappingProxyType({0: Poly.one()})]
+
+
+def _composition_table(n_max: int) -> list[Mapping[int, Poly]]:
     """bucket[n] for n = 0..n_max: for each part count r, the sum of
     B_{k_1}(t)...B_{k_r}(t)/(k_1...k_r) over ordered compositions
     k_1+...+k_r = n, by bucket[n][r] = sum_{k=1}^{n} (B_k(t)/k) bucket[n-k][r-1]."""
     if n_max < 0:
         raise ValueError("composition order must be >= 0")
-    weight = [Poly.zero()] + [bernoulli_poly(k) * Fraction(1, k) for k in range(1, n_max + 1)]
-    table: list[dict[int, Poly]] = [{0: Poly.one()}]
-    for n in range(1, n_max + 1):
-        row: dict[int, Poly] = {}
-        for k in range(1, n + 1):
-            for r, poly in table[n - k].items():
-                row[r + 1] = row.get(r + 1, Poly.zero()) + weight[k] * poly
-        table.append(row)
-    return table
+    with _lock:
+        table = _compositions()
+        if len(table) <= n_max:
+            weight = [None] + [bernoulli_poly(k) * Fraction(1, k) for k in range(1, n_max + 1)]
+            for n in range(len(table), n_max + 1):
+                row: dict[int, Poly] = {}
+                for k in range(1, n + 1):
+                    for r, poly in table[n - k].items():
+                        row[r + 1] = row.get(r + 1, Poly.zero()) + weight[k] * poly
+                table.append(MappingProxyType(row))
+        return table[: n_max + 1]
 
 
-def composition_buckets(n: int) -> dict[int, Poly]:
+def composition_buckets(n: int) -> Mapping[int, Poly]:
     """For each part count r, sum B_{k_1}(t)...B_{k_r}(t)/(k_1...k_r) over
-    ordered compositions k_1+...+k_r = n."""
+    ordered compositions k_1+...+k_r = n, as a read-only mapping."""
     return _composition_table(n)[n]
 
 
@@ -218,13 +256,12 @@ def coefficients(kind: str, n_max: int, p=None, t=None) -> Series:
     if p is None and t is None:
         return g_via_bernoulli(n_max)
     if t is None:
-        return _grown([Poly.one()], n_max, _bernoulli_polys, p)
+        return _grown(lambda: _prefix(p, t), n_max, _bernoulli_polys, p)
 
-    def at_t(n: int) -> list[Fraction]:
-        # every B_k(t) from one table of powers of t
-        return _values_at(_bernoulli_polys(n), t)
+    def at_t(lo: int, hi: int) -> list[Fraction]:
+        # the new B_k(t) from one table of powers of t
+        return _values_at(_bernoulli_polys(lo, hi), t)
 
-    if p is None:
-        return _grown([Poly.one("p")], n_max, at_t, Poly.variable("p"))
-    return _grown([Fraction(1)], n_max, at_t, p)
+    c = Poly.variable("p") if p is None else p
+    return _grown(lambda: _prefix(p, t), n_max, at_t, c)
 

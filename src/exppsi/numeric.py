@@ -15,7 +15,9 @@ well inside the guard precision, the tail is summed with even-index
 Bernoulli numbers, and the shift is undone with the exact correction
 sum_{k<m} 1/(x+k), summed by binary splitting (``_reciprocal_sum``, which
 also gives the harmonic numbers). The library digamma is deliberately not
-used here so the tests can treat it as an independent cross-check.
+used here so the tests can treat it as an independent cross-check. The
+last few values are kept, keyed on (x, prec), so approximants of growing
+order at one point compute the reference once.
 
 ``approx_gamma`` and ``approx_harmonic`` share one body,
 ``_harmonic_samples``, which takes a list of n. A sample needs H_n only
@@ -201,6 +203,13 @@ def psi_ref(x: RationalLike, prec: int = 256) -> mpmath.mpf:
     x = _rational(x)
     if x <= 0:
         raise ValueError(f"argument must be positive, got {x}")
+    return _psi_at(x, prec)
+
+
+@lru_cache(maxsize=16)
+def _psi_at(x: Fraction, prec: int) -> mpmath.mpf:
+    """``psi_ref`` for a checked argument. The cache holds a few (x, prec)
+    pairs, as ``euler_gamma``'s holds a few precisions."""
     wp = prec + GUARD
     with mpmath.mp.workprec(wp):
         threshold = max(32, prec // 4)
@@ -252,7 +261,7 @@ def _harmonic_enclosure(n: int, terms: int, prec: int):
     """An ``mpmath.iv`` interval at ``prec`` bits that holds H_n = psi(z) +
     gamma, z = n + 1: log z - 1/(2z) - sum_{j<terms} B_2j/(2j z^2j) - R +
     gamma, with R between 0 and the first neglected term, j = terms."""
-    iv = mpmath.iv
+    iv, libmp = mpmath.iv, mpmath.libmp
     saved, iv.prec = iv.prec, prec
     try:
         z = iv.mpf(n + 1)
@@ -260,7 +269,13 @@ def _harmonic_enclosure(n: int, terms: int, prec: int):
         acc = iv.mpf(0)
         for j in range(terms, 0, -1):
             b = bernoulli_number(2 * j)
-            c = iv.mpf(b.numerator) / (2 * j * b.denominator)
+            # B_2j/(2j) between its roundings down and up, made from the
+            # integers directly rather than by interval conversion and division
+            num, den = b.numerator, 2 * j * b.denominator
+            c = iv.make_mpf(tuple(
+                libmp.from_rational(num, den, prec, rnd)
+                for rnd in (libmp.round_floor, libmp.round_ceiling)
+            ))
             if j == terms:
                 c *= iv.mpf([0, 1])
             acc = (acc + c) * w

@@ -32,6 +32,9 @@ from exppsi.expansions import (
 
 F = Fraction
 
+# the fixed (p, t) of the cache tests
+P0, T0 = F(2, 3), F(5, 4)
+
 
 def exp_series_oracle(n_max: int) -> list[Poly]:
     """Formal exp of sum_{k>=1} (-1)^(k+1) B_k(t) x^(-k) / k, truncated."""
@@ -198,13 +201,22 @@ class TestExponentialSeries:
             assert rows == [f"{n},{c.eval(p0, t0)}" for n, c in enumerate(g.coeffs)]
 
     def test_concurrent_calls_grow_one_consistent_prefix(self, monkeypatch):
-        want_g, want_s = g_via_bernoulli(9).coeffs, coefficients("s", 9).coeffs
+        # the bivariate series, S_n, the point series and a series at fixed
+        # t, each grown from empty by threads asking for mixed orders
+        want_g = g_via_bernoulli(9).coeffs
+        want = {
+            ("s", None, None): tuple(c.eval_p(1) for c in want_g),
+            ("g", P0, T0): tuple(c.eval(P0, T0) for c in want_g),
+            ("g", None, T0): tuple(c.eval_t(T0) for c in want_g),
+        }
         monkeypatch.setattr(expansions, "_g", [BiPoly.one()])
+        expansions._prefix.cache_clear()
         results = []
 
         def worker(orders):
             for n in orders:
-                results.append((n, g_via_bernoulli(n).coeffs, coefficients("s", n).coeffs))
+                series = {key: coefficients(key[0], n, *key[1:]).coeffs for key in want}
+                results.append((n, g_via_bernoulli(n).coeffs, series))
 
         plans = [(3, 9), (9, 2), (5, 7, 9), (1, 8), (6,), (9, 9)]
         threads = [threading.Thread(target=worker, args=(plan,)) for plan in plans]
@@ -219,9 +231,13 @@ class TestExponentialSeries:
             sys.setswitchinterval(interval)
         assert not any(th.is_alive() for th in threads)
         assert len(results) == sum(len(plan) for plan in plans)
-        for n, g, s in results:
-            assert g == want_g[: n + 1] and s == want_s[: n + 1], n
+        for n, g, series in results:
+            assert g == want_g[: n + 1], n
+            for key, coeffs in series.items():
+                assert coeffs == want[key][: n + 1], (n, key)
         assert len(expansions._g) == 10
+        for p, t in ((1, None), (P0, T0), (None, T0)):
+            assert len(expansions._prefix(p, t)[0]) == 10, (p, t)
 
     def test_even_power_column_terminates(self):
         # for p = 2 the coefficient at order p+1 vanishes identically in t
@@ -278,6 +294,72 @@ class TestSerialization:
         assert lines[1] == "0,0,0,1,1"
         # G_1 = -p/2 + p t
         assert lines[2:4] == ["1,1,0,-1,2", "1,1,1,1,1"]
+
+
+class TestPrefixCaches:
+    """Each series with p, t or both fixed, and the composition table, is a
+    prefix that a higher order extends in place; the keys are bounded."""
+
+    SHAPES = (("g", P0, T0), ("g", P0, None), ("s", None, None), ("g", None, T0), ("s", None, T0))
+
+    def test_growing_orders_run_each_step_once(self, monkeypatch):
+        expansions._prefix.cache_clear()
+        steps = []
+        dot = expansions._dot
+
+        def spy(xs, ys):
+            steps.append(len(xs))
+            return dot(xs, ys)
+
+        monkeypatch.setattr(expansions, "_dot", spy)
+        for order in range(2, 17, 2):
+            coefficients("g", order, P0, T0)
+        # each built from G_0 would take 2 + 4 + ... + 16 = 72 steps
+        assert steps == list(range(1, 17))
+        steps.clear()
+        coefficients("g", 9, P0, T0)
+        assert steps == []
+
+    def test_a_cold_build_equals_the_cached_one(self):
+        for order in (3, 7, 12):
+            warm = {shape: coefficients(shape[0], order, *shape[1:]) for shape in self.SHAPES}
+            rows = [composition_buckets(n) for n in range(order + 1)]
+        expansions._prefix.cache_clear()
+        expansions._compositions.cache_clear()
+        for shape in self.SHAPES:
+            assert coefficients(shape[0], 12, *shape[1:]) == warm[shape], shape
+        cold = expansions._composition_table(12)
+        assert cold == rows and all(a is not b for a, b in zip(cold[1:], rows[1:]))
+
+    def test_the_keys_are_bounded(self):
+        bound = expansions._prefix.cache_info().maxsize
+        assert bound >= 16
+        g = g_via_bernoulli(3)
+        for k in range(bound + 1):
+            coefficients("g", 3, t=F(k, 7))
+            assert expansions._prefix.cache_info().currsize <= bound, k
+        # the evicted first key is built again, to the same values
+        assert coefficients("g", 3, t=F(0)).coeffs == tuple(c.eval_t(0) for c in g.coeffs)
+
+    def test_the_composition_table_is_built_once(self):
+        expansions._compositions.cache_clear()
+        # as verify asks: the product identity at orders 3, 5, ..., 13,
+        # then the composition route through 12
+        rows = [composition_buckets(2 * n + 1) for n in range(1, 7)]
+        g_via_compositions(12)
+        table = expansions._compositions()
+        assert len(table) == 14
+        assert all(row is table[2 * n + 1] for n, row in enumerate(rows, 1))
+
+    def test_composition_buckets_are_read_only(self):
+        buckets = composition_buckets(4)
+        before = dict(buckets)
+        with pytest.raises(TypeError):
+            buckets[1] = Poly.zero()
+        with pytest.raises(TypeError):
+            del buckets[2]
+        assert composition_buckets(4) == before
+        assert g_via_compositions(4) == g_via_bernoulli(4)
 
 
 COMPOSITION_ORDER = 14
@@ -368,6 +450,7 @@ class TestCoefficients:
             return weights(x, top)
 
         monkeypatch.setattr(algebra, "_weights", spy)
+        expansions._prefix.cache_clear()
         for p in (F(2, 3), None):
             coefficients("g", 40, p, t)
             assert tables == [40], p

@@ -179,9 +179,34 @@ class TestPsiRef:
         monkeypatch.setattr(bernoulli, "_numbers", [F(1)])
         monkeypatch.setattr(bernoulli, "_polys", [Poly.one()])
         numeric._tail_coefficients.cache_clear()
+        numeric._psi_at.cache_clear()
         psi_ref(1, 1632)
         terms = numeric._psi_terms(1632)
         assert 2 * terms < len(bernoulli._numbers) <= 2 * terms + 2 == 410
+
+    def test_each_argument_is_evaluated_once(self):
+        numeric._psi_at.cache_clear()
+        errors = [
+            approx_exp_psi(40, order, p=F(2, 3), t=F(5, 4), prec=320).abs_error
+            for order in range(2, 17, 2)
+        ]
+        info = numeric._psi_at.cache_info()
+        assert (info.misses, info.hits) == (1, 7)
+        # and the shared reference still shows each order's error falling
+        assert all(a > b for a, b in zip(errors, errors[1:]))
+        # the arguments are checked before the cache is read: a float equal
+        # to a cached rational is still refused
+        with pytest.raises(TypeError):
+            psi_ref(0.5)
+        psi_ref(F(1, 2))
+        with pytest.raises(TypeError):
+            psi_ref(0.5)
+
+    def test_the_cache_is_bounded(self):
+        bound = numeric._psi_at.cache_info().maxsize
+        for k in range(bound + 1):
+            psi_ref(F(k + 1, 3), 64)
+            assert numeric._psi_at.cache_info().currsize <= bound, k
 
     def test_precision_scales(self):
         with mp.workprec(600):
@@ -224,6 +249,25 @@ class TestCertifiedHarmonic:
             assert got is not None, (n, wp)
             assert got._mpf_ == numeric._round_ratio(*exact_harmonic(n), wp)._mpf_, (n, wp)
         assert numeric._harmonic_rounded(admitted[0] - 1, wp) is None
+
+    @pytest.mark.parametrize("n", [40, 160, 320])
+    def test_the_enclosure_holds_the_exact_sum(self, n):
+        # any number of terms J gives an enclosure; at n = 320 J is the one
+        # _harmonic_rounded takes
+        wp = 816
+        euler_gamma(wp)
+        terms = numeric._tail_length(n + 1, wp + 32, numeric._psi_terms(wp + numeric.GUARD)) or 85
+        low, high = (
+            F(*mpmath.libmp.to_rational(end))
+            for end in numeric._harmonic_enclosure(n, terms, wp + 32)._mpi_
+        )
+        assert low < F(*exact_harmonic(n)) < high
+        assert high - low < F(1, 2**300)
+        got = numeric._harmonic_rounded(n, wp)
+        if n == 320:
+            assert got._mpf_ == numeric._round_ratio(*exact_harmonic(n), wp)._mpf_
+        else:
+            assert got is None
 
     def test_eight_hundred_thousand_against_a_fixed_point_sum(self):
         # the exact sum takes tens of seconds at this n; the sum s of
