@@ -62,8 +62,8 @@ from .numeric import (
 __all__ = ["main", "run"]
 
 # Ceiling on ``approx --prec``. The digamma reference needs Bernoulli numbers
-# up to index about prec/4, and the tangent table behind them costs about
-# 1 s at 8192 bits but grows as the square of the index times its bit length.
+# up to index about prec/4, and the tangent table behind them costs 1.2-1.3 s
+# at 8192 bits but grows as the square of the index times its bit length.
 MAX_PREC = 8192
 
 # Ceilings on ``verify --max-n``, and on ``approx --order`` and ``coeffs --n``:
@@ -75,10 +75,13 @@ MAX_VERIFY_N = 56
 MAX_ORDER = 72
 
 # Ceiling on ``approx --n``. A sweep evaluates n, 2n, 4n and 8n. Their harmonic
-# numbers are read off a certified digamma enclosure, not summed, and on the
-# same host ``approx gamma --n 100000 --sweep`` took 0.2 s; the ceiling was
-# set when it summed the exact H_800000 in 37-39 s, and awaits re-timing.
-MAX_APPROX_N = 100000
+# numbers are read off a certified digamma enclosure, not summed, so its cost
+# does not grow with n: on the same host ``approx gamma --n N --sweep`` took
+# 0.12-0.19 s for every N from 10^5 to 10^15 (above 10^9 with this ceiling
+# lifted), and 1.3-2.0 s at 8192 bits, most of it the Bernoulli table. At 10^9
+# an order-4 sweep at the default precision still fits its order; by 10^15 the
+# one at t = 1/2 sinks into rounding noise.
+MAX_APPROX_N = 10**9
 
 
 def _rational(text: str) -> Fraction:

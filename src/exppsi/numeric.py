@@ -9,40 +9,34 @@ even). That value does not depend on how the fraction is written, so sums
 stay unreduced pairs (P, Q) and no gcd is taken to round them; after that,
 the only rounding happens in the mpmath arithmetic itself.
 
-The digamma reference value is computed from scratch: the argument is
-lifted by an integer shift m until the asymptotic tail series converges
-well inside the guard precision, the tail is summed with even-index
-Bernoulli numbers, and the shift is undone with the exact correction
-sum_{k<m} 1/(x+k), summed by binary splitting (``_reciprocal_sum``, which
-also gives the harmonic numbers). The library digamma is deliberately not
-used here so the tests can treat it as an independent cross-check. The
-last few values are kept, keyed on (x, prec), so approximants of growing
-order at one point compute the reference once.
+The digamma reference value is computed from scratch, as an enclosure
+(``_psi_enclosure``): psi(x) = psi(x+m) - sum_{k<m} 1/(x+k), the correction
+summed exactly by binary splitting (``_reciprocal_sum``, which also gives
+the harmonic numbers). For real z > 0, the series log z - 1/(2z) - sum_j
+B_2j/(2j z^2j) cut before j = J leaves a remainder bounded by the first
+neglected term and of its sign (DLMF 5.11(ii)). Every step rounds outward
+through mpmath's interval primitives, so the two ends hold psi(x) for any m
+and J; the bound picks them to bring the remainder under 2^-bits. Rounding
+to nearest is monotone: when both ends round to the same prec-bit mpf, that
+mpf is psi(x) correctly rounded. Otherwise the enclosure is taken again with
+twice the extra bits (``_round_enclosed``), which settles it unless psi(x)
+is itself a rounding midpoint. The library digamma is deliberately not used
+here so the tests can treat it as an independent cross-check. The last few
+values are kept, keyed on (x, prec), so approximants of growing order at one
+point compute the reference once.
 
 ``approx_gamma`` and ``approx_harmonic`` share one body,
 ``_harmonic_samples``, which takes a list of n. A sample needs H_n only
 rounded once to the working precision wp, and ``_harmonic_rounded`` reads
-that value off H_n = psi(n+1) + gamma instead of summing n reciprocals:
-
-* For real z > 0, the digamma series log z - 1/(2z) - sum_j B_2j/(2j z^2j)
-  cut before j = J leaves a remainder bounded by the first neglected term
-  and of its sign (DLMF 5.11(ii)). So at z = n + 1, H_n lies between the
-  cut sum plus gamma and that less the first neglected term.
-* ``mpmath.iv`` rounds every operation outward, and its log and Euler's
-  constant are enclosures, so the interval it computes holds H_n.
-* Rounding to nearest is monotone: when both ends of the interval round to
-  the same wp-bit mpf, so does every point between them, H_n among them.
-  That mpf is H_n correctly rounded, bit for bit the exact sum rounded
-  once.
-* When the ends round apart, the interval is taken again with twice the
-  extra bits. More bits always settle it in the end, because H_n is never
-  a rounding midpoint: for n >= 3, Bertrand's postulate gives a prime p
-  with n/2 < p <= n, 1/p is the only term whose denominator p divides, so
-  the odd prime p divides the denominator of H_n and H_n is not dyadic
-  (H_1 and H_2 have two bits). When the series cannot reach the target
-  with the Bernoulli numbers ``euler_gamma(wp)`` builds, which is so at
-  the first attempt for small n or a high wp, the exact sum gives H_n
-  instead, carried from each sample of a sweep to the next.
+it off the same enclosure and loop, at m = 0, as psi(n+1) + gamma, not by
+summing n reciprocals. That is bit for bit the exact sum rounded once, and
+the loop stops, because H_n is never a rounding midpoint: for n >= 3,
+Bertrand's postulate gives a prime p with n/2 < p <= n, 1/p is the only term
+whose denominator p divides, so the odd prime p divides the denominator of
+H_n and H_n is not dyadic (H_1 and H_2 have two bits). When the series
+cannot reach 2^-bits with the Bernoulli numbers ``euler_gamma(wp)`` builds,
+which is so for small n or a high wp, the exact sum gives H_n instead,
+carried from each sample of a sweep to the next.
 
 The expansion of exp(p*psi(x+t)) is evaluated from its point series, the
 rationals G_n(p, t) of ``expansions.coefficients``; no polynomial in p or t
@@ -182,23 +176,82 @@ def _round_to(value: mpmath.mpf, prec: int) -> mpmath.mpf:
 
 
 def _psi_terms(prec: int) -> int:
-    """How many tail terms B_2j/(2j z^2j) ``psi_ref`` sums at ``prec`` bits."""
+    """The most tail terms ``psi_ref`` takes at ``prec`` bits, to Bernoulli
+    index about prec/4; the shift that then meets 2^-bits is about prec/4."""
     return 2 * ((prec + 15) // 16)
 
 
+def _tail_length(z: RationalLike, bits: int, terms: int) -> int | None:
+    """The least J <= terms whose term |B_2J|/(2J z^2J), which bounds the
+    digamma remainder after J - 1 terms, is at most 2^-bits by a float
+    estimate of its logarithm (log z as that of its numerator less that of
+    its denominator, so a huge z is never a float); None when none is.
+
+    By Euler's formula |B_2j| >= 2 (2j)!/(2 pi)^2j and Stirling's lower
+    bound for (2j)!, every such term is at least 2 sqrt(pi/terms)
+    e^(-2 pi z), the value at 2j = 2 pi z; when that is above 2^-bits, no
+    Bernoulli number is read. That cannot happen for z >= bits."""
+    if z < bits and 1 + math.log2(math.pi / terms) / 2 - 2 * math.pi * math.log2(math.e) * z > -bits:
+        return None
+    log_z = math.log2(z.numerator) - math.log2(z.denominator)
+    for j in range(1, terms + 1):
+        b = bernoulli_number(2 * j)
+        if math.log2(abs(b.numerator)) - math.log2(2 * j * b.denominator) <= 2 * j * log_z - bits:
+            return j
+    return None
+
+
+def _ratio_ends(num: int, den: int, bits: int) -> tuple:
+    """num/den, den > 0, as raw mpf ends: its roundings down and up."""
+    libmp = mpmath.libmp
+    return tuple(libmp.from_rational(num, den, bits, rnd) for rnd in (libmp.round_floor, libmp.round_ceiling))
+
+
 @lru_cache(maxsize=8)
-def _tail_coefficients(terms: int, wp: int) -> tuple[mpmath.mpf, ...]:
-    """B_2j/(2j) for j = 1..terms, each rounded once to ``wp`` bits. The
-    cache holds a few working precisions, as ``euler_gamma``'s does."""
-    # the highest index first: the tangent table is then built once, to
-    # this length, not regrown by doubling on the way up
-    bernoulli_number(2 * terms)
+def _tail_bounds(terms: int, bits: int) -> tuple[tuple, ...]:
+    """B_2j/(2j) for j = 1..terms, each as ``_ratio_ends`` at ``bits`` bits;
+    the cache holds a few (terms, bits) pairs, as ``euler_gamma``'s does."""
     bs = [(2 * j, bernoulli_number(2 * j)) for j in range(1, terms + 1)]
-    return tuple(_round_ratio(b.numerator, k * b.denominator, wp) for k, b in bs)
+    return tuple(_ratio_ends(b.numerator, k * b.denominator, bits) for k, b in bs)
+
+
+def _psi_enclosure(x: RationalLike, m: int, terms: int, bits: int) -> tuple:
+    """psi(x), x > 0, between two raw mpf ends at ``bits`` bits, as psi(x+m) -
+    sum_{k<m} 1/(x+k), the series cut before j = J = ``terms`` and its
+    remainder between 0 and the term j = J. Every step rounds outward, so
+    the ends hold psi(x) for any m >= 0 and J >= 1, however far apart."""
+    libmp = mpmath.libmp
+    z = x + m
+    zs = _ratio_ends(z.numerator, z.denominator, bits)
+    r = libmp.mpi_div((libmp.fone, libmp.fone), zs, bits)
+    w = libmp.mpi_mul(r, r, bits)
+    tail = _tail_bounds(terms, bits)
+    # Horner in w = 1/z^2, from the last term times [0, 1], which holds R
+    acc = libmp.mpi_mul(tail[-1], (libmp.fzero, libmp.fone))
+    for c in reversed(tail[:-1]):
+        acc = libmp.mpi_add(libmp.mpi_mul(acc, w, bits), c, bits)
+    acc = libmp.mpi_add(libmp.mpi_mul(acc, w, bits), tuple(libmp.mpf_shift(end, -1) for end in r), bits)
+    value = libmp.mpi_sub(libmp.mpi_log(zs, bits), acc, bits)
+    # undo the recurrence shift psi(x+m) = psi(x) + sum_{k<m} 1/(x+k)
+    return libmp.mpi_sub(value, _ratio_ends(*_reciprocal_sum(x, m), bits), bits)
+
+
+def _round_enclosed(enclose, prec: int) -> mpmath.mpf | None:
+    """The value held between the two raw mpf ends of ``enclose(prec + extra)``
+    rounded to nearest at ``prec`` bits, ``extra`` from 32 doubling until both
+    ends round alike; or None once ``enclose`` gives None."""
+    libmp = mpmath.libmp
+    extra = 32
+    while (ends := enclose(prec + extra)) is not None:
+        low, high = (libmp.mpf_pos(end, prec, libmp.round_nearest) for end in ends)
+        if low == high:
+            return mpmath.mp.make_mpf(low)
+        extra *= 2
+    return None
 
 
 def psi_ref(x: RationalLike, prec: int = 256) -> mpmath.mpf:
-    """Digamma at a positive rational argument, correct to ``prec`` bits."""
+    """Digamma at a positive rational argument, correctly rounded to ``prec`` bits."""
     _check_prec(prec)
     x = _rational(x)
     if x <= 0:
@@ -208,24 +261,22 @@ def psi_ref(x: RationalLike, prec: int = 256) -> mpmath.mpf:
 
 @lru_cache(maxsize=16)
 def _psi_at(x: Fraction, prec: int) -> mpmath.mpf:
-    """``psi_ref`` for a checked argument. The cache holds a few (x, prec)
-    pairs, as ``euler_gamma``'s holds a few precisions."""
-    wp = prec + GUARD
-    with mpmath.mp.workprec(wp):
-        threshold = max(32, prec // 4)
-        m = 0
-        if x < threshold:
-            m = threshold - math.floor(x)
-        z = to_mpf(x + m, wp)
-        # log z - 1/(2z) - sum_j B_{2j} / (2j z^(2j)), Horner in 1/z^2
-        w = 1 / (z * z)
-        acc = mpmath.mpf(0)
-        for c in reversed(_tail_coefficients(_psi_terms(prec), wp)):
-            acc = (acc + c) * w
-        value = mpmath.log(z) - 1 / (2 * z) - acc
-        # undo the recurrence shift psi(x+m) = psi(x) + sum_{k<m} 1/(x+k)
-        value -= _round_ratio(*_reciprocal_sum(x, m), wp)
-    return _round_to(value, prec)
+    """``psi_ref`` for a checked argument; the cache holds a few (x, prec)
+    pairs. Each attempt cuts at J <= ``_psi_terms(prec)`` and shifts by the
+    least m that brings the term j = J under 2^-bits, by a float estimate of
+    z = x + m; where that falls short, the enclosure is only a little wider."""
+    terms = _psi_terms(prec)
+    # the highest index first: the tangent table is then built once, to
+    # this length, not regrown by doubling on the way up
+    b = bernoulli_number(2 * terms)
+    log_c = math.log2(abs(b.numerator)) - math.log2(2 * terms * b.denominator)
+
+    def enclose(bits: int) -> tuple:
+        z = 2.0 ** ((log_c + bits) / (2 * terms))
+        m = math.ceil(z - x) if x < z else 0
+        return _psi_enclosure(x, m, _tail_length(x + m, bits, terms) or terms, bits)
+
+    return _round_enclosed(enclose, prec)
 
 
 @lru_cache(maxsize=8)
@@ -238,71 +289,20 @@ def euler_gamma(prec: int = 256) -> mpmath.mpf:
         return -value
 
 
-def _tail_length(z: int, bits: int, terms: int) -> int | None:
-    """The least J <= terms whose term |B_2J|/(2J z^2J), which bounds the
-    digamma remainder after J - 1 terms, is at most 2^-bits by a float
-    estimate of its logarithm; None when no J <= terms is.
-
-    By Euler's formula |B_2j| >= 2 (2j)!/(2 pi)^2j and Stirling's lower
-    bound for (2j)!, every such term is at least 2 sqrt(pi/terms)
-    e^(-2 pi z), the value at 2j = 2 pi z; when that is above 2^-bits, no
-    Bernoulli number is read."""
-    if 1 + math.log2(math.pi / terms) / 2 - 2 * math.pi * z * math.log2(math.e) > -bits:
-        return None
-    log_z = math.log2(z)
-    for j in range(1, terms + 1):
-        b = bernoulli_number(2 * j)
-        if math.log2(abs(b.numerator)) - math.log2(2 * j * b.denominator) <= 2 * j * log_z - bits:
-            return j
-    return None
-
-
-def _harmonic_enclosure(n: int, terms: int, prec: int):
-    """An ``mpmath.iv`` interval at ``prec`` bits that holds H_n = psi(z) +
-    gamma, z = n + 1: log z - 1/(2z) - sum_{j<terms} B_2j/(2j z^2j) - R +
-    gamma, with R between 0 and the first neglected term, j = terms."""
-    iv, libmp = mpmath.iv, mpmath.libmp
-    saved, iv.prec = iv.prec, prec
-    try:
-        z = iv.mpf(n + 1)
-        w = 1 / (z * z)
-        acc = iv.mpf(0)
-        for j in range(terms, 0, -1):
-            b = bernoulli_number(2 * j)
-            # B_2j/(2j) between its roundings down and up, made from the
-            # integers directly rather than by interval conversion and division
-            num, den = b.numerator, 2 * j * b.denominator
-            c = iv.make_mpf(tuple(
-                libmp.from_rational(num, den, prec, rnd)
-                for rnd in (libmp.round_floor, libmp.round_ceiling)
-            ))
-            if j == terms:
-                c *= iv.mpf([0, 1])
-            acc = (acc + c) * w
-        return iv.log(z) - 1 / (2 * z) - acc + iv.euler
-    finally:
-        iv.prec = saved
-
-
 def _harmonic_rounded(n: int, wp: int) -> mpmath.mpf | None:
-    """H_n rounded to nearest at ``wp`` bits, certified from an interval
-    enclosure of psi(n+1) + gamma, or None when the digamma series cannot
-    reach the target with the Bernoulli numbers that ``euler_gamma(wp)``
-    builds, and the exact sum must give it.
-
-    The enclosure is taken at ``wp + extra`` bits with enough terms for a
-    remainder of at most 2^-(wp+extra). When its two ends round alike, that
-    is H_n rounded; otherwise ``extra``, from 32, is doubled."""
+    """H_n rounded to nearest at ``wp`` bits, read off psi(n+1) + gamma, or
+    None when the digamma series cannot reach 2^-bits with the Bernoulli
+    numbers that ``euler_gamma(wp)`` builds, and the exact sum must give it."""
     libmp = mpmath.libmp
     terms = _psi_terms(wp + GUARD)
-    extra = 32
-    while (j := _tail_length(n + 1, wp + extra, terms)) is not None:
-        ends = _harmonic_enclosure(n, j, wp + extra)._mpi_
-        low, high = (libmp.mpf_pos(end, wp, libmp.round_nearest) for end in ends)
-        if low == high:
-            return mpmath.mp.make_mpf(low)
-        extra *= 2
-    return None
+
+    def enclose(bits: int) -> tuple | None:
+        if (j := _tail_length(n + 1, bits, terms)) is None:
+            return None
+        gamma = tuple(libmp.mpf_euler(bits, rnd) for rnd in (libmp.round_floor, libmp.round_ceiling))
+        return libmp.mpi_add(_psi_enclosure(n + 1, 0, j, bits), gamma, bits)
+
+    return _round_enclosed(enclose, wp)
 
 
 def eval_expansion(g: Series, p: RationalLike, x: RationalLike, prec: int = 256) -> mpmath.mpf:

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
-from mpmath.libmp import from_rational, round_nearest
+from mpmath.libmp import from_int, from_rational, mpf_euler, round_ceiling, round_floor, round_nearest, to_rational
 
 from exppsi import bernoulli, expansions, numeric
 from exppsi.algebra import BiPoly, Poly
@@ -42,6 +42,31 @@ def correctly_rounded(value, prec: int) -> mpf:
     """The reduced rational ``value`` divided once, to nearest, at ``prec`` bits."""
     value = F(value)
     return mp.make_mpf(from_rational(value.numerator, value.denominator, prec, round_nearest))
+
+
+def euler_bounds(bits: int) -> tuple[F, F]:
+    """Euler's constant rounded down and up at ``bits`` bits, as rationals."""
+    return tuple(F(*to_rational(mpf_euler(bits, rnd))) for rnd in (round_floor, round_ceiling))
+
+
+def straddle(monkeypatch, want: mpf, prec: int, offset: F, times: int) -> list[int]:
+    """Make the first ``times`` calls of ``numeric._psi_enclosure`` give ends
+    just below and just above the midpoint between ``want`` and the next
+    prec-bit mpf up, less ``offset``, and the later ones the true enclosure.
+    Returns the list of bits that each call was asked for."""
+    enclosure, attempts = numeric._psi_enclosure, []
+    half = F(2) ** (mpmath.frexp(want)[1] - prec - 1)
+    mid = F(*to_rational(want._mpf_)) + half - offset
+
+    def first_straddle(x, m, terms, bits):
+        attempts.append(bits)
+        if len(attempts) > times:
+            return enclosure(x, m, terms, bits)
+        ends = (mid - half / 2**32, mid + half / 2**32)
+        return tuple(from_rational(v.numerator, v.denominator, prec + 512, round_nearest) for v in ends)
+
+    monkeypatch.setattr(numeric, "_psi_enclosure", first_straddle)
+    return attempts
 
 
 class TestToMpf:
@@ -178,11 +203,35 @@ class TestPsiRef:
         # the length the tail needs, not regrown by doubling past it
         monkeypatch.setattr(bernoulli, "_numbers", [F(1)])
         monkeypatch.setattr(bernoulli, "_polys", [Poly.one()])
-        numeric._tail_coefficients.cache_clear()
+        numeric._tail_bounds.cache_clear()
         numeric._psi_at.cache_clear()
         psi_ref(1, 1632)
         terms = numeric._psi_terms(1632)
         assert 2 * terms < len(bernoulli._numbers) <= 2 * terms + 2 == 410
+
+    @pytest.mark.parametrize("prec", [64, 256, 1024])
+    def test_correctly_rounded_at_the_integers(self, prec):
+        # psi(k) = H_(k-1) - gamma; gamma's bounds at prec + 256 bits pin
+        # down each rounded value, which the library digamma does not
+        low, high = euler_bounds(prec + 256)
+        for k in range(1, 61):
+            h = harmonic(k - 1)
+            want = correctly_rounded(h - high, prec)
+            assert correctly_rounded(h - low, prec) == want, k
+            assert psi_ref(k, prec)._mpf_ == want._mpf_, (k, prec)
+
+    @pytest.mark.parametrize("prec", [64, 256])
+    def test_huge_and_tiny_arguments(self, prec):
+        # psi(x) = log x - 1/(2x) + ... at x = 10^400/3, and -1/x - gamma +
+        # ... at x = 10^-400: no float of x is taken, and each value is the
+        # leading term rounded, as the next one is far below its last bit
+        big = psi_ref(F(10**400, 3), prec)
+        with mp.workprec(1600):
+            log_big = mpmath.log(mpf(10) ** 400 / 3)
+        with mp.workprec(prec):
+            assert big == +log_big
+        assert format_mpf(big, prec).startswith("919.935424908")
+        assert psi_ref(F(1, 10**400), prec) == correctly_rounded(-(10**400), prec)
 
     def test_each_argument_is_evaluated_once(self):
         numeric._psi_at.cache_clear()
@@ -257,11 +306,11 @@ class TestCertifiedHarmonic:
         wp = 816
         euler_gamma(wp)
         terms = numeric._tail_length(n + 1, wp + 32, numeric._psi_terms(wp + numeric.GUARD)) or 85
-        low, high = (
-            F(*mpmath.libmp.to_rational(end))
-            for end in numeric._harmonic_enclosure(n, terms, wp + 32)._mpi_
-        )
-        assert low < F(*exact_harmonic(n)) < high
+        # the ends hold psi(n + 1) = H_n - gamma, whatever gamma's last bits
+        low, high = (F(*to_rational(end)) for end in numeric._psi_enclosure(n + 1, 0, terms, wp + 32))
+        gamma_low, gamma_high = euler_bounds(wp + 256)
+        h = F(*exact_harmonic(n))
+        assert low < h - gamma_high and h - gamma_low < high
         assert high - low < F(1, 2**300)
         got = numeric._harmonic_rounded(n, wp)
         if n == 320:
@@ -284,20 +333,8 @@ class TestCertifiedHarmonic:
     def test_a_near_tie_is_retried_with_more_bits(self, monkeypatch):
         n, wp = 12345, 304
         want = numeric._round_ratio(*exact_harmonic(n), wp)
-        # halfway between want and the next wp-bit mpf up
-        half = mpmath.ldexp(1, mpmath.frexp(want)[1] - wp - 1)
-        enclosure = numeric._harmonic_enclosure
-        attempts = []
-
-        def first_straddles(n, terms, prec):
-            attempts.append(prec)
-            if len(attempts) > 1:
-                return enclosure(n, terms, prec)
-            # mpf ends are taken exactly: just below and above the midpoint
-            with mp.workprec(wp + 64):
-                return mpmath.iv.mpf([want + half - half / 2**32, want + half + half / 2**32])
-
-        monkeypatch.setattr(numeric, "_harmonic_enclosure", first_straddles)
+        # psi(n + 1) ends that, with gamma added, straddle a midpoint
+        attempts = straddle(monkeypatch, want, wp, euler_bounds(wp + 256)[0], 1)
         assert numeric._harmonic_rounded(n, wp)._mpf_ == want._mpf_
         assert attempts == [wp + 32, wp + 64]
 
@@ -306,9 +343,9 @@ class TestCertifiedHarmonic:
         before = approx_harmonic(n, 4, prec=prec)
         attempts, sums = [], []
 
-        def never_settles(n, terms, prec):
-            attempts.append(prec)
-            return mpmath.iv.mpf([-1, 1])
+        def never_settles(x, m, terms, bits):
+            attempts.append(bits)
+            return from_int(-1), from_int(1)
 
         reciprocal_sum = numeric._reciprocal_sum
 
@@ -316,7 +353,7 @@ class TestCertifiedHarmonic:
             sums.append(m)
             return reciprocal_sum(x, m)
 
-        monkeypatch.setattr(numeric, "_harmonic_enclosure", never_settles)
+        monkeypatch.setattr(numeric, "_psi_enclosure", never_settles)
         monkeypatch.setattr(numeric, "_reciprocal_sum", spy)
         assert approx_harmonic(n, 4, prec=prec) == before
         wp = prec + numeric.GUARD
@@ -341,15 +378,40 @@ class TestCertifiedHarmonic:
         assert max(lengths, default=0) < 1000
 
     def test_the_benchmark_session_calls_build_no_interval(self, monkeypatch):
-        def no_interval(*args):
-            raise AssertionError("an interval was built")
+        def refused(*args):
+            raise AssertionError("an interval was built or a Bernoulli number read")
 
-        monkeypatch.setattr(numeric, "_harmonic_enclosure", no_interval)
+        # with Euler's constant at the session's 368 bits cached, H_40 is
+        # turned away by the Stirling pre-filter of _tail_length
+        euler_gamma(368)
+        monkeypatch.setattr(numeric, "_psi_enclosure", refused)
+        monkeypatch.setattr(numeric, "bernoulli_number", refused)
         # the session's shape: n = 40 at 320 bits, t from 1/4, 3/4, 5/4, 7/4
         for t in (F(1, 4), F(3, 4), F(5, 4), F(7, 4)):
             for order in (2, 16):
                 approx_gamma(40, order, t=t, prec=320)
                 approx_harmonic(40, order, t=t, prec=320)
+
+
+class TestRoundEnclosed:
+    """``psi_ref`` and ``_harmonic_rounded`` read their values through one
+    rounding loop over the digamma enclosure."""
+
+    @pytest.mark.parametrize("target", ["psi_ref", "_harmonic_rounded"])
+    def test_a_forced_straddle_is_retried_with_doubled_extra_bits(self, target, monkeypatch):
+        if target == "psi_ref":
+            x, prec = F(7, 3), 256
+            numeric._psi_at.cache_clear()
+            want, offset = psi_ref(x, prec), F(0)
+            numeric._psi_at.cache_clear()
+            call = lambda: psi_ref(x, prec)  # noqa: E731
+        else:
+            n, prec = 12345, 304
+            want, offset = numeric._round_ratio(*exact_harmonic(n), prec), euler_bounds(prec + 256)[0]
+            call = lambda: numeric._harmonic_rounded(n, prec)  # noqa: E731
+        attempts = straddle(monkeypatch, want, prec, offset, 2)
+        assert call()._mpf_ == want._mpf_
+        assert attempts == [prec + 32, prec + 64, prec + 128]
 
 
 class TestEulerGamma:
