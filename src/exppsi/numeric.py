@@ -4,10 +4,10 @@ Precision policy: every routine takes a working precision ``prec`` of at
 least one bit and computes internally with ``prec + GUARD`` bits before
 rounding the result back to ``prec``. Series coefficients and sums stay
 exact rationals until the floating evaluation, and each reaches mpmath as
-one correctly rounded division (``_round_ratio``: the nearest mpf, ties to
-even). That value does not depend on how the fraction is written, so sums
-stay unreduced pairs (P, Q) and no gcd is taken to round them; after that,
-the only rounding happens in the mpmath arithmetic itself.
+one division (``_round_ratio``), which mpmath rounds correctly: the nearest
+mpf, ties to even. That value does not depend on how the fraction is
+written, so sums stay unreduced pairs (P, Q) and no gcd is taken to round
+them; after that, the only rounding happens in the mpmath arithmetic itself.
 
 The digamma reference value is computed from scratch, as an enclosure
 (``_psi_enclosure``): psi(x) = psi(x+m) - sum_{k<m} 1/(x+k), the correction
@@ -16,14 +16,16 @@ the harmonic numbers). For real z > 0, the series log z - 1/(2z) - sum_j
 B_2j/(2j z^2j) cut before j = J leaves a remainder bounded by the first
 neglected term and of its sign (DLMF 5.11(ii)). Every step rounds outward
 through mpmath's interval primitives, so the two ends hold psi(x) for any m
-and J; the bound picks them to bring the remainder under 2^-bits. Rounding
-to nearest is monotone: when both ends round to the same prec-bit mpf, that
-mpf is psi(x) correctly rounded. Otherwise the enclosure is taken again with
-twice the extra bits (``_round_enclosed``), which settles it unless psi(x)
-is itself a rounding midpoint. The library digamma is deliberately not used
-here so the tests can treat it as an independent cross-check. The last few
-values are kept, keyed on (x, prec), so approximants of growing order at one
-point compute the reference once.
+and J. One rule, ``_shift``, takes the least m that brings the term j =
+terms under 2^-bits; the terms still fall there, as they do while
+2j < 2 pi z, so J is the first j whose term meets 2^-bits (``_tail_length``).
+Rounding to nearest is monotone: when both ends round to the same prec-bit
+mpf, that mpf is psi(x) correctly rounded. Otherwise the enclosure is taken
+again with twice the extra bits (``_round_enclosed``), which settles it
+unless psi(x) is itself a rounding midpoint. The library digamma is
+deliberately not used here so the tests can treat it as an independent
+cross-check. The last few values are kept, keyed on (x, prec), so
+approximants of growing order at one point compute the reference once.
 
 ``approx_gamma`` and ``approx_harmonic`` share one body,
 ``_harmonic_samples``, which takes a list of n. A sample needs H_n only
@@ -33,10 +35,10 @@ summing n reciprocals. That is bit for bit the exact sum rounded once, and
 the loop stops, because H_n is never a rounding midpoint: for n >= 3,
 Bertrand's postulate gives a prime p with n/2 < p <= n, 1/p is the only term
 whose denominator p divides, so the odd prime p divides the denominator of
-H_n and H_n is not dyadic (H_1 and H_2 have two bits). When the series
-cannot reach 2^-bits with the Bernoulli numbers ``euler_gamma(wp)`` builds,
-which is so for small n or a high wp, the exact sum gives H_n instead,
-carried from each sample of a sweep to the next.
+H_n and H_n is not dyadic (H_1 and H_2 have two bits). Where the shift rule
+needs a shift at n + 1 with the Bernoulli numbers ``euler_gamma(wp)``
+builds, which is so for small n or a high wp, the exact sum gives H_n
+instead, carried from each sample of a sweep to the next.
 
 The expansion of exp(p*psi(x+t)) is evaluated from its point series, the
 rationals G_n(p, t) of ``expansions.coefficients``; no polynomial in p or t
@@ -107,28 +109,9 @@ def _check_prec(prec: int) -> None:
 
 def _round_ratio(num: int, den: int, prec: int) -> mpmath.mpf:
     """num/den, den > 0 and not necessarily in lowest terms, rounded once to
-    the nearest mpf of ``prec`` bits (ties to even).
-
-    When both operands are longer than prec + 64 bits, both are shifted
-    right by one count that leaves the shorter prec + 64 bits, giving n and
-    m. The quotient lies strictly between n/(m+1) and (n+1)/m, and rounding
-    is monotone, so when those two ends round alike that is the answer
-    (Ziv's strategy). Near a rounding boundary they can differ, and then the
-    full operands are divided.
-    """
+    the nearest mpf of ``prec`` bits (ties to even)."""
     libmp = mpmath.libmp
-    rnd = libmp.round_nearest
-    a = abs(num)
-    value = None
-    shift = min(a.bit_length(), den.bit_length()) - (prec + 64)
-    if shift > 0:
-        n, m = a >> shift, den >> shift
-        low = libmp.from_rational(n, m + 1, prec, rnd)
-        if low == libmp.from_rational(n + 1, m, prec, rnd):
-            value = low
-    if value is None:
-        value = libmp.from_rational(a, den, prec, rnd)
-    return mpmath.mp.make_mpf(libmp.mpf_neg(value) if num < 0 else value)
+    return mpmath.mp.make_mpf(libmp.from_rational(num, den, prec, libmp.round_nearest))
 
 
 def to_mpf(value: RationalLike, prec: int) -> mpmath.mpf:
@@ -181,24 +164,32 @@ def _psi_terms(prec: int) -> int:
     return 2 * ((prec + 15) // 16)
 
 
-def _tail_length(z: RationalLike, bits: int, terms: int) -> int | None:
+def _shift(x: RationalLike, bits: int, terms: int) -> int:
+    """The least m >= 0 that puts x + m past the float estimate of the z at
+    which the term j = ``terms``, |B_2j|/(2j z^2j), falls to 2^-bits."""
+    b = bernoulli_number(2 * terms)
+    log_c = math.log2(abs(b.numerator)) - math.log2(2 * terms * b.denominator)
+    z = 2.0 ** ((log_c + bits) / (2 * terms))
+    return math.ceil(z - x) if x < z else 0
+
+
+def _tail_length(z: RationalLike, bits: int, terms: int) -> int:
     """The least J <= terms whose term |B_2J|/(2J z^2J), which bounds the
     digamma remainder after J - 1 terms, is at most 2^-bits by a float
     estimate of its logarithm (log z as that of its numerator less that of
-    its denominator, so a huge z is never a float); None when none is.
+    its denominator, so a huge z is never a float); ``terms`` when none is.
 
-    By Euler's formula |B_2j| >= 2 (2j)!/(2 pi)^2j and Stirling's lower
-    bound for (2j)!, every such term is at least 2 sqrt(pi/terms)
-    e^(-2 pi z), the value at 2j = 2 pi z; when that is above 2^-bits, no
-    Bernoulli number is read. That cannot happen for z >= bits."""
-    if z < bits and 1 + math.log2(math.pi / terms) / 2 - 2 * math.pi * math.log2(math.e) * z > -bits:
-        return None
+    As |B_2j| ~ 2 (2j)!/(2 pi)^2j, the terms fall while 2j < 2 pi z, and at
+    their least, about e^(-2 pi z), they reach 2^-bits only for z >~ bits
+    ln 2/(2 pi), which is more than terms/pi for each caller. So at any z
+    that ``_shift`` admits they still fall at j = terms: some J <= terms
+    meets 2^-bits exactly when J = terms does."""
     log_z = math.log2(z.numerator) - math.log2(z.denominator)
-    for j in range(1, terms + 1):
+    for j in range(1, terms):
         b = bernoulli_number(2 * j)
         if math.log2(abs(b.numerator)) - math.log2(2 * j * b.denominator) <= 2 * j * log_z - bits:
             return j
-    return None
+    return terms
 
 
 def _ratio_ends(num: int, den: int, bits: int) -> tuple:
@@ -262,19 +253,14 @@ def psi_ref(x: RationalLike, prec: int = 256) -> mpmath.mpf:
 @lru_cache(maxsize=16)
 def _psi_at(x: Fraction, prec: int) -> mpmath.mpf:
     """``psi_ref`` for a checked argument; the cache holds a few (x, prec)
-    pairs. Each attempt cuts at J <= ``_psi_terms(prec)`` and shifts by the
-    least m that brings the term j = J under 2^-bits, by a float estimate of
-    z = x + m; where that falls short, the enclosure is only a little wider."""
+    pairs. Each attempt cuts at J <= ``_psi_terms(prec)`` and shifts by
+    ``_shift``; where its estimate falls short, the enclosure is wider."""
     terms = _psi_terms(prec)
-    # the highest index first: the tangent table is then built once, to
-    # this length, not regrown by doubling on the way up
-    b = bernoulli_number(2 * terms)
-    log_c = math.log2(abs(b.numerator)) - math.log2(2 * terms * b.denominator)
 
     def enclose(bits: int) -> tuple:
-        z = 2.0 ** ((log_c + bits) / (2 * terms))
-        m = math.ceil(z - x) if x < z else 0
-        return _psi_enclosure(x, m, _tail_length(x + m, bits, terms) or terms, bits)
+        # B_2terms is read first, so the tangent table is built once, to it
+        m = _shift(x, bits, terms)
+        return _psi_enclosure(x, m, _tail_length(x + m, bits, terms), bits)
 
     return _round_enclosed(enclose, prec)
 
@@ -290,17 +276,17 @@ def euler_gamma(prec: int = 256) -> mpmath.mpf:
 
 
 def _harmonic_rounded(n: int, wp: int) -> mpmath.mpf | None:
-    """H_n rounded to nearest at ``wp`` bits, read off psi(n+1) + gamma, or
-    None when the digamma series cannot reach 2^-bits with the Bernoulli
-    numbers that ``euler_gamma(wp)`` builds, and the exact sum must give it."""
+    """H_n rounded to nearest at ``wp`` bits, read off psi(n+1) + gamma when
+    ``_shift`` needs no shift at n + 1 with the Bernoulli numbers that
+    ``euler_gamma(wp)`` builds; None otherwise, and the exact sum must give it."""
     libmp = mpmath.libmp
     terms = _psi_terms(wp + GUARD)
 
     def enclose(bits: int) -> tuple | None:
-        if (j := _tail_length(n + 1, bits, terms)) is None:
+        if _shift(n + 1, bits, terms):
             return None
         gamma = tuple(libmp.mpf_euler(bits, rnd) for rnd in (libmp.round_floor, libmp.round_ceiling))
-        return libmp.mpi_add(_psi_enclosure(n + 1, 0, j, bits), gamma, bits)
+        return libmp.mpi_add(_psi_enclosure(n + 1, 0, _tail_length(n + 1, bits, terms), bits), gamma, bits)
 
     return _round_enclosed(enclose, wp)
 
@@ -309,6 +295,8 @@ def eval_expansion(g: Series, p: RationalLike, x: RationalLike, prec: int = 256)
     """Evaluate x^p * sum_{n<=g.order} g[n] x^(-n) for a point series g,
     whose coefficients are the rationals G_n(p, t) at one (p, t)."""
     _check_prec(prec)
+    if kinds := {type(c).__name__ for c in g.coeffs if not isinstance(c, (int, Fraction))}:
+        raise TypeError(f"eval_expansion needs a point series of rationals, got {', '.join(sorted(kinds))} coefficients")
     p = _rational(p)
     x = _rational(x)
     if x <= 0:
@@ -427,22 +415,21 @@ def convergence_order(points: Sequence[tuple[int, mpmath.mpf]]) -> Fraction:
     Given samples (n_i, err_i) with err_i ~ C n_i^(-q), returns q as a
     rational rounded to denominator <= 10**6.
     """
-    xs: list[mpmath.mpf] = []
-    ys: list[mpmath.mpf] = []
-    for n, err in points:
-        if err <= 0:
-            raise ValueError("error vanished; exceeds measurable order")
-        xs.append(mpmath.log(mpmath.mpf(n)))
-        ys.append(mpmath.log(err))
-    if len(set(float(v) for v in xs)) < 2:
+    if any(err <= 0 for _, err in points):
+        raise ValueError("error vanished; exceeds measurable order")
+    if len({n for n, _ in points}) < 2:
         raise ValueError("need at least two distinct sample sizes")
+    xs = [mpmath.log(mpmath.mpf(n)) for n, _ in points]
+    ys = [mpmath.log(err) for _, err in points]
+    if len(set(xs)) < 2:
+        raise ValueError(f"sample sizes too close to tell apart at {mpmath.mp.prec} bits")
     k = len(xs)
     mx = sum(xs) / k
     my = sum(ys) / k
     num = sum((a - mx) * (b - my) for a, b in zip(xs, ys))
     den = sum((a - mx) ** 2 for a in xs)
     slope = -num / den
-    return Fraction(float(slope)).limit_denominator(10**6)
+    return Fraction(*mpmath.libmp.to_rational(slope._mpf_)).limit_denominator(10**6)
 
 
 def format_mpf(value: mpmath.mpf, prec: int = 256) -> str:

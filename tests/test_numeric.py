@@ -99,35 +99,21 @@ class TestToMpf:
                 assert numeric._round_ratio(p, q, prec)._mpf_ == to_mpf(harmonic(n), prec)._mpf_
 
     @pytest.mark.parametrize("prec", [2, 53, 368])
-    def test_ties_and_near_ties_fall_back_to_the_exact_quotient(self, prec, monkeypatch):
+    def test_ties_go_to_the_even_mantissa(self, prec):
         # (2^prec + 1) / 2^(prec+1) lies halfway between 1/2 and the next
-        # mpf up; scaled by a long odd factor, both operands are long, and
-        # the two ends of the truncated quotient straddle the tie
-        divisions = []
-        exact = mpmath.libmp.from_rational
-
-        def spy(p, q, prec, rnd):
-            divisions.append((p.bit_length(), q.bit_length()))
-            return exact(p, q, prec, rnd)
-
-        monkeypatch.setattr(mpmath.libmp, "from_rational", spy)
+        # mpf up; scaled by a long odd factor, both operands are long
         odd = 3**800
         num, den = (2**prec + 1) * odd, 2 ** (prec + 1) * odd
         for sign in (1, -1):
             with mp.workprec(prec + 1):
                 half = sign * mpf(0.5)
                 above = sign * (mpf(0.5) + mpf(2) ** -prec)
-            got = numeric._round_ratio(sign * num, den, prec)
-            assert got == half  # the tie goes to the even mantissa
-            assert (num.bit_length(), den.bit_length()) in divisions
-            divisions.clear()
+            assert numeric._round_ratio(sign * num, den, prec) == half
             # two more in the numerator: just above the tie, and reduced
             near = F(sign * (num + 2), den)
             assert near.denominator == den
             assert to_mpf(near, prec) == above
             assert to_mpf(near, prec)._mpf_ == correctly_rounded(near, prec)._mpf_
-            assert (num.bit_length(), den.bit_length()) in divisions
-            divisions.clear()
 
 
 class TestHarmonic:
@@ -277,21 +263,24 @@ class TestCertifiedHarmonic:
 
     @pytest.mark.parametrize("wp", [112, 304])
     def test_tail_length_is_the_least_term_under_the_target(self, wp):
-        # the float estimate and its Stirling pre-filter against the
-        # remainder bound |B_2J|/(2J z^2J) <= 2^-bits in exact rationals
+        # the float estimates against the remainder bound
+        # |B_2J|/(2J z^2J) <= 2^-bits in exact rationals: _shift admits z
+        # exactly when some J <= terms meets it, and _tail_length gives the
+        # least such J, or terms when there is none
         bits, terms = wp + 32, numeric._psi_terms(wp + numeric.GUARD)
         euler_gamma(wp)
         coeffs = [abs(bernoulli.bernoulli_number(2 * j)) / (2 * j) for j in range(1, terms + 1)]
         for z in range(2, 400):
             under = (j for j, c in enumerate(coeffs, 1) if c / z ** (2 * j) <= F(1, 2**bits))
             want = next(under, None)
-            assert numeric._tail_length(z, bits, terms) == want, z
+            assert (numeric._shift(z, bits, terms) == 0) == (want is not None), z
+            assert numeric._tail_length(z, bits, terms) == (want or terms), z
 
     @pytest.mark.parametrize("wp", [112, 304, 1680])
     def test_equals_the_exact_sum_rounded(self, wp):
         euler_gamma(wp)
         terms = numeric._psi_terms(wp + numeric.GUARD)
-        admitted = [n for n in range(1, 1000) if numeric._tail_length(n + 1, wp + 32, terms)]
+        admitted = [n for n in range(1, 1000) if numeric._shift(n + 1, wp + 32, terms) == 0]
         assert len(admitted) >= 50
         for n in (*admitted[:50], 10**3, 12345, 10**5):
             got = numeric._harmonic_rounded(n, wp)
@@ -302,10 +291,11 @@ class TestCertifiedHarmonic:
     @pytest.mark.parametrize("n", [40, 160, 320])
     def test_the_enclosure_holds_the_exact_sum(self, n):
         # any number of terms J gives an enclosure; at n = 320 J is the one
-        # _harmonic_rounded takes
+        # _harmonic_rounded takes, and at 40 and 160, which it turns away,
+        # all the terms it may take
         wp = 816
         euler_gamma(wp)
-        terms = numeric._tail_length(n + 1, wp + 32, numeric._psi_terms(wp + numeric.GUARD)) or 85
+        terms = numeric._tail_length(n + 1, wp + 32, numeric._psi_terms(wp + numeric.GUARD))
         # the ends hold psi(n + 1) = H_n - gamma, whatever gamma's last bits
         low, high = (F(*to_rational(end)) for end in numeric._psi_enclosure(n + 1, 0, terms, wp + 32))
         gamma_low, gamma_high = euler_bounds(wp + 256)
@@ -357,10 +347,10 @@ class TestCertifiedHarmonic:
         monkeypatch.setattr(numeric, "_reciprocal_sum", spy)
         assert approx_harmonic(n, 4, prec=prec) == before
         wp = prec + numeric.GUARD
-        # the extra bits double until the series cannot reach 2^-(wp+extra)
+        # the extra bits double until the shift rule needs a shift at n + 1
         assert attempts == [wp + 32 * 2**k for k in range(len(attempts))]
         terms = numeric._psi_terms(wp + numeric.GUARD)
-        assert numeric._tail_length(n + 1, 2 * attempts[-1] - wp, terms) is None
+        assert numeric._shift(n + 1, 2 * attempts[-1] - wp, terms) > 0
         assert n in sums
 
     def test_a_sweep_at_the_limit_sums_no_long_range(self, monkeypatch):
@@ -379,13 +369,12 @@ class TestCertifiedHarmonic:
 
     def test_the_benchmark_session_calls_build_no_interval(self, monkeypatch):
         def refused(*args):
-            raise AssertionError("an interval was built or a Bernoulli number read")
+            raise AssertionError("an interval was built")
 
         # with Euler's constant at the session's 368 bits cached, H_40 is
-        # turned away by the Stirling pre-filter of _tail_length
+        # turned away by the shift rule before any enclosure is taken
         euler_gamma(368)
         monkeypatch.setattr(numeric, "_psi_enclosure", refused)
-        monkeypatch.setattr(numeric, "bernoulli_number", refused)
         # the session's shape: n = 40 at 320 bits, t from 1/4, 3/4, 5/4, 7/4
         for t in (F(1, 4), F(3, 4), F(5, 4), F(7, 4)):
             for order in (2, 16):
@@ -443,6 +432,17 @@ class TestEvalExpansion:
         for x in (0, -1, F(-7, 2)):
             with pytest.raises(ValueError):
                 eval_expansion(g, 1, x, 256)
+
+    @pytest.mark.parametrize("fixed, kind", [({}, "BiPoly"), ({"p": 1}, "Poly"), ({"t": 1}, "Poly")])
+    def test_a_series_with_a_free_variable_is_refused(self, fixed, kind, monkeypatch):
+        class Unloaded:
+            def __getattr__(self, name):
+                raise AssertionError(f"mpmath.{name} was read")
+
+        g = coefficients("g", 4, **fixed)
+        monkeypatch.setattr(numeric, "mpmath", Unloaded())
+        with pytest.raises(TypeError, match=f"got {kind} coefficients"):
+            eval_expansion(g, 1, 2)
 
     @pytest.mark.parametrize(
         "p, t, x", [(F(-2, 3), F(5, 4), F(7)), (F(7, 2), F(-3, 4), F(23, 3)), (F(1), F(1, 2), F(10))]
@@ -580,6 +580,23 @@ class TestConvergenceOrder:
     def test_degenerate_sample_rejected(self):
         with pytest.raises(ValueError):
             convergence_order([(10, mpf(1)), (10, mpf(2))])
+
+    def test_distinct_sizes_are_told_apart_on_n(self):
+        # the logs of 10^20 and 10^20 + 1 round to one double, but to two
+        # mpfs at 200 bits; at 53 bits they are one mpf, and no slope exists
+        points = [(10**20, mpf(1)), (10**20 + 1, mpf(2))]
+        with mp.workprec(200):
+            assert convergence_order(points) < -(10**19)
+        with mp.workprec(53), pytest.raises(ValueError, match="too close to tell apart at 53 bits"):
+            convergence_order(points)
+
+    def test_a_slope_past_the_double_range_is_read_exactly(self):
+        # sizes 10^400 and 10^400 + 1 with errors 1 and 2 fit the slope
+        # log 2 / log(1 + 10^-400), about 0.69 * 10^400, which no double holds
+        n = 10**400
+        with mp.workprec(2000):
+            q = convergence_order([(n, mpf(1)), (n + 1, mpf(2))])
+            assert abs(mpf(q.numerator) / q.denominator / n + mpmath.log(2)) < mpf(10) ** -100
 
 
 class TestRendering:
