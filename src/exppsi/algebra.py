@@ -48,7 +48,6 @@ variable, and a value in one variable is always a Poly: ``eval_t`` and
 
 from __future__ import annotations
 
-import json
 import re
 from fractions import Fraction
 from itertools import chain, zip_longest
@@ -80,6 +79,8 @@ def parse_rational(text: str) -> Fraction:
 
 def json_canonical(obj) -> str:
     """Canonical JSON text: sorted keys, no whitespace. Byte-deterministic."""
+    import json
+
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 

@@ -21,43 +21,35 @@ for fixed arguments; diagnostics go to stderr. Exit codes: 0 success,
 1 failed verification, 2 usage error, 141 (128 + SIGPIPE) when the reader
 closes stdout early.
 
-Only ``approx`` evaluates floats, so only it loads mpmath; ``coeffs``,
-``verify`` and ``errata`` run on exact rationals alone.
+Each command loads only the modules it runs. Every one loads ``algebra``,
+``bernoulli`` and ``expansions``; beyond those:
+
+==========  ==================================================
+``coeffs``  nothing more
+``verify``  ``identities``
+``errata``  ``identities``, and ``json`` to read its tables
+``approx``  ``numeric`` and mpmath, the only command with floats
+==========  ==================================================
+
+Otherwise ``json`` loads only for ``--format json``, and ``csv`` only for
+``--format csv``.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import re
 import sys
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .algebra import BiPoly, _render, json_canonical, parse_rational
 from .expansions import coefficients
-from .identities import (
-    CheckReport,
-    bernoulli_identity,
-    check_coefficient_table,
-    check_degree_collapse,
-    check_derivative_relation,
-    check_even_p_vanishing,
-    check_half_argument,
-    check_reflection,
-    check_route_agreement,
-    check_shift_identity,
-    errata_report,
-)
-from .numeric import (
-    GUARD,
-    ApproxResult,
-    _harmonic_samples,
-    approx_exp_psi,
-    convergence_order,
-    format_mpf,
-)
+
+if TYPE_CHECKING:
+    from .identities import CheckReport
+    from .numeric import ApproxResult
 
 __all__ = ["main", "run"]
 
@@ -110,6 +102,13 @@ def _count(low: int, high: Optional[int] = None, limit: str = ""):
     return parse
 
 
+def _csv_writer(out):
+    """A CSV writer on ``out`` that ends each row with a bare newline."""
+    import csv
+
+    return csv.writer(out, lineterminator="\n")
+
+
 # ---------------------------------------------------------------------------
 # coeffs subcommand
 
@@ -135,7 +134,7 @@ def _cmd_coeffs(args: argparse.Namespace, out) -> int:
             print(f"{label}_{{{n}}} &= {body}{tail}", file=out)
         print("\\end{align*}", file=out)
     elif args.format == "csv":
-        writer = csv.writer(out, lineterminator="\n")
+        writer = _csv_writer(out)
         if all(isinstance(v, Fraction) for v in values):
             writer.writerow(["n", "value"])
             for n, v in enumerate(values):
@@ -167,6 +166,19 @@ def _cmd_coeffs(args: argparse.Namespace, out) -> int:
 
 
 def _suite_checks(suite: str, n_max: int) -> list[CheckReport]:
+    from .identities import (
+        CheckReport,
+        bernoulli_identity,
+        check_coefficient_table,
+        check_degree_collapse,
+        check_derivative_relation,
+        check_even_p_vanishing,
+        check_half_argument,
+        check_reflection,
+        check_route_agreement,
+        check_shift_identity,
+    )
+
     checks: list[CheckReport] = []
     if suite in ("all", "even-p"):
         for p in range(2, max(n_max, 2) + 1, 2):
@@ -269,6 +281,8 @@ def _errata_latex(entries) -> str:
 
 
 def _cmd_errata(args: argparse.Namespace, out) -> int:
+    from .identities import errata_report
+
     entries = errata_report()
     if args.format == "json":
         print(
@@ -276,7 +290,7 @@ def _cmd_errata(args: argparse.Namespace, out) -> int:
             file=out,
         )
     elif args.format == "csv":
-        writer = csv.writer(out, lineterminator="\n")
+        writer = _csv_writer(out)
         writer.writerow(["location", "printed", "computed", "note"])
         for e in entries:
             writer.writerow([e.location, e.printed, e.computed, e.note])
@@ -301,6 +315,8 @@ def _fit(samples: Sequence[ApproxResult], prec: int) -> Optional[Fraction]:
     """
     from mpmath import ldexp
 
+    from .numeric import GUARD, convergence_order
+
     measurable = [
         (r.n, r.abs_error)
         for r in samples
@@ -313,6 +329,8 @@ def _fit(samples: Sequence[ApproxResult], prec: int) -> Optional[Fraction]:
 
 
 def _cmd_approx(args: argparse.Namespace, out) -> int:
+    from .numeric import _harmonic_samples, approx_exp_psi, format_mpf
+
     if args.p is None:
         args.p = Fraction(1)
     elif args.target != "exp-psi":
@@ -350,7 +368,7 @@ def _cmd_approx(args: argparse.Namespace, out) -> int:
         }
         print(json_canonical(doc), file=out)
     elif args.format == "csv":
-        writer = csv.writer(out, lineterminator="\n")
+        writer = _csv_writer(out)
         writer.writerow(["n", "order", "value", "abs_error", "est_order"])
         for *row, e in rows:
             writer.writerow([*row, "" if e is None else str(e)])

@@ -63,7 +63,6 @@ cached S series.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, lcm
@@ -91,21 +90,24 @@ _g: list[BiPoly] = [BiPoly.one()]
 _SERIES_KEYS = 16
 
 
-@dataclass(frozen=True)
-class Series:
-    """A truncated series sum_{n<=order} coeffs[n] x^(-n), exact coefficients."""
+class Series(tuple):
+    """A truncated series sum_{n<=order} coeffs[n] x^(-n), exact coefficients.
 
-    coeffs: tuple
+    The items are the coefficients, so a Series compares, hashes and unpacks
+    as the tuple of them; ``coeffs`` is the series itself."""
 
-    def __getitem__(self, n: int):
-        return self.coeffs[n]
+    __slots__ = ()
 
-    def __len__(self) -> int:
-        return len(self.coeffs)
+    def __repr__(self) -> str:
+        return f"Series({tuple.__repr__(self)})"
+
+    @property
+    def coeffs(self) -> tuple:
+        return self
 
     @property
     def order(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self) - 1
 
 
 def _dot(xs: Sequence, ys: Sequence):
@@ -160,7 +162,7 @@ def _grown(
         if len(a) <= n_max:
             beta += more(len(beta), n_max + 1)
             _log_series(a, beta, c)
-        return Series(tuple(a[: n_max + 1]))
+        return Series(a[: n_max + 1])
 
 
 def _bernoulli_polys(lo: int, hi: int) -> list[Poly]:
@@ -183,7 +185,7 @@ def _power(a: Sequence[BiPoly]) -> list[BiPoly]:
 
 def g_via_power_transform(n_max: int) -> Series:
     """G_n by raising the S series to a symbolic power p."""
-    return Series(tuple(_power([BiPoly.of(c) for c in coefficients("s", n_max).coeffs])))
+    return Series(_power([BiPoly.of(c) for c in coefficients("s", n_max)]))
 
 
 def g_via_bernoulli(n_max: int) -> Series:
@@ -237,7 +239,7 @@ def g_via_compositions(n_max: int) -> Series:
             for j, c in enumerate(poly.coeffs):
                 terms[(r, j)] = scale * c
         out.append(BiPoly(terms))
-    return Series(tuple(out))
+    return Series(out)
 
 
 def coefficients(kind: str, n_max: int, p=None, t=None) -> Series:

@@ -26,15 +26,13 @@ renders them.
 
 from __future__ import annotations
 
-import json
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count
 from math import factorial
 from operator import index
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .algebra import BiPoly, Poly, _render
 from .bernoulli import bernoulli_number
@@ -65,8 +63,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(NamedTuple):
     """Outcome of one exact check. ``witness`` is the residual on failure
     and None on a pass, so it alone decides ``ok`` and ``status``."""
 
@@ -99,16 +96,27 @@ class CheckReport:
         }
 
 
-@dataclass(frozen=True)
-class ErrataEntry:
+class _Erratum(NamedTuple):
     location: str
     printed: str
     computed: str
     note: str = ""
 
-    def __post_init__(self) -> None:
-        if self.printed == self.computed:
+
+class ErrataEntry(_Erratum):
+    """One correction: a value as printed and as computed, which differ."""
+
+    __slots__ = ()
+
+    def __new__(cls, location: str, printed: str, computed: str, note: str = ""):
+        if printed == computed:
             raise ValueError("an erratum needs printed and computed values to differ")
+        return super().__new__(cls, location, printed, computed, note)
+
+    @classmethod
+    def _make(cls, iterable) -> "ErrataEntry":
+        # so that _replace, which builds through _make, checks too
+        return cls(*iterable)
 
     def to_json_dict(self) -> dict:
         return {
@@ -162,7 +170,7 @@ def _through(n_max: int, g: Optional[Series]) -> Series:
         return g_via_bernoulli(n_max)
     if len(g) <= n_max:
         raise ValueError(f"the series given ends at order {g.order}, the check needs {n_max}")
-    return Series(g.coeffs[: n_max + 1])
+    return Series(g[: n_max + 1])
 
 
 def check_reflection(n_max: int, g: Optional[Series] = None) -> CheckReport:
@@ -305,6 +313,8 @@ def bernoulli_identity_terms(n: int) -> list[tuple[Fraction, tuple[int, ...]]]:
 @lru_cache(maxsize=1)
 def _reference_doc() -> dict:
     # read beside this file: importlib.resources would import tempfile and random
+    import json
+
     path = os.path.join(os.path.dirname(__file__), "reference_tables.json")
     with open(path, encoding="utf-8") as f:
         return json.load(f)

@@ -48,19 +48,18 @@ so no float enters an exact value.
 Results are returned as ``ApproxResult`` values and convergence orders as
 rationals; the command line renders them.
 
-mpmath is imported the first time one of these routines runs, not when the
-package is imported: the exact commands (``coeffs``, ``verify``,
-``errata``) never evaluate a float and never load it.
+mpmath is imported the first time one of these routines runs, not when this
+module is imported. The exact commands (``coeffs``, ``verify``,
+``errata``) never evaluate a float and load neither this module nor mpmath.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import index
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 from .algebra import _rational
 from .bernoulli import bernoulli_number
@@ -312,8 +311,7 @@ def eval_expansion(g: Series, p: RationalLike, x: RationalLike, prec: int = 256)
     return _round_to(value, prec)
 
 
-@dataclass(frozen=True)
-class ApproxResult:
+class ApproxResult(NamedTuple):
     """One approximation sample: target index, series order, value, error."""
 
     n: int

@@ -245,3 +245,17 @@ class TestExpansionContainer:
         e = Series((F(1), F(0), F(1, 3)))
         assert e.order == 2
         assert len(e) == 3 and e[2] == F(1, 3)
+
+    def test_a_series_is_the_immutable_tuple_of_its_coefficients(self):
+        from exppsi.expansions import Series
+
+        coeffs = (F(1), F(0), F(1, 3))
+        e = Series(coeffs)
+        assert e == Series(list(coeffs)) == coeffs and e != Series(coeffs[:2])
+        assert hash(e) == hash(Series(coeffs))
+        assert len(e) == 3 and e[-1] == F(1, 3) and e[1:] == coeffs[1:]
+        assert type(e.coeffs) is Series and isinstance(e.coeffs, tuple) and e.coeffs == coeffs
+        assert repr(e) == "Series((Fraction(1, 1), Fraction(0, 1), Fraction(1, 3)))"
+        for attr in ("coeffs", "order", "note"):
+            with pytest.raises(AttributeError):
+                setattr(e, attr, ())

@@ -388,22 +388,39 @@ def run_fresh(code: str) -> list[str]:
     return proc.stdout.splitlines()
 
 
-def test_exact_commands_leave_mpmath_unloaded():
-    # loaded after the import, coeffs, errata and verify: neither mpmath nor
-    # random ever is
-    code = """
+# modules that a command loads only if it runs them
+WATCHED = ("exppsi.identities", "exppsi.numeric", "mpmath", "dataclasses", "inspect", "json", "csv", "random")
+
+
+def loaded_by(argv: list[str]) -> set[str]:
+    """The WATCHED modules that a fresh interpreter holds after ``import
+    exppsi.cli`` and, if ``argv`` is not empty, that command."""
+    (line,) = run_fresh(f"""
 import contextlib, io, sys
 import exppsi.cli
-def loaded():
-    print(" ".join(m for m in ("mpmath", "random") if m in sys.modules) or "-")
-loaded()
-for argv in (["coeffs", "g", "--n", "6", "--format", "json"], ["errata"],
-             ["verify", "--suite", "all", "--max-n", "6"]):
+if {argv!r}:
     with contextlib.redirect_stdout(io.StringIO()):
-        assert exppsi.cli.main(argv) == 0
-    loaded()
-"""
-    assert run_fresh(code) == ["-", "-", "-", "-"]
+        assert exppsi.cli.main({argv!r}) == 0
+print(*[m for m in {WATCHED!r} if m in sys.modules])
+""")
+    return set(line.split())
+
+
+def test_exact_commands_leave_mpmath_unloaded():
+    # each exact command loads only what it runs, and none of them loads
+    # numeric, mpmath, dataclasses, inspect or random
+    expected = {
+        (): set(),
+        ("coeffs", "g", "--n", "6", "--format", "text"): set(),
+        ("coeffs", "g", "--n", "6", "--p", "2", "--format", "latex"): set(),
+        ("coeffs", "g", "--n", "6", "--format", "json"): {"json"},
+        ("coeffs", "s", "--n", "6", "--t", "1/2", "--format", "csv"): {"csv"},
+        ("verify", "--suite", "all", "--max-n", "6", "--format", "text"): {"exppsi.identities"},
+        ("verify", "--suite", "half", "--format", "json"): {"exppsi.identities", "json"},
+        ("errata",): {"exppsi.identities", "json"},
+        ("errata", "--format", "csv"): {"exppsi.identities", "json", "csv"},
+    }
+    assert {argv: loaded_by(list(argv)) for argv in expected} == expected
 
 
 def test_float_results_load_mpmath_and_match(capsys):
@@ -414,9 +431,9 @@ def test_float_results_load_mpmath_and_match(capsys):
 import sys
 import exppsi.cli
 exppsi.cli.main({argv!r})
-print("mpmath" in sys.modules)
+print(*(m in sys.modules for m in ("mpmath", "exppsi.numeric", "exppsi.identities")))
 """)
-    assert lines == [*want.splitlines(), "True"]
+    assert lines == [*want.splitlines(), "True True False"]
     result = exppsi.approx_gamma(10, 4)
     lines = run_fresh("""
 import sys
@@ -448,6 +465,22 @@ def test_every_exported_name_resolves():
     assert len(set(exppsi.__all__)) == len(exppsi.__all__)
     digest = hashlib.sha256(" ".join(sorted(exppsi.__all__)).encode()).hexdigest()
     assert digest == EXPORTED_SHA256
+    with pytest.raises(AttributeError, match="no_such_name"):
+        getattr(exppsi, "no_such_name")
+    # a name resolves on first use and loads only the modules up to its own;
+    # the star import binds every exported name to its module's object
+    lines = run_fresh("""
+import hashlib, sys
+import exppsi
+print(exppsi.__version__, *sorted(m for m in sys.modules if m.startswith("exppsi.")))
+exppsi.approx_gamma
+print("exppsi.identities" in sys.modules)
+from exppsi import *
+names = sorted(exppsi.__all__)
+print(all(globals()[name] is getattr(exppsi, name) for name in names))
+print(hashlib.sha256(" ".join(names).encode()).hexdigest())
+""")
+    assert lines == [exppsi.__version__, "False", "True", EXPORTED_SHA256]
 
 
 # SHA-256 of stdout for a fixed set of commands: the README commands and

@@ -388,3 +388,18 @@ class TestErrataReport:
             assert e.printed != e.computed
         with pytest.raises(ValueError):
             ErrataEntry("somewhere", "same", "same")
+        with pytest.raises(ValueError):
+            ErrataEntry("somewhere", "same", "other")._replace(computed="same")
+
+
+def test_reports_and_errata_are_immutable_values():
+    report = CheckReport.failed("x", Poly([1, 2]), n=3)
+    assert report == CheckReport.failed("x", BiPoly.of(Poly([1, 2])), n=3)
+    assert report != CheckReport.passed("x", n=3) == CheckReport("x", {"n": 3})
+    entry = ErrataEntry("here", "1/2", "1/3")
+    assert entry == ErrataEntry(location="here", printed="1/2", computed="1/3", note="")
+    assert entry != ErrataEntry("here", "1/2", "1/4")
+    assert tuple(entry) == ("here", "1/2", "1/3", "")
+    for value, attr in ((report, "witness"), (entry, "note"), (entry, "extra")):
+        with pytest.raises(AttributeError):
+            setattr(value, attr, None)

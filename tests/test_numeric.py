@@ -464,6 +464,15 @@ class TestEvalExpansion:
 
 
 class TestApproximations:
+    def test_a_result_is_an_immutable_value(self):
+        result = approx_gamma(10, 4)
+        assert result == approx_gamma(10, 4) != approx_gamma(10, 3)
+        n, order, value, error = result
+        assert (n, order, value, error) == (10, 4, result.value, result.abs_error)
+        for attr in ("value", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(result, attr, mpf(0))
+
     def test_lowest_order_euler_constant(self):
         result = approx_gamma(1, 0)
         assert result.value == mpf(1)
