@@ -130,6 +130,8 @@ def _lowest(rows: Iterable[Sequence[int]], den: int) -> tuple[tuple[tuple[int, .
 def _rational(x) -> Fraction:
     """``x`` as a Fraction. Only an int or a Fraction is taken, so no float
     enters an exact value; anything else raises ``TypeError``."""
+    if type(x) is Fraction:
+        return x
     if not isinstance(x, (int, Fraction)):
         raise TypeError(f"exact values are int or Fraction, not {x!r}")
     return Fraction(x)

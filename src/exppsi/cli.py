@@ -59,20 +59,22 @@ __all__ = ["main", "run"]
 MAX_PREC = 8192
 
 # Ceilings on ``verify --max-n``, and on ``approx --order`` and ``coeffs --n``:
-# on a 2-core x86-64 host ``verify --suite all --max-n 56`` took 14-18 s,
-# ``approx exp-psi --n 40 --order 72 --p 2/3 --t 5/4 --sweep`` 58 s and
-# ``coeffs g --n 72 --format json`` 27 s (17 MB of output); each cost doubles
-# with about 8 more orders.
+# on a 2-core x86-64 host (CPython 3.11, mpmath 1.3.0 without gmpy2)
+# ``verify --suite all --max-n 56`` took 14.6-15.2 s at 42 MiB peak RSS and
+# ``coeffs g --n 72 --format json`` 10.0-10.7 s at 144 MiB (17 MB of output);
+# each cost doubles with about 8 more orders. ``approx`` builds only the point
+# series, so ``approx exp-psi --n 40 --order 72 --p 2/3 --t 5/4 --sweep`` took
+# 0.2 s: the bivariate series set the order ceiling.
 MAX_VERIFY_N = 56
 MAX_ORDER = 72
 
 # Ceiling on ``approx --n``. A sweep evaluates n, 2n, 4n and 8n. Their harmonic
 # numbers are read off a certified digamma enclosure, not summed, so its cost
 # does not grow with n: on the same host ``approx gamma --n N --sweep`` took
-# 0.12-0.19 s for every N from 10^5 to 10^15 (above 10^9 with this ceiling
-# lifted), and 1.3-2.0 s at 8192 bits, most of it the Bernoulli table. At 10^9
-# an order-4 sweep at the default precision still fits its order; by 10^15 the
-# one at t = 1/2 sinks into rounding noise.
+# 0.15-0.20 s at N = 10^5 and 10^9, and no longer at 10^12 or 10^15 with this
+# ceiling lifted; at 8192 bits it took 1.9-2.4 s, most of it the Bernoulli
+# table. At 10^9 an order-4 sweep at the default precision still fits its
+# order; by 10^15 the one at t = 1/2 sinks into rounding noise.
 MAX_APPROX_N = 10**9
 
 

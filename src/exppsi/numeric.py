@@ -7,7 +7,11 @@ exact rationals until the floating evaluation, and each reaches mpmath as
 one division (``_round_ratio``), which mpmath rounds correctly: the nearest
 mpf, ties to even. That value does not depend on how the fraction is
 written, so sums stay unreduced pairs (P, Q) and no gcd is taken to round
-them; after that, the only rounding happens in the mpmath arithmetic itself.
+them. A truncated expansion is such a sum too: ``eval_expansion`` carries
+sum_n G_n x^-n exactly and rounds it once, and at p = 1 it folds x in first,
+so that value is a single rounding. After that, the only rounding happens
+in the mpmath arithmetic itself: x^p at any other p, and the log or exp and
+the differences that make an approximant and its error.
 
 The digamma reference value is computed from scratch, as an enclosure
 (``_psi_enclosure``): psi(x) = psi(x+m) - sum_{k<m} 1/(x+k), the correction
@@ -120,12 +124,15 @@ def to_mpf(value: RationalLike, prec: int) -> mpmath.mpf:
     return _round_ratio(value.numerator, value.denominator, prec)
 
 
+@lru_cache(maxsize=16)
 def _reciprocal_sum(x: Fraction, m: int) -> tuple[int, int]:
     """Exact sum_{k<m} 1/(x+k) for a positive rational x = a/b, as a pair
     (P, Q) with the sum P/Q and Q > 0, not in lowest terms.
 
     Binary splitting over the integer terms b/(a+kb): each half of the
-    range is carried as one fraction P/Q, and no gcd is taken.
+    range is carried as one fraction P/Q, and no gcd is taken. The cache
+    holds a few (x, m) pairs, so the approximants of growing order at one n
+    sum the H_n that ``_harmonic_rounded`` turns away once.
     """
     a, b = x.numerator, x.denominator
 
@@ -153,8 +160,10 @@ def harmonic(n: int) -> Fraction:
 
 
 def _round_to(value: mpmath.mpf, prec: int) -> mpmath.mpf:
-    with mpmath.mp.workprec(prec):
-        return +value
+    """``value`` rounded to nearest at ``prec`` bits, as ``+value`` rounds it
+    under ``workprec(prec)``, without entering that context."""
+    libmp = mpmath.libmp
+    return mpmath.mp.make_mpf(libmp.mpf_pos(value._mpf_, prec, libmp.round_nearest))
 
 
 def _psi_terms(prec: int) -> int:
@@ -292,7 +301,13 @@ def _harmonic_rounded(n: int, wp: int) -> mpmath.mpf | None:
 
 def eval_expansion(g: Series, p: RationalLike, x: RationalLike, prec: int = 256) -> mpmath.mpf:
     """Evaluate x^p * sum_{n<=g.order} g[n] x^(-n) for a point series g,
-    whose coefficients are the rationals G_n(p, t) at one (p, t)."""
+    whose coefficients are the rationals G_n(p, t) at one (p, t).
+
+    The sum S is one exact rational, carried by Horner as an unreduced pair
+    and rounded once. At p = 1, x S is rational too, so the value is one
+    correctly rounded division at ``prec`` bits; any other p takes x^p from
+    mpmath at ``prec + GUARD`` bits, as x^p is exact only at a cost that
+    grows with p."""
     _check_prec(prec)
     if kinds := {type(c).__name__ for c in g.coeffs if not isinstance(c, (int, Fraction))}:
         raise TypeError(f"eval_expansion needs a point series of rationals, got {', '.join(sorted(kinds))} coefficients")
@@ -300,14 +315,16 @@ def eval_expansion(g: Series, p: RationalLike, x: RationalLike, prec: int = 256)
     x = _rational(x)
     if x <= 0:
         raise ValueError(f"expansion variable must be positive, got {x}")
+    a, b = x.numerator, x.denominator
+    # S = c + S' b/a for each coefficient c from the last, as num/den
+    num, den = 0, 1
+    for c in reversed(g.coeffs):
+        num, den = num * b * c.denominator + c.numerator * den * a, den * a * c.denominator
+    if p == 1:
+        return _round_ratio(num * a, den * b, prec)
     wp = prec + GUARD
     with mpmath.mp.workprec(wp):
-        xv = to_mpf(x, wp)
-        inv = 1 / xv
-        acc = mpmath.mpf(0)
-        for c in reversed(g.coeffs):
-            acc = acc * inv + _round_ratio(c.numerator, c.denominator, wp)
-        value = mpmath.power(xv, to_mpf(p, wp)) * acc
+        value = mpmath.power(_round_ratio(a, b, wp), to_mpf(p, wp)) * _round_ratio(num, den, wp)
     return _round_to(value, prec)
 
 

@@ -4,10 +4,14 @@ The digamma routine is cross-checked against the library digamma, which
 plays no role in the implementation itself.
 """
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -116,6 +120,26 @@ class TestToMpf:
             assert to_mpf(near, prec)._mpf_ == correctly_rounded(near, prec)._mpf_
 
 
+class TestRoundTo:
+    """``_round_to`` rounds as ``+value`` does under ``workprec(prec)``, and
+    leaves the context as it was."""
+
+    @pytest.mark.parametrize("prec", [1, 53, 256, 1000])
+    def test_matches_unary_plus_under_workprec(self, prec):
+        rng = random.Random(prec)
+        values = [mpf(0), mpmath.inf, -mpmath.inf, mpmath.nan]
+        for _ in range(300):
+            man = rng.getrandbits(rng.randint(1, 2000)) | 1
+            exp = rng.choice([rng.randint(-64, 64), rng.randint(-(10**6), 10**6), rng.randint(-(2**80), 2**80)])
+            values.append(mp.make_mpf(mpmath.libmp.from_man_exp(rng.choice([1, -1]) * man, exp)))
+        before = mp.prec
+        for value in values:
+            with mp.workprec(prec):
+                want = (+value)._mpf_
+            assert numeric._round_to(value, prec)._mpf_ == want, (value._mpf_, prec)
+        assert mp.prec == before
+
+
 class TestHarmonic:
     def test_values(self):
         assert harmonic(0) == 0
@@ -191,6 +215,7 @@ class TestPsiRef:
         monkeypatch.setattr(bernoulli, "_polys", [Poly.one()])
         numeric._tail_bounds.cache_clear()
         numeric._psi_at.cache_clear()
+        numeric._reciprocal_sum.cache_clear()
         psi_ref(1, 1632)
         terms = numeric._psi_terms(1632)
         assert 2 * terms < len(bernoulli._numbers) <= 2 * terms + 2 == 410
@@ -221,6 +246,7 @@ class TestPsiRef:
 
     def test_each_argument_is_evaluated_once(self):
         numeric._psi_at.cache_clear()
+        numeric._reciprocal_sum.cache_clear()
         errors = [
             approx_exp_psi(40, order, p=F(2, 3), t=F(5, 4), prec=320).abs_error
             for order in range(2, 17, 2)
@@ -381,6 +407,22 @@ class TestCertifiedHarmonic:
                 approx_gamma(40, order, t=t, prec=320)
                 approx_harmonic(40, order, t=t, prec=320)
 
+    def test_the_exact_h_n_is_summed_once_per_n(self):
+        # the session's n = 40 at 320 bits, which the shift rule turns away:
+        # each order after the first reads the memoized sum of H_40
+        euler_gamma(368)
+        numeric._reciprocal_sum.cache_clear()
+        for order in range(2, 17):
+            approx_gamma(40, order, prec=320)
+        info = numeric._reciprocal_sum.cache_info()
+        assert (info.misses, info.hits) == (1, 14)
+
+    def test_the_sum_cache_is_bounded(self):
+        bound = numeric._reciprocal_sum.cache_info().maxsize
+        for n in range(1, bound + 2):
+            harmonic(n)
+            assert numeric._reciprocal_sum.cache_info().currsize <= bound, n
+
 
 class TestRoundEnclosed:
     """``psi_ref`` and ``_harmonic_rounded`` read their values through one
@@ -391,8 +433,10 @@ class TestRoundEnclosed:
         if target == "psi_ref":
             x, prec = F(7, 3), 256
             numeric._psi_at.cache_clear()
+            numeric._reciprocal_sum.cache_clear()
             want, offset = psi_ref(x, prec), F(0)
             numeric._psi_at.cache_clear()
+            numeric._reciprocal_sum.cache_clear()
             call = lambda: psi_ref(x, prec)  # noqa: E731
         else:
             n, prec = 12345, 304
@@ -461,6 +505,46 @@ class TestEvalExpansion:
             expected = mpmath.power(xv, mpf(p.numerator) / p.denominator) * acc
             got = eval_expansion(coefficients("g", order, p, t), p, x, prec)
             assert abs(got - expected) <= abs(expected) * mpf(2) ** -(prec - 2)
+
+    def test_within_an_ulp_of_the_exact_value(self):
+        # x^p S with S = sum_k G_k x^-k summed in Fractions, and x^p from
+        # mpmath at twice the precision; at p = 1, x S is rational, and the
+        # value is that rational correctly rounded
+        rng = random.Random(26)
+        for _ in range(200):
+            order, n, prec = rng.randint(0, 24), rng.randint(13, 10**6), rng.randint(2, 512)
+            p = F(1) if rng.random() < 0.3 else F(rng.randint(-20, 20), rng.randint(1, 6))
+            t = F(rng.randint(-12, 12), rng.randint(1, 8))
+            x = n + 1 - t
+            g = coefficients("g", order, p, t)
+            got = eval_expansion(g, p, x, prec)
+            s = sum(c / x**k for k, c in enumerate(g.coeffs))
+            if p == 1:
+                assert got._mpf_ == correctly_rounded(x * s, prec)._mpf_, (order, n, t, prec)
+            with mp.workprec(2 * prec + 64):
+                xp = mpmath.power(correctly_rounded(x, mp.prec), correctly_rounded(p, mp.prec))
+                exact = xp * correctly_rounded(s, mp.prec)
+                ulp = mpf(2) ** (mpmath.frexp(got)[1] - prec)
+                assert abs(got - exact) <= ulp, (order, n, p, t, prec)
+
+    def test_a_huge_power_is_not_taken_exactly(self):
+        # x^p at p = x = 10^9 would be an integer of about 3.7 GB; in a child
+        # with its address space capped, the evaluation must return quickly
+        code = """
+import resource, time
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from exppsi.expansions import coefficients
+from exppsi.numeric import eval_expansion
+g = coefficients("g", 8, 10**9, 1)
+start = time.perf_counter()
+eval_expansion(g, 10**9, 10**9, 256)
+print(time.perf_counter() - start)
+"""
+        path = os.pathsep.join(str(Path(m.__file__).parents[1]) for m in (numeric, mpmath))
+        env = dict(os.environ, PYTHONPATH=path)
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=20)
+        assert proc.returncode == 0, proc.stderr
+        assert float(proc.stdout) < 0.5
 
 
 class TestApproximations:
