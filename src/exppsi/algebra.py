@@ -22,15 +22,14 @@ row or list of rows ends in a zero, so ``==`` compares the stored form. The
 zero polynomial has no rows, is over 1, and reports degree ``None`` rather
 than a sentinel integer.
 
-Each ring operation is written once, for any number of rows, and combines
-values of one kind only: a Poly and a BiPoly raise ``TypeError``. It works
-on the integers and pays one gcd at the end, to bring its result to lowest
-terms: a sum rescales both operands to the lcm of their denominators once,
-a product convolves every pair of integer rows over the product of the
-denominators, and a rational scalar multiplies the numerators and the
-denominator. A rational point ``a/b`` is substituted homogeneously,
-``sum_e n_e a^e b^(top-e) / (den b^top)``, so an evaluation is one integer
-pass and one ``Fraction`` at the end.
+Every sum and product is one kernel, ``_dot``, the sum of products
+``sum_i xs[i] ys[i]`` over values of one kind (a Poly and a BiPoly raise
+``TypeError``) or rationals: ``a + b`` is the dot of ``(1, 1)`` with
+``(a, b)``, ``a * b`` a dot of one pair. It convolves every pair into one
+array of integer rows over the lcm of the products' denominators, a
+rational being a one-entry row, and pays one gcd at the end. A rational
+point ``a/b`` is substituted homogeneously, ``sum_e n_e a^e b^(top-e) /
+(den b^top)``, so an evaluation is one integer pass and one ``Fraction``.
 
 ``Fraction`` stays the only number type users see: ``Poly.coeffs`` is a
 tuple of Fractions and ``BiPoly.terms`` a read-only map from exponent pairs
@@ -38,12 +37,12 @@ tuple of Fractions and ``BiPoly.terms`` a read-only map from exponent pairs
 evaluation points take ints and Fractions only (``_rational``), so no float
 enters a symbolic value.
 
-Values are immutable and operations are pure. Every printed form of a
-value, as text here and as LaTeX, CSV or JSON in the command line, is
-built from one term iterator, ``_terms``, which names each power by the
-variable the value carries. ``BiPoly.of`` places a Poly under its own
-variable, and a value in one variable is always a Poly: ``eval_t`` and
-``coeff_of_t_power`` give one in p, ``eval_p`` one in t.
+Values are immutable and operations are pure. Text and LaTeX are built
+from one term iterator, ``_terms``, which names each power by the variable
+the value carries; CSV and JSON list the pairs of ``BiPoly.terms``.
+``BiPoly.of`` places a Poly under its own variable, and a value in one
+variable is always a Poly: ``eval_t`` and ``coeff_of_t_power`` give one in
+p, ``eval_p`` one in t.
 """
 
 from __future__ import annotations
@@ -145,13 +144,39 @@ def _over_one_den(cs: Iterable) -> tuple[list[int], int]:
     return [c.numerator * (den // c.denominator) for c in cs], den
 
 
-def _convolve_into(out: list[int], xs: Sequence[int], ys: Sequence[int]) -> None:
-    """Add the product of the integer polynomials xs and ys, by ascending
-    powers, into ``out``, which is long enough to hold it."""
-    for i, x in enumerate(xs):
-        if x:
-            for k, y in enumerate(ys, i):
-                out[k] += x * y
+def _dot(xs: Sequence, ys: Sequence):
+    """sum_i xs[i] ys[i], for nonempty sequences of one length. The ys are
+    rationals, or Polys or BiPolys of one kind, and each x a rational or, as
+    the caller has checked, a value of that kind. Over the rationals alone
+    it is one integer sum and one Fraction."""
+    kind = ys[0]
+    if not isinstance(kind, _Rows):
+        nums = [x.numerator * y.numerator for x, y in zip(xs, ys)]
+        dens = [x.denominator * y.denominator for x, y in zip(xs, ys)]
+        den = lcm(*dens)
+        return Fraction(sum(n * (den // d) for n, d in zip(nums, dens)), den)
+    pairs = []
+    for x, y in zip(xs, ys):
+        if isinstance(x, _Rows):
+            xr, xd = x.rows, x.den
+        else:
+            xr, xd = ((x.numerator,),) if x else (), x.denominator
+        if xr and y.rows:
+            pairs.append((xr, y.rows, xd * y.den))
+    den = lcm(*(d for _, _, d in pairs))
+    height = max((len(xr) + len(yr) - 1 for xr, yr, _ in pairs), default=0)
+    width = max((max(map(len, xr)) + max(map(len, yr)) - 1 for xr, yr, _ in pairs), default=0)
+    out = [[0] * width for _ in range(height)]
+    for xr, yr, d in pairs:
+        scale = den // d
+        for i, xs_i in enumerate(xr):
+            for j, x in enumerate(xs_i):
+                if x:
+                    x *= scale
+                    for row, ys_k in zip(out[i:], yr):
+                        for m, y in enumerate(ys_k, j):
+                            row[m] += x * y
+    return kind._new(out, den, kind._var)
 
 
 def _weights(x, top: int) -> tuple[list[int], int]:
@@ -263,13 +288,7 @@ class _Rows:
             return NotImplemented
         if other._var != self._var:
             return self._mismatch(other)
-        den = lcm(self.den, other.den)
-        sx, sy = den // self.den, sign * (den // other.den)
-        rows = [
-            [x * sx + y * sy for x, y in zip_longest(xs, ys, fillvalue=0)]
-            for xs, ys in zip_longest(self.rows, other.rows, fillvalue=())
-        ]
-        return self._new(rows, den, self._var)
+        return _dot((1, sign), (self, other))
 
     def __add__(self, other):
         return self._plus(other, 1)
@@ -284,20 +303,9 @@ class _Rows:
         if isinstance(other, _Rows):
             if other._var != self._var:
                 return self._mismatch(other)
-            xr, yr = self.rows, other.rows
-            if not (xr and yr):
-                return self._new((), 1, self._var)
-            width = max(map(len, xr)) + max(map(len, yr)) - 1
-            out = [[0] * width for _ in range(len(xr) + len(yr) - 1)]
-            for i, xs in enumerate(xr):
-                for k, ys in enumerate(yr, i):
-                    _convolve_into(out[k], xs, ys)
-            return self._new(out, self.den * other.den, self._var)
-        if isinstance(other, (int, Fraction)):
-            num = other.numerator
-            rows = [[n * num for n in row] for row in self.rows]
-            return self._new(rows, self.den * other.denominator, self._var)
-        return NotImplemented
+        elif not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        return _dot((other,), (self,))
 
     __rmul__ = __mul__
 

@@ -60,8 +60,8 @@ MAX_PREC = 8192
 
 # Ceilings on ``verify --max-n``, and on ``approx --order`` and ``coeffs --n``:
 # on a 2-core x86-64 host (CPython 3.11, mpmath 1.3.0 without gmpy2)
-# ``verify --suite all --max-n 56`` took 14.6-15.2 s at 42 MiB peak RSS and
-# ``coeffs g --n 72 --format json`` 10.0-10.7 s at 144 MiB (17 MB of output);
+# ``verify --suite all --max-n 56`` took 6.8-9.7 s at 42 MiB peak RSS and
+# ``coeffs g --n 72 --format json`` 6.1-7.4 s at 143 MiB (17 MB of output);
 # each cost doubles with about 8 more orders. ``approx`` builds only the point
 # series, so ``approx exp-psi --n 40 --order 72 --p 2/3 --t 5/4 --sweep`` took
 # 0.2 s: the bivariate series set the order ceiling.

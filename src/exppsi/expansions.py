@@ -23,15 +23,15 @@ to its four instances, S_n(t) being G_n(1,t):
 * the point series G_n(p0,t0): rationals, beta_k = B_k(t0), c = p0, so no
   polynomial is built.
 
-Each step's sum of products is one ``_dot``: over the rationals an integer
-sum over one common denominator with a single gcd, and in a polynomial
-ring a running sum.
+Each step's sum of products is one call of the ring's kernel, ``_dot``:
+one integer sum over one common denominator, with a single gcd.
 
 Two more constructions of G_n must agree with the canonical one term for
 term:
 
-* ``g_via_power_transform``: raise the S series to a symbolic power p by
-  the classical recurrence for g(x)^p (``_power``).
+* ``g_via_power_transform``: raise the S series a_k to a symbolic power p
+  by the classical recurrence for g(x)^p (``_power``), two sums per order:
+      n b_n = (1+p) sum_{k=1}^{n} k a_k b_{n-k} - n sum_{k=1}^{n} a_k b_{n-k}.
 * ``g_via_compositions``: the closed form
   (-1)^n G_n = sum_{r=1}^{n} ((-p)^r / r!) bucket[n][r],
   bucket[n][r] = sum_{k_1+...+k_r = n, k_i>=1} B_{k_1}(t)...B_{k_r}(t)/(k_1...k_r),
@@ -65,11 +65,11 @@ from __future__ import annotations
 import threading
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm
+from math import factorial
 from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
 
-from .algebra import BiPoly, Poly, _rational, _values_at
+from .algebra import BiPoly, Poly, _dot, _rational, _values_at
 from .bernoulli import bernoulli_poly
 
 __all__ = [
@@ -110,21 +110,6 @@ class Series(tuple):
         return len(self) - 1
 
 
-def _dot(xs: Sequence, ys: Sequence):
-    """sum_i xs[i] ys[i], for nonempty sequences of one length. Over the
-    rationals this is one integer sum over the lcm of the products'
-    denominators, and one Fraction; in a polynomial ring, a running sum."""
-    if isinstance(xs[0], (int, Fraction)) and isinstance(ys[0], (int, Fraction)):
-        nums = [x.numerator * y.numerator for x, y in zip(xs, ys)]
-        dens = [x.denominator * y.denominator for x, y in zip(xs, ys)]
-        den = lcm(*dens)
-        return Fraction(sum(n * (den // d) for n, d in zip(nums, dens)), den)
-    acc = xs[0] * ys[0]
-    for x, y in zip(xs[1:], ys[1:]):
-        acc = acc + x * y
-    return acc
-
-
 def _log_series(a: list, beta: Sequence, c) -> list:
     """Extend a = [a_0, ..., a_m] in place to a_0..a_N, N = len(beta) - 1, by
 
@@ -135,7 +120,7 @@ def _log_series(a: list, beta: Sequence, c) -> list:
     """
     signed = [b if k % 2 else -b for k, b in enumerate(beta)]
     for n in range(len(a), len(beta)):
-        a.append(c * _dot(signed[n:0:-1], a) * Fraction(1, n))
+        a.append(c * Fraction(1, n) * _dot(signed[n:0:-1], a))
     return a
 
 
@@ -171,15 +156,15 @@ def _bernoulli_polys(lo: int, hi: int) -> list[Poly]:
 
 def _power(a: Sequence[BiPoly]) -> list[BiPoly]:
     """b_0..b_N of (sum_k a_k x^-k)^p for a_0 = 1 and symbolic p, by the
-    classical recurrence n b_n = sum_{k=1}^{n} (k(1+p) - n) a_k b_{n-k}."""
-    one = BiPoly.one()
-    p1 = BiPoly.var_p() + one
+    recurrence in the module docstring, each k a_k formed once."""
+    p1 = BiPoly.var_p() + BiPoly.one()
+    ka = [a_k * k for k, a_k in enumerate(a)]
     b = [a[0]]
     for n in range(1, len(a)):
-        acc = BiPoly.zero()
-        for k in range(1, n + 1):
-            acc = acc + (p1 * k - one * n) * a[k] * b[n - k]
-        b.append(acc * Fraction(1, n))
+        rest = b[::-1]
+        # b_n = ((1+p)/n) sum k a_k b_{n-k} - sum a_k b_{n-k}
+        sums = (_dot(ka[1 : n + 1], rest), _dot(a[1 : n + 1], rest))
+        b.append(_dot((p1 * Fraction(1, n), -1), sums))
     return b
 
 
@@ -215,9 +200,9 @@ def _composition_table(n_max: int) -> list[Mapping[int, Poly]]:
             weight = [None] + [bernoulli_poly(k) * Fraction(1, k) for k in range(1, n_max + 1)]
             for n in range(len(table), n_max + 1):
                 row: dict[int, Poly] = {}
-                for k in range(1, n + 1):
-                    for r, poly in table[n - k].items():
-                        row[r + 1] = row.get(r + 1, Poly.zero()) + weight[k] * poly
+                for r in range(1, n + 1):
+                    ks = [k for k in range(1, n + 1) if r - 1 in table[n - k]]
+                    row[r] = _dot([weight[k] for k in ks], [table[n - k][r - 1] for k in ks])
                 table.append(MappingProxyType(row))
         return table[: n_max + 1]
 

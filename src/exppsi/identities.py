@@ -34,7 +34,7 @@ from math import factorial
 from operator import index
 from typing import Iterator, NamedTuple, Optional
 
-from .algebra import BiPoly, Poly, _render
+from .algebra import BiPoly, Poly, _dot, _render
 from .bernoulli import bernoulli_number
 from .expansions import (
     Series,
@@ -196,13 +196,10 @@ def check_half_argument(n_max: int, g: Optional[Series] = None) -> CheckReport:
         elif half[n].degree != n // 2:
             return CheckReport.failed("half-argument", half[n], n=n, expected_degree=n // 2)
     p_var = Poly.variable("p")
+    coef = [(1 - Fraction(2) ** (1 - 2 * k)) * bernoulli_number(2 * k) for k in range(n_max // 2 + 1)]
     rebuilt = [Poly.one("p")]
     for m in range(1, n_max // 2 + 1):
-        acc = Poly.zero("p")
-        for k in range(1, m + 1):
-            coef = (1 - Fraction(2) ** (1 - 2 * k)) * bernoulli_number(2 * k)
-            acc = acc + coef * rebuilt[m - k]
-        rebuilt.append(p_var * acc * Fraction(1, 2 * m))
+        rebuilt.append(p_var * Fraction(1, 2 * m) * _dot(coef[1 : m + 1], rebuilt[::-1]))
         if rebuilt[m] != half[2 * m]:
             return CheckReport.failed(
                 "half-argument", rebuilt[m] - half[2 * m], n=2 * m, part="recurrence"
@@ -273,10 +270,8 @@ def bernoulli_identity(n: int) -> Poly:
     """
     if n < 1:
         raise ValueError("identity index starts at 1")
-    total = Poly.zero()
-    for r, poly in composition_buckets(2 * n + 1).items():
-        total = total + Fraction((-2 * n) ** r, factorial(r)) * poly
-    return total
+    buckets = composition_buckets(2 * n + 1)
+    return _dot([Fraction((-2 * n) ** r, factorial(r)) for r in buckets], list(buckets.values()))
 
 
 def _partitions(total: int, max_part: int):

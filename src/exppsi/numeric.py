@@ -304,10 +304,10 @@ def eval_expansion(g: Series, p: RationalLike, x: RationalLike, prec: int = 256)
     whose coefficients are the rationals G_n(p, t) at one (p, t).
 
     The sum S is one exact rational, carried by Horner as an unreduced pair
-    and rounded once. At p = 1, x S is rational too, so the value is one
-    correctly rounded division at ``prec`` bits; any other p takes x^p from
-    mpmath at ``prec + GUARD`` bits, as x^p is exact only at a cost that
-    grows with p."""
+    over D, the lcm of the coefficients' denominators, and rounded once. At
+    p = 1, x S is rational too, so the value is one correctly rounded
+    division at ``prec`` bits; any other p takes x^p from mpmath at
+    ``prec + GUARD`` bits, as x^p is exact only at a cost that grows with p."""
     _check_prec(prec)
     if kinds := {type(c).__name__ for c in g.coeffs if not isinstance(c, (int, Fraction))}:
         raise TypeError(f"eval_expansion needs a point series of rationals, got {', '.join(sorted(kinds))} coefficients")
@@ -316,10 +316,12 @@ def eval_expansion(g: Series, p: RationalLike, x: RationalLike, prec: int = 256)
     if x <= 0:
         raise ValueError(f"expansion variable must be positive, got {x}")
     a, b = x.numerator, x.denominator
-    # S = c + S' b/a for each coefficient c from the last, as num/den
+    # D S = D c + D S' b/a for each coefficient c from the last, as num/den
+    D = math.lcm(*(c.denominator for c in g.coeffs))
     num, den = 0, 1
     for c in reversed(g.coeffs):
-        num, den = num * b * c.denominator + c.numerator * den * a, den * a * c.denominator
+        num, den = num * b + c.numerator * (D // c.denominator) * den * a, den * a
+    den *= D
     if p == 1:
         return _round_ratio(num * a, den * b, prec)
     wp = prec + GUARD

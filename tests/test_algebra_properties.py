@@ -1,13 +1,15 @@
 """Property-based tests for the polynomial ring operations."""
 
+import operator
 from fractions import Fraction
 from itertools import chain
 from math import gcd
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from exppsi.algebra import BiPoly, Poly, json_canonical
+from exppsi.algebra import BiPoly, Poly, _dot, json_canonical
 
 rationals = st.fractions(
     min_value=Fraction(-50), max_value=Fraction(50), max_denominator=12
@@ -246,3 +248,94 @@ def test_poly_stored_form_is_canonical(a, b, q, var):
     back = lifted.eval_t(0) if var == "p" else lifted.eval_p(0)
     assert_canonical(back)
     assert back == a
+
+
+# Every product and sum is one call of the kernel, algebra._dot. It is
+# checked here against a naive sum of products over maps from exponent pairs
+# to Fractions, which reads the values' Fractions and shares no code with it.
+
+
+def as_terms(value) -> dict:
+    """A rational, a Poly or a BiPoly as {(p power, t power): Fraction}, zeros dropped."""
+    if isinstance(value, BiPoly):
+        return dict(value.terms)
+    if isinstance(value, Poly):
+        return {((k, 0) if value.var == "p" else (0, k)): c for k, c in enumerate(value.coeffs) if c}
+    return nonzero({(0, 0): Fraction(value)})
+
+
+def reference_dot(xs, ys) -> dict:
+    out = {}
+    for x, y in zip(xs, ys):
+        for (i1, j1), u in as_terms(x).items():
+            for (i2, j2), v in as_terms(y).items():
+                key = (i1 + i2, j1 + j2)
+                out[key] = out.get(key, Fraction(0)) + u * v
+    return nonzero(out)
+
+
+# mixed denominators: a few primes and their products, so the lcm of the
+# products' denominators differs from each of them
+mixed_rationals = st.builds(
+    Fraction, st.integers(min_value=-40, max_value=40), st.sampled_from([1, 2, 3, 4, 6, 7, 9, 35, 999983])
+)
+scalars = st.one_of(st.just(Fraction(0)), st.just(0), mixed_rationals)
+
+
+@st.composite
+def values_of(draw, kind: str):
+    """A Poly in p, a Poly in t or a BiPoly, often zero."""
+    if kind == "bipoly":
+        keys = st.tuples(st.integers(min_value=0, max_value=4), st.integers(min_value=0, max_value=4))
+        return BiPoly(draw(st.dictionaries(keys, mixed_rationals, max_size=6)))
+    return Poly(tuple(draw(st.lists(mixed_rationals, max_size=5))), kind)
+
+
+@st.composite
+def dot_operands(draw):
+    kind = draw(st.sampled_from(["p", "t", "bipoly"]))
+    n = draw(st.integers(min_value=1, max_value=5))
+    ys = [draw(values_of(kind)) for _ in range(n)]
+    xs = [draw(st.one_of(scalars, values_of(kind))) for _ in range(n)]
+    return xs, ys
+
+
+@settings(max_examples=150, deadline=None)
+@given(dot_operands())
+@example(([Fraction(1, 6), Poly((Fraction(1, 35),))], [Poly((Fraction(1, 4), 1)), Poly((Fraction(3, 7),))]))
+@example(([0, Fraction(0)], [Poly((1, 2), "p"), Poly((3,), "p")]))  # every x a zero rational
+@example(([Poly.zero(), Fraction(5, 3)], [Poly((1, 1)), Poly.zero()]))  # every pair has a zero side
+@example(([BiPoly.zero()], [BiPoly.zero()]))
+@example(([Fraction(1, 2), Fraction(-1, 2)], [BiPoly({(1, 2): Fraction(2, 9)})] * 2))  # cancels to zero
+@example(([BiPoly({(0, 1): Fraction(1, 3)}), 7], [BiPoly({(2, 0): Fraction(3, 4)}), BiPoly.var_t()]))
+def test_dot_matches_a_naive_sum_of_products(operands):
+    xs, ys = operands
+    got = _dot(xs, ys)
+    assert type(got) is type(ys[0])
+    assert got._var == ys[0]._var
+    assert_canonical(got)
+    assert as_terms(got) == reference_dot(xs, ys)
+    if got.is_zero:
+        assert got.rows == () and got.den == 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(scalars, scalars), min_size=1, max_size=6))
+@example([(0, Fraction(1, 3)), (Fraction(2, 7), 0)])
+def test_dot_of_rationals_is_their_fraction_sum(pairs):
+    xs, ys = zip(*pairs)
+    got = _dot(xs, ys)
+    assert type(got) is Fraction
+    assert got == sum((Fraction(x) * y for x, y in pairs), Fraction(0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(values_of("p"), values_of("t"), values_of("bipoly"), st.sampled_from(["p", "t"]))
+def test_the_operators_keep_their_kind_checks(in_p, in_t, bi, var):
+    poly = in_p if var == "p" else in_t
+    for op in (operator.add, operator.sub, operator.mul):
+        for a, b, error in (
+            (in_p, in_t, ValueError), (in_t, in_p, ValueError), (poly, bi, TypeError), (bi, poly, TypeError)
+        ):
+            with pytest.raises(error):
+                op(a, b)

@@ -4,6 +4,7 @@ The digamma routine is cross-checked against the library digamma, which
 plays no role in the implementation itself.
 """
 
+import math
 import os
 import random
 import subprocess
@@ -526,6 +527,27 @@ class TestEvalExpansion:
                 exact = xp * correctly_rounded(s, mp.prec)
                 ulp = mpf(2) ** (mpmath.frexp(got)[1] - prec)
                 assert abs(got - exact) <= ulp, (order, n, p, t, prec)
+
+    def test_the_sum_is_carried_over_one_common_denominator(self, monkeypatch):
+        # at the order ceiling and a sweep's largest x, the pair rounded at
+        # p = 1 stays over D a^73 (times b): multiplying in every
+        # coefficient's denominator would give about 17,700 bits
+        g = coefficients("g", 72, 1, F(5, 4))
+        x = 8 * 10**9 - F(1, 4)
+        pairs = []
+        round_ratio = numeric._round_ratio
+
+        def capture(num, den, prec):
+            pairs.append((num, den))
+            return round_ratio(num, den, prec)
+
+        monkeypatch.setattr(numeric, "_round_ratio", capture)
+        got = eval_expansion(g, 1, x, 256)
+        (num, den), = pairs
+        D = math.lcm(*(c.denominator for c in g.coeffs))
+        assert den.bit_length() <= D.bit_length() + 73 * x.numerator.bit_length() + 1
+        assert F(num, den) == x * sum(c / x**k for k, c in enumerate(g.coeffs))
+        assert got._mpf_ == correctly_rounded(F(num, den), 256)._mpf_
 
     def test_a_huge_power_is_not_taken_exactly(self):
         # x^p at p = x = 10^9 would be an integer of about 3.7 GB; in a child
