@@ -37,12 +37,12 @@ tuple of Fractions and ``BiPoly.terms`` a read-only map from exponent pairs
 evaluation points take ints and Fractions only (``_rational``), so no float
 enters a symbolic value.
 
-Values are immutable and operations are pure. Text and LaTeX are built
-from one term iterator, ``_terms``, which names each power by the variable
-the value carries; CSV and JSON list the pairs of ``BiPoly.terms``.
-``BiPoly.of`` places a Poly under its own variable, and a value in one
-variable is always a Poly: ``eval_t`` and ``coeff_of_t_power`` give one in
-p, ``eval_p`` one in t.
+Values are immutable and operations are pure. Every printed coefficient,
+in text, LaTeX, CSV or JSON, comes from one walk over the rows, ``_terms``,
+which yields each nonzero term as integers in lowest terms and builds no
+Fraction. ``BiPoly.of`` places a Poly under its own variable, and a value
+in one variable is always a Poly: ``eval_t`` and ``coeff_of_t_power`` give
+one in p, ``eval_p`` one in t.
 """
 
 from __future__ import annotations
@@ -81,26 +81,6 @@ def json_canonical(obj) -> str:
     import json
 
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
-def _join_terms(terms: Iterable[tuple[Fraction, str]], number=str, sep: str = "*") -> str:
-    """A signed sum such as '-1/2*t^2 + t - 3' from (coefficient, monomial)
-    pairs. ``number`` renders a coefficient's magnitude and ``sep`` joins it
-    to a nonempty monomial. The empty sum is '0'."""
-    out: list[str] = []
-    for c, mono in terms:
-        mag = abs(c)
-        if not mono:
-            piece = number(mag)
-        elif mag == 1:
-            piece = mono
-        else:
-            piece = f"{number(mag)}{sep}{mono}"
-        if out:
-            out.append(f"- {piece}" if c < 0 else f"+ {piece}")
-        else:
-            out.append(f"-{piece}" if c < 0 else piece)
-    return " ".join(out) if out else "0"
 
 
 def _trimmed(xs: Sequence[int]) -> tuple[int, ...]:
@@ -204,35 +184,43 @@ def _values_at(polys: Sequence["Poly"], x) -> list[Fraction]:
     return [Fraction(sum(map(mul, q.nums, weight)), q.den * scale) for q in polys]
 
 
-def _terms(value) -> Iterator[tuple[Fraction, tuple[tuple[str, int], ...]]]:
-    """The terms of a rational, a Poly or a BiPoly in (p, t), in print
-    order, as (coefficient, ((variable, power), ...)) with zero powers left
-    out. A Poly goes by falling powers in its own variable, a BiPoly by
-    sorted (p, t) exponents; zero terms are skipped, but a rational is
-    always one term."""
+def _ratio(n: int, d: int) -> str:
+    return f"{n}/{d}" if d != 1 else str(n)
+
+
+def _terms(value) -> Iterator[tuple[int, int, int, int]]:
+    """The nonzero terms of a rational, a Poly or a BiPoly in (p, t), as
+    (num, den, i, j) for num/den p^i t^j in lowest terms, read off the rows
+    with one gcd each: a Poly by falling powers, placed as ``BiPoly.of``
+    places it, a BiPoly by ascending (i, j). Zero has no terms."""
     if isinstance(value, BiPoly):
-        for (i, j), c in value.terms.items():
-            yield c, tuple((name, e) for name, e in (("p", i), ("t", j)) if e)
-    elif isinstance(value, Poly):
-        for k, c in reversed(list(enumerate(value.coeffs))):
-            if c:
-                yield c, ((value.var, k),) if k else ()
+        cells = ((i, j, n) for i, row in enumerate(value.rows) for j, n in enumerate(row))
     else:
-        yield Fraction(value), ()
+        value = value if isinstance(value, Poly) else Poly((value,))
+        in_p = value.var == "p"
+        cells = ((k, 0, n) if in_p else (0, k, n) for k, n in reversed([*enumerate(value.nums)]))
+    for i, j, n in cells:
+        if n:
+            g = gcd(n, value.den)
+            yield n // g, value.den // g, i, j
 
 
-def _render(value, number=str, sep: str = "*", power: str = "{}^{}") -> str:
-    """A rational, a Poly or a BiPoly as a signed sum of terms. ``number``
-    renders a coefficient's magnitude, ``power`` a variable raised above
-    the first power, and ``sep`` joins the factors of a term."""
-    return _join_terms(
-        (
-            (c, sep.join(name if e == 1 else power.format(name, e) for name, e in powers))
-            for c, powers in _terms(value)
-        ),
-        number,
-        sep,
-    )
+def _render(value, number=_ratio, sep: str = "*", power: str = "{}^{}") -> str:
+    """A rational, a Poly or a BiPoly as a signed sum such as '-1/2*t^2 + t
+    - 3', the empty sum being '0'. ``number(n, d)`` renders a coefficient's
+    magnitude n/d, ``power`` a variable raised above the first power, and
+    ``sep`` joins the factors of a term."""
+    out: list[str] = []
+    for n, d, i, j in _terms(value):
+        mono = sep.join(v if e == 1 else power.format(v, e) for v, e in (("p", i), ("t", j)) if e)
+        if not mono:
+            piece = number(abs(n), d)
+        elif abs(n) == d == 1:
+            piece = mono
+        else:
+            piece = f"{number(abs(n), d)}{sep}{mono}"
+        out.append(f"{'-' if n < 0 else '+'} {piece}" if out else f"-{piece}" if n < 0 else piece)
+    return " ".join(out) or "0"
 
 
 class _Rows:
@@ -357,9 +345,7 @@ class Poly(_Rows):
         return len(self.rows[0]) - 1 if self.rows else None
 
     def __getitem__(self, k: int) -> Fraction:
-        if 0 <= k < len(self.nums):
-            return self.coeffs[k]
-        return Fraction(0)
+        return Fraction(self.nums[k] if 0 <= k < len(self.nums) else 0, self.den)
 
     def eval(self, x) -> Fraction:
         return _values_at((self,), x)[0]
@@ -429,7 +415,8 @@ class BiPoly(_Rows):
         return self._cache
 
     def coeff(self, p_pow: int, t_pow: int) -> Fraction:
-        return self.terms.get((p_pow, t_pow), Fraction(0))
+        row = self.rows[p_pow] if 0 <= p_pow < len(self.rows) else ()
+        return Fraction(row[t_pow] if 0 <= t_pow < len(row) else 0, self.den)
 
     def coeff_of_t_power(self, j: int) -> Poly:
         """The coefficient of t^j, as a polynomial in p: zero for j < 0."""
@@ -456,8 +443,5 @@ class BiPoly(_Rows):
     def to_json_dict(self) -> dict:
         return {
             "var_order": ["p", "t"],
-            "terms": [
-                {"p": i, "t": j, "num": str(c.numerator), "den": str(c.denominator)}
-                for (i, j), c in self.terms.items()
-            ],
+            "terms": [{"p": i, "t": j, "num": str(n), "den": str(d)} for n, d, i, j in _terms(self)],
         }

@@ -44,7 +44,7 @@ import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from .algebra import BiPoly, _render, json_canonical, parse_rational
+from .algebra import BiPoly, _render, _terms, json_canonical, parse_rational
 from .expansions import coefficients
 
 if TYPE_CHECKING:
@@ -61,8 +61,9 @@ MAX_PREC = 8192
 # Ceilings on ``verify --max-n``, and on ``approx --order`` and ``coeffs --n``:
 # on a 2-core x86-64 host (CPython 3.11, mpmath 1.3.0 without gmpy2)
 # ``verify --suite all --max-n 56`` took 6.8-9.7 s at 42 MiB peak RSS and
-# ``coeffs g --n 72 --format json`` 6.1-7.4 s at 143 MiB (17 MB of output);
-# each cost doubles with about 8 more orders. ``approx`` builds only the point
+# ``coeffs g --n 72 --format json`` 5.9-7.5 s at 32-33 MiB, the build's own
+# peak, as the 17 MB of output go out one coefficient at a time; each cost
+# doubles with about 8 more orders. ``approx`` builds only the point
 # series, so ``approx exp-psi --n 40 --order 72 --p 2/3 --t 5/4 --sweep`` took
 # 0.2 s: the bivariate series set the order ceiling.
 MAX_VERIFY_N = 56
@@ -115,11 +116,8 @@ def _csv_writer(out):
 # coeffs subcommand
 
 
-def _latex_coeff(value: Fraction) -> str:
-    if value.denominator == 1:
-        return str(value)
-    sign = "-" if value < 0 else ""
-    return f"{sign}\\frac{{{abs(value.numerator)}}}{{{value.denominator}}}"
+def _latex_coeff(n: int, d: int) -> str:
+    return str(n) if d == 1 else f"\\frac{{{n}}}{{{d}}}"
 
 
 def _cmd_coeffs(args: argparse.Namespace, out) -> int:
@@ -144,22 +142,16 @@ def _cmd_coeffs(args: argparse.Namespace, out) -> int:
         else:
             writer.writerow(["n", "p_pow", "t_pow", "num", "den"])
             for n, v in enumerate(values):
-                for (i, j), coeff in BiPoly.of(v).terms.items():
-                    writer.writerow([n, i, j, coeff.numerator, coeff.denominator])
+                writer.writerows([n, i, j, num, den] for num, den, i, j in _terms(BiPoly.of(v)))
     else:
-        doc = {
-            "kind": args.kind,
-            "order_max": args.n,
-            "p": None if args.p is None else str(args.p),
-            "t": None if args.t is None else str(args.t),
-            "coeffs": [
-                {"n": n, "value": str(v)}
-                if isinstance(v, Fraction)
-                else {"n": n, "poly": BiPoly.of(v).to_json_dict()}
-                for n, v in enumerate(values)
-            ],
-        }
-        print(json_canonical(doc), file=out)
+        # json_canonical sorts keys and "coeffs" sorts first, so the canonical
+        # document goes out one coefficient at a time and is never held whole
+        out.write('{"coeffs":[')
+        for n, v in enumerate(values):
+            item = {"value": str(v)} if isinstance(v, Fraction) else {"poly": BiPoly.of(v).to_json_dict()}
+            out.write(("," if n else "") + json_canonical({"n": n, **item}))
+        p, t = (None if x is None else str(x) for x in (args.p, args.t))
+        print("]," + json_canonical({"kind": args.kind, "order_max": args.n, "p": p, "t": t})[1:], file=out)
     return 0
 
 

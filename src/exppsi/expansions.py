@@ -215,16 +215,16 @@ def composition_buckets(n: int) -> Mapping[int, Poly]:
 
 def g_via_compositions(n_max: int) -> Series:
     """Explicit route: (-1)^n G_n = sum_r ((-p)^r / r!) bucket[n][r], folded
-    over the composition table of every order up to n_max."""
-    out: list[BiPoly] = []
-    for n, buckets in enumerate(_composition_table(n_max)):
-        terms: dict[tuple[int, int], Fraction] = {}
-        for r, poly in buckets.items():
-            scale = Fraction((-1) ** (n + r), factorial(r))
-            for j, c in enumerate(poly.coeffs):
-                terms[(r, j)] = scale * c
-        out.append(BiPoly(terms))
-    return Series(out)
+    over the composition table of every order up to n_max: one dot per order
+    of the signs (-1)^(n+r)/r! with the p^r bucket[n][r], each the bucket's
+    row placed as row r of a BiPoly."""
+    return Series(
+        _dot(
+            [Fraction((-1) ** (n + r), factorial(r)) for r in buckets],
+            [BiPoly._new([()] * r + [poly.nums], poly.den, None) for r, poly in buckets.items()],
+        )
+        for n, buckets in enumerate(_composition_table(n_max))
+    )
 
 
 def coefficients(kind: str, n_max: int, p=None, t=None) -> Series:

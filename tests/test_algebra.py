@@ -167,6 +167,18 @@ class TestBiPoly:
         for j in (-1, -2, -3, 3):
             assert b.coeff_of_t_power(j) == Poly.zero("p"), j
 
+    def test_one_coefficient_is_read_from_its_cell(self):
+        # reading one coefficient builds one Fraction, not every coefficient
+        b = BiPoly({(0, 0): F(1, 2), (1, 2): F(-3, 4), (2, 0): F(5, 6)})
+        q = Poly((F(1, 2), F(0), F(-3, 4)), "p")
+        cells = {(i, j): b.coeff(i, j) for i in range(-1, 4) for j in range(-1, 4)}
+        items = [q[k] for k in range(-1, 4)]
+        assert b._cache is None and q._cache is None
+        assert {k: c for k, c in cells.items() if c} == b.terms
+        assert all(type(c) is Fraction for c in [*cells.values(), *items])
+        assert items == [0, F(1, 2), 0, F(-3, 4), 0]
+        assert BiPoly.zero().coeff(0, 0) == 0 and Poly.zero()[0] == 0
+
     def test_derivative_in_shift_direction(self):
         t = BiPoly.var_t()
         b = t * t * t

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from exppsi.algebra import BiPoly, Poly, _dot, json_canonical
+from exppsi.algebra import BiPoly, Poly, _dot, _terms, json_canonical
 
 rationals = st.fractions(
     min_value=Fraction(-50), max_value=Fraction(50), max_denominator=12
@@ -327,6 +327,37 @@ def test_dot_of_rationals_is_their_fraction_sum(pairs):
     got = _dot(xs, ys)
     assert type(got) is Fraction
     assert got == sum((Fraction(x) * y for x, y in pairs), Fraction(0))
+
+
+# Every printed coefficient is read off the rows by one walk, algebra._terms,
+# which builds no Fraction. It must give the Fractions of BiPoly.terms in
+# print order: a Poly by falling powers, a BiPoly by ascending exponents.
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(scalars, values_of("p"), values_of("t"), values_of("bipoly")))
+@example(0)
+@example(Fraction(-7, 3))
+@example(Poly.zero("p"))
+@example(Poly((Fraction(-1, 2),)))
+@example(Poly((0, 0, Fraction(4, 6)), "p"))
+@example(BiPoly.zero())
+@example(BiPoly.constant(Fraction(9, 4)))
+def test_the_term_walk_lists_the_terms_in_print_order(value):
+    lifted = BiPoly.of(value) if isinstance(value, (Poly, BiPoly)) else BiPoly.constant(value)
+    terms = list(lifted.terms.items())
+    if isinstance(value, Poly):
+        terms.reverse()
+    walked = list(_terms(value))
+    assert walked == [(c.numerator, c.denominator, i, j) for (i, j), c in terms]
+    assert all(type(x) is int for term in walked for x in term)
+    assert lifted.to_json_dict() == {
+        "var_order": ["p", "t"],
+        "terms": [
+            {"p": i, "t": j, "num": str(c.numerator), "den": str(c.denominator)}
+            for (i, j), c in lifted.terms.items()
+        ],
+    }
 
 
 @settings(max_examples=60, deadline=None)

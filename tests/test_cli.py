@@ -445,6 +445,32 @@ print(result.value._mpf_, result.abs_error._mpf_)
     assert lines == ["True", f"{result.value._mpf_} {result.abs_error._mpf_}"]
 
 
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from Linux procfs")
+def test_rendering_at_depth_adds_little_memory():
+    # every format is read off the integer rows of the cached G_n, and JSON
+    # goes out one coefficient at a time, so rendering G_0..G_40 four times
+    # leaves the peak RSS of the build almost as it was. The peak is VmHWM, in
+    # KiB: ru_maxrss would start at the peak of the test process, as Linux
+    # carries it across fork and exec, and hide a growth below that.
+    (line,) = run_fresh("""
+import contextlib, os
+from exppsi.cli import main
+from exppsi.expansions import g_via_bernoulli
+
+def peak():
+    with open("/proc/self/status") as f:
+        return next(int(line.split()[1]) for line in f if line.startswith("VmHWM:"))
+
+g_via_bernoulli(40)
+before = peak()
+with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+    for fmt in ("text", "latex", "csv", "json"):
+        assert main(["coeffs", "g", "--n", "40", "--format", fmt]) == 0
+print(peak() - before)
+""")
+    assert int(line) <= 3 * 1024
+
+
 # SHA-256 of the package's exported names, sorted and joined by spaces
 EXPORTED_SHA256 = "7ef94b6966f123bd4cda21222ea60ea643fdc464e7a2bdfd9d351e28835241a8"
 
@@ -518,6 +544,16 @@ STDOUT_SHA256 = [
     ("coeffs g --n 14", "bc6f7fbc6404f7458c20f478f77e29a9ee7b70ea1108c522396e2b41cbaa5482"),
     ("coeffs s --n 32 --format latex", "35a9fd3b9b3ee1217ced0bff4353231bfc46c97dc3a25775a306abf304462b01"),
     ("verify --suite even-p --max-n 20 --format json", "00b0075c9487e2f802f1df1573de5d43b23543de29c57376d18bf40b347171eb"),
+    # every kind and format of coeffs output: bivariate CSV and LaTeX, G at a
+    # fixed p in CSV and JSON, S in JSON, the point series in LaTeX, and
+    # zero coefficients, whose term lists are empty
+    ("coeffs g --n 12 --format csv", "63a9e77602ee426b37bae06af440e8eb92002eb78152e90acf69dbb021aa22b9"),
+    ("coeffs g --n 10 --format latex", "6554d359dd761a54cb3933661ab189f6aa843a2a986b09a323aa3a2dc0d08de8"),
+    ("coeffs g --n 18 --p 2/3 --format csv", "8d60281600c93c791142cfbc81b089e3af752abb705f4f51c6ecee2005e7925b"),
+    ("coeffs g --n 9 --p 2/3 --format json", "ce5515f3746e33d5103db8762c9131a409e722594ecb314db6deb4f0989ba773"),
+    ("coeffs s --n 12 --format json", "938d134a42b97179c3e30c1da37481d34c7b9fafc18a8d9d684504e1a5ccd440"),
+    ("coeffs g --n 6 --p 2/3 --t 1/4 --format latex", "94f08777fea2019753403b97be277a64e1b3eaadc19767155063d82fa3a9a368"),
+    ("coeffs g --n 3 --p 0 --format json", "06c10f442f881ccca377a053d20f666c1a318b92b7fc38bee3c49972c0424fd0"),
 ]
 
 
