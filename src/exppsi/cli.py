@@ -323,7 +323,7 @@ def _fit(samples: Sequence[ApproxResult], prec: int) -> Optional[Fraction]:
 
 
 def _cmd_approx(args: argparse.Namespace, out) -> int:
-    from .numeric import _harmonic_samples, approx_exp_psi, format_mpf
+    from .numeric import approx_exp_psi, approx_gamma, approx_harmonic, format_mpf
 
     if args.p is None:
         args.p = Fraction(1)
@@ -333,7 +333,8 @@ def _cmd_approx(args: argparse.Namespace, out) -> int:
     if args.target == "exp-psi":
         samples = [approx_exp_psi(n, args.order, p=args.p, t=args.t, prec=args.prec) for n in ns]
     else:
-        samples = _harmonic_samples(args.target, ns, args.order, args.t, args.prec)
+        approx = approx_gamma if args.target == "gamma" else approx_harmonic
+        samples = [approx(n, args.order, t=args.t, prec=args.prec) for n in ns]
     # est[i] is the order fitted to samples i-1 and i
     est = [None] + [_fit(samples[i - 1 : i + 1], args.prec) for i in range(1, len(samples))]
     fitted = _fit(samples, args.prec) if args.sweep else None

@@ -31,18 +31,24 @@ deliberately not used here so the tests can treat it as an independent
 cross-check. The last few values are kept, keyed on (x, prec), so
 approximants of growing order at one point compute the reference once.
 
+Euler's constant is mpmath's, between its roundings down and up
+(``_gamma_ends``), correctly rounded by the same loop, which stops: were
+gamma rational, its denominator would exceed 10^242080 (by its continued
+fraction), so it is no rounding midpoint below about 800,000 bits.
+``psi_ref(1)`` stays this module's own construction, tested against that
+constant (``test_correctly_rounded_at_the_integers``).
+
 ``approx_gamma`` and ``approx_harmonic`` share one body,
-``_harmonic_samples``, which takes a list of n. A sample needs H_n only
-rounded once to the working precision wp, and ``_harmonic_rounded`` reads
-it off the same enclosure and loop, at m = 0, as psi(n+1) + gamma, not by
-summing n reciprocals. That is bit for bit the exact sum rounded once, and
-the loop stops, because H_n is never a rounding midpoint: for n >= 3,
-Bertrand's postulate gives a prime p with n/2 < p <= n, 1/p is the only term
-whose denominator p divides, so the odd prime p divides the denominator of
-H_n and H_n is not dyadic (H_1 and H_2 have two bits). Where the shift rule
-needs a shift at n + 1 with the Bernoulli numbers ``euler_gamma(wp)``
-builds, which is so for small n or a high wp, the exact sum gives H_n
-instead, carried from each sample of a sweep to the next.
+``_harmonic_sample``, which takes one n. A sample needs H_n only rounded
+once to the working precision wp, and ``_harmonic_rounded`` reads it off
+the same enclosure and loop, at m = 0, as psi(n+1) + gamma, not by summing
+n reciprocals. That is bit for bit the exact sum rounded once, and the loop
+stops, because H_n is never a rounding midpoint: for n >= 3, Bertrand's
+postulate gives a prime p with n/2 < p <= n, 1/p is the only term whose
+denominator p divides, so the odd prime p divides the denominator of H_n
+and H_n is not dyadic (H_1 and H_2 have two bits). Where the shift rule
+needs a shift at n + 1, which is so for small n or a high wp, the exact sum
+gives H_n instead, rounded once; the last few such sums are kept.
 
 The expansion of exp(p*psi(x+t)) is evaluated from its point series, the
 rationals G_n(p, t) of ``expansions.coefficients``; no polynomial in p or t
@@ -90,7 +96,9 @@ class _Mpmath:
     """Stands for the mpmath module in this module's globals until one of its
     names is first read. That read imports mpmath and rebinds the global
     ``mpmath`` to the module itself, so every later use is a plain module
-    attribute with no cost per call."""
+    attribute with no cost per call. The package imports this module before
+    ``identities`` to resolve a name, so an exact check such as
+    ``exppsi.check_reflection`` loads it too, and must not load mpmath."""
 
     def __getattr__(self, name: str):
         global mpmath
@@ -209,7 +217,7 @@ def _ratio_ends(num: int, den: int, bits: int) -> tuple:
 @lru_cache(maxsize=8)
 def _tail_bounds(terms: int, bits: int) -> tuple[tuple, ...]:
     """B_2j/(2j) for j = 1..terms, each as ``_ratio_ends`` at ``bits`` bits;
-    the cache holds a few (terms, bits) pairs, as ``euler_gamma``'s does."""
+    the cache holds a few (terms, bits) pairs."""
     bs = [(2 * j, bernoulli_number(2 * j)) for j in range(1, terms + 1)]
     return tuple(_ratio_ends(b.numerator, k * b.denominator, bits) for k, b in bs)
 
@@ -273,28 +281,29 @@ def _psi_at(x: Fraction, prec: int) -> mpmath.mpf:
     return _round_enclosed(enclose, prec)
 
 
-@lru_cache(maxsize=8)
+def _gamma_ends(bits: int) -> tuple:
+    """Euler's constant as raw mpf ends: mpmath's roundings of it down and up."""
+    libmp = mpmath.libmp
+    return tuple(libmp.mpf_euler(bits, rnd) for rnd in (libmp.round_floor, libmp.round_ceiling))
+
+
 def euler_gamma(prec: int = 256) -> mpmath.mpf:
-    """Euler's constant as -psi(1), at ``prec`` bits. The cache holds a few
-    precisions, so a caller sweeping many of them does not grow it."""
+    """Euler's constant, correctly rounded to ``prec`` bits."""
     _check_prec(prec)
-    value = psi_ref(1, prec + GUARD)
-    with mpmath.mp.workprec(prec):
-        return -value
+    return _round_enclosed(_gamma_ends, prec)
 
 
 def _harmonic_rounded(n: int, wp: int) -> mpmath.mpf | None:
     """H_n rounded to nearest at ``wp`` bits, read off psi(n+1) + gamma when
-    ``_shift`` needs no shift at n + 1 with the Bernoulli numbers that
-    ``euler_gamma(wp)`` builds; None otherwise, and the exact sum must give it."""
+    ``_shift`` needs no shift at n + 1 with ``_psi_terms(wp + GUARD)`` tail
+    terms; None otherwise, and the exact sum must give it."""
     libmp = mpmath.libmp
     terms = _psi_terms(wp + GUARD)
 
     def enclose(bits: int) -> tuple | None:
         if _shift(n + 1, bits, terms):
             return None
-        gamma = tuple(libmp.mpf_euler(bits, rnd) for rnd in (libmp.round_floor, libmp.round_ceiling))
-        return libmp.mpi_add(_psi_enclosure(n + 1, 0, _tail_length(n + 1, bits, terms), bits), gamma, bits)
+        return libmp.mpi_add(_psi_enclosure(n + 1, 0, _tail_length(n + 1, bits, terms), bits), _gamma_ends(bits), bits)
 
     return _round_enclosed(enclose, wp)
 
@@ -358,53 +367,41 @@ def _exp_series(order: int, p: Fraction, t: Fraction) -> Series:
     return coefficients("g", order, p, t)
 
 
-def _harmonic_samples(
-    target: str, ns: Sequence[int], order: int, t: RationalLike, prec: int
-) -> list[ApproxResult]:
-    """``approx_gamma`` (target "gamma") or ``approx_harmonic`` ("harmonic")
-    at each n of the nondecreasing ``ns``. H_n comes rounded from
-    ``_harmonic_rounded``; where that gives None, it is one unreduced sum
-    P/Q, carried from each such sample to the next and extended by the
-    reciprocals in between: P, Q = P q + p Q, Q q for the block p/q."""
+def _harmonic_sample(target: str, n: int, order: int, t: RationalLike, prec: int) -> ApproxResult:
+    """``approx_gamma`` (target "gamma") or ``approx_harmonic`` ("harmonic").
+    H_n comes rounded from ``_harmonic_rounded``; where that gives None, it
+    is the memoized exact sum rounded once."""
     t = _rational(t)
-    for n in ns:
-        _check_sample(n, order, prec, t, n + 1 - t, "n + 1 - t")
+    _check_sample(n, order, prec, t, n + 1 - t, "n + 1 - t")
     g = _exp_series(order, 1, t)
     wp = prec + GUARD
-    # also builds the Bernoulli numbers that _harmonic_rounded reads
     gamma = euler_gamma(wp)
-    out = []
-    h_num, h_den, done = 0, 1, 0
-    for n in ns:
-        h = _harmonic_rounded(n, wp)
-        if h is None:
-            p, q = _reciprocal_sum(Fraction(done + 1), n - done)
-            h_num, h_den, done = h_num * q + p * h_den, h_den * q, n
-            h = _round_ratio(h_num, h_den, wp)
-        with mpmath.mp.workprec(wp):
-            e = eval_expansion(g, 1, n + 1 - t, wp)
-            if target == "gamma":
-                value = h - mpmath.log(e)
-                err = abs(value - gamma)
-            else:
-                value = gamma + mpmath.log(e)
-                err = abs(value - h)
-        out.append(ApproxResult(n, order, _round_to(value, prec), _round_to(err, prec)))
-    return out
+    h = _harmonic_rounded(n, wp)
+    if h is None:
+        h = _round_ratio(*_reciprocal_sum(Fraction(1), n), wp)
+    with mpmath.mp.workprec(wp):
+        e = eval_expansion(g, 1, n + 1 - t, wp)
+        if target == "gamma":
+            value = h - mpmath.log(e)
+            err = abs(value - gamma)
+        else:
+            value = gamma + mpmath.log(e)
+            err = abs(value - h)
+    return ApproxResult(n, order, _round_to(value, prec), _round_to(err, prec))
 
 
 def approx_gamma(
     n: int, order: int, t: RationalLike = 1, prec: int = 256
 ) -> ApproxResult:
     """Euler's constant via H_n - log(expansion at x = n + 1 - t)."""
-    return _harmonic_samples("gamma", [n], order, t, prec)[0]
+    return _harmonic_sample("gamma", n, order, t, prec)
 
 
 def approx_harmonic(
     n: int, order: int, t: RationalLike = 1, prec: int = 256
 ) -> ApproxResult:
     """H_n via gamma + log(expansion at x = n + 1 - t)."""
-    return _harmonic_samples("harmonic", [n], order, t, prec)[0]
+    return _harmonic_sample("harmonic", n, order, t, prec)
 
 
 def approx_exp_psi(

@@ -509,6 +509,18 @@ print(hashlib.sha256(" ".join(names).encode()).hexdigest())
     assert lines == [exppsi.__version__, "False", "True", EXPORTED_SHA256]
 
 
+def test_an_exact_check_loads_numeric_but_not_mpmath():
+    # a name in identities resolves through numeric, which the package
+    # imports first; numeric's mpmath proxy keeps that import free of mpmath
+    lines = run_fresh("""
+import sys
+import exppsi
+exppsi.check_reflection(6)
+print("exppsi.numeric" in sys.modules, "mpmath" in sys.modules)
+""")
+    assert lines == ["True False"]
+
+
 # SHA-256 of stdout for a fixed set of commands: the README commands and
 # commands shaped like the benchmark's operations. A change to any of these
 # outputs must be deliberate; record the new digest and say why.

@@ -295,7 +295,6 @@ class TestCertifiedHarmonic:
         # exactly when some J <= terms meets it, and _tail_length gives the
         # least such J, or terms when there is none
         bits, terms = wp + 32, numeric._psi_terms(wp + numeric.GUARD)
-        euler_gamma(wp)
         coeffs = [abs(bernoulli.bernoulli_number(2 * j)) / (2 * j) for j in range(1, terms + 1)]
         for z in range(2, 400):
             under = (j for j, c in enumerate(coeffs, 1) if c / z ** (2 * j) <= F(1, 2**bits))
@@ -305,7 +304,6 @@ class TestCertifiedHarmonic:
 
     @pytest.mark.parametrize("wp", [112, 304, 1680])
     def test_equals_the_exact_sum_rounded(self, wp):
-        euler_gamma(wp)
         terms = numeric._psi_terms(wp + numeric.GUARD)
         admitted = [n for n in range(1, 1000) if numeric._shift(n + 1, wp + 32, terms) == 0]
         assert len(admitted) >= 50
@@ -321,7 +319,6 @@ class TestCertifiedHarmonic:
         # _harmonic_rounded takes, and at 40 and 160, which it turns away,
         # all the terms it may take
         wp = 816
-        euler_gamma(wp)
         terms = numeric._tail_length(n + 1, wp + 32, numeric._psi_terms(wp + numeric.GUARD))
         # the ends hold psi(n + 1) = H_n - gamma, whatever gamma's last bits
         low, high = (F(*to_rational(end)) for end in numeric._psi_enclosure(n + 1, 0, terms, wp + 32))
@@ -389,18 +386,19 @@ class TestCertifiedHarmonic:
             return reciprocal_sum(x, m)
 
         monkeypatch.setattr(numeric, "_reciprocal_sum", spy)
-        ns = [MAX_APPROX_N * 2**k for k in range(4)]
-        assert [r.n for r in numeric._harmonic_samples("gamma", ns, 4, 1, 256)] == ns
-        # at most psi_ref's shift for Euler's constant, about prec/4 terms
-        assert max(lengths, default=0) < 1000
+        # a precision no other test takes, so no cached value hides a sum
+        for n in (MAX_APPROX_N * 2**k for k in range(4)):
+            assert approx_gamma(n, 4, prec=203).n == n
+        # each H_n is read off the enclosure at m = 0, and Euler's constant
+        # takes no digamma shift: every sum taken is the empty one
+        assert set(lengths) <= {0}
 
     def test_the_benchmark_session_calls_build_no_interval(self, monkeypatch):
         def refused(*args):
             raise AssertionError("an interval was built")
 
-        # with Euler's constant at the session's 368 bits cached, H_40 is
-        # turned away by the shift rule before any enclosure is taken
-        euler_gamma(368)
+        # Euler's constant takes no enclosure, and H_40 is turned away by
+        # the shift rule before one is taken
         monkeypatch.setattr(numeric, "_psi_enclosure", refused)
         # the session's shape: n = 40 at 320 bits, t from 1/4, 3/4, 5/4, 7/4
         for t in (F(1, 4), F(3, 4), F(5, 4), F(7, 4)):
@@ -411,7 +409,6 @@ class TestCertifiedHarmonic:
     def test_the_exact_h_n_is_summed_once_per_n(self):
         # the session's n = 40 at 320 bits, which the shift rule turns away:
         # each order after the first reads the memoized sum of H_40
-        euler_gamma(368)
         numeric._reciprocal_sum.cache_clear()
         for order in range(2, 17):
             approx_gamma(40, order, prec=320)
@@ -449,6 +446,21 @@ class TestRoundEnclosed:
 
 
 class TestEulerGamma:
+    @pytest.mark.parametrize("prec", [1, 2, 53, 367, 1631, 8191])
+    def test_correctly_rounded_without_the_digamma(self, prec, monkeypatch):
+        # precisions no other test takes; Euler's constant is mpmath's, and
+        # builds neither a digamma enclosure nor a Bernoulli number
+        def refused(*args):
+            raise AssertionError("a digamma enclosure was built")
+
+        monkeypatch.setattr(bernoulli, "_numbers", [F(1)])
+        monkeypatch.setattr(bernoulli, "_polys", [Poly.one()])
+        monkeypatch.setattr(numeric, "_psi_enclosure", refused)
+        low, high = (correctly_rounded(end, prec) for end in euler_bounds(prec + 256))
+        assert low._mpf_ == high._mpf_
+        assert euler_gamma(prec)._mpf_ == low._mpf_
+        assert len(bernoulli._numbers) == 1
+
     def test_against_library_constant(self):
         with mp.workprec(300):
             assert abs(euler_gamma(256) - mpmath.euler) < TIGHT
