@@ -463,11 +463,19 @@ def _glue_negative_rationals(argv: Sequence[str]) -> list[str]:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(_glue_negative_rationals(sys.argv[1:] if argv is None else argv))
+    # the arguments are read under the interpreter's limit on the digits of
+    # an int, but an exact coefficient prints in full, however long
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args, sys.stdout)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 def run() -> None:

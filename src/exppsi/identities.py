@@ -119,12 +119,7 @@ class ErrataEntry(_Erratum):
         return cls(*iterable)
 
     def to_json_dict(self) -> dict:
-        return {
-            "location": self.location,
-            "printed": self.printed,
-            "computed": self.computed,
-            "note": self.note,
-        }
+        return self._asdict()
 
 
 def check_even_p_vanishing(p: int) -> CheckReport:

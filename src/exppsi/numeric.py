@@ -20,9 +20,9 @@ the harmonic numbers). For real z > 0, the series log z - 1/(2z) - sum_j
 B_2j/(2j z^2j) cut before j = J leaves a remainder bounded by the first
 neglected term and of its sign (DLMF 5.11(ii)). Every step rounds outward
 through mpmath's interval primitives, so the two ends hold psi(x) for any m
-and J. One rule, ``_shift``, takes the least m that brings the term j =
-terms under 2^-bits; the terms still fall there, as they do while
-2j < 2 pi z, so J is the first j whose term meets 2^-bits (``_tail_length``).
+and J. One rule, ``_cut``, takes either the least m > 0 that brings the
+term j = terms under 2^-bits, with J = terms, or m = 0 and the first J whose
+term meets 2^-bits, which exists: the terms fall while 2j < 2 pi z.
 Rounding to nearest is monotone: when both ends round to the same prec-bit
 mpf, that mpf is psi(x) correctly rounded. Otherwise the enclosure is taken
 again with twice the extra bits (``_round_enclosed``), which settles it
@@ -40,15 +40,16 @@ constant (``test_correctly_rounded_at_the_integers``).
 
 ``approx_gamma`` and ``approx_harmonic`` share one body,
 ``_harmonic_sample``, which takes one n. A sample needs H_n only rounded
-once to the working precision wp, and ``_harmonic_rounded`` reads it off
-the same enclosure and loop, at m = 0, as psi(n+1) + gamma, not by summing
-n reciprocals. That is bit for bit the exact sum rounded once, and the loop
-stops, because H_n is never a rounding midpoint: for n >= 3, Bertrand's
-postulate gives a prime p with n/2 < p <= n, 1/p is the only term whose
-denominator p divides, so the odd prime p divides the denominator of H_n
-and H_n is not dyadic (H_1 and H_2 have two bits). Where the shift rule
-needs a shift at n + 1, which is so for small n or a high wp, the exact sum
-gives H_n instead, rounded once; the last few such sums are kept.
+once to the working precision wp, and ``_harmonic_rounded`` reads it
+through the same loop: off the enclosure at m = 0, as psi(n+1) + gamma, not
+by summing n reciprocals; or, at an attempt where ``_cut`` would shift at
+n + 1, which is so for small n or a high wp, between the floor and ceiling
+of the exact sum, whose last few values are kept. Either way that is bit for
+bit the exact sum rounded once, and the loop stops, because H_n is never a
+rounding midpoint: for n >= 3, Bertrand's postulate gives a prime p with
+n/2 < p <= n, 1/p is the only term whose denominator p divides, so the odd
+prime p divides the denominator of H_n and H_n is not dyadic (H_1 and H_2
+have two bits).
 
 The expansion of exp(p*psi(x+t)) is evaluated from its point series, the
 rationals G_n(p, t) of ``expansions.coefficients``; no polynomial in p or t
@@ -140,7 +141,7 @@ def _reciprocal_sum(x: Fraction, m: int) -> tuple[int, int]:
     Binary splitting over the integer terms b/(a+kb): each half of the
     range is carried as one fraction P/Q, and no gcd is taken. The cache
     holds a few (x, m) pairs, so the approximants of growing order at one n
-    sum the H_n that ``_harmonic_rounded`` turns away once.
+    sum once the H_n that ``_harmonic_rounded`` encloses by its exact sum.
     """
     a, b = x.numerator, x.denominator
 
@@ -180,32 +181,29 @@ def _psi_terms(prec: int) -> int:
     return 2 * ((prec + 15) // 16)
 
 
-def _shift(x: RationalLike, bits: int, terms: int) -> int:
-    """The least m >= 0 that puts x + m past the float estimate of the z at
-    which the term j = ``terms``, |B_2j|/(2j z^2j), falls to 2^-bits."""
-    b = bernoulli_number(2 * terms)
-    log_c = math.log2(abs(b.numerator)) - math.log2(2 * terms * b.denominator)
-    z = 2.0 ** ((log_c + bits) / (2 * terms))
-    return math.ceil(z - x) if x < z else 0
+def _cut(x: RationalLike, bits: int, terms: int) -> tuple[int, int]:
+    """The shift m and tail length J for the digamma series at z = x + m,
+    by a float estimate of the log of its term |B_2j|/(2j z^2j), which bounds
+    the remainder after j - 1 terms (log x as that of its numerator less that
+    of its denominator, so a huge x is never a float). The term j = ``terms``
+    is read first, so the Bernoulli table is built once, to it.
 
+    Either the least m > 0 that brings that term under 2^-bits, with J =
+    ``terms``, or m = 0 and the least J whose term meets 2^-bits. As |B_2j| ~
+    2 (2j)!/(2 pi)^2j, the terms fall while 2j < 2 pi z, and at their least,
+    about e^(-2 pi z), they reach 2^-bits only for z >~ bits ln 2/(2 pi),
+    which is more than terms/pi for each caller; so where no shift is needed
+    they still fall at j = terms, and some J <= terms meets 2^-bits."""
 
-def _tail_length(z: RationalLike, bits: int, terms: int) -> int:
-    """The least J <= terms whose term |B_2J|/(2J z^2J), which bounds the
-    digamma remainder after J - 1 terms, is at most 2^-bits by a float
-    estimate of its logarithm (log z as that of its numerator less that of
-    its denominator, so a huge z is never a float); ``terms`` when none is.
-
-    As |B_2j| ~ 2 (2j)!/(2 pi)^2j, the terms fall while 2j < 2 pi z, and at
-    their least, about e^(-2 pi z), they reach 2^-bits only for z >~ bits
-    ln 2/(2 pi), which is more than terms/pi for each caller. So at any z
-    that ``_shift`` admits they still fall at j = terms: some J <= terms
-    meets 2^-bits exactly when J = terms does."""
-    log_z = math.log2(z.numerator) - math.log2(z.denominator)
-    for j in range(1, terms):
+    def log_term(j: int) -> float:
         b = bernoulli_number(2 * j)
-        if math.log2(abs(b.numerator)) - math.log2(2 * j * b.denominator) <= 2 * j * log_z - bits:
-            return j
-    return terms
+        return math.log2(abs(b.numerator)) - math.log2(2 * j * b.denominator)
+
+    z = 2.0 ** ((log_term(terms) + bits) / (2 * terms))
+    if x < z:
+        return math.ceil(z - x), terms
+    log_x = math.log2(x.numerator) - math.log2(x.denominator)
+    return 0, next((j for j in range(1, terms) if log_term(j) <= 2 * j * log_x - bits), terms)
 
 
 def _ratio_ends(num: int, den: int, bits: int) -> tuple:
@@ -243,18 +241,17 @@ def _psi_enclosure(x: RationalLike, m: int, terms: int, bits: int) -> tuple:
     return libmp.mpi_sub(value, _ratio_ends(*_reciprocal_sum(x, m), bits), bits)
 
 
-def _round_enclosed(enclose, prec: int) -> mpmath.mpf | None:
+def _round_enclosed(enclose, prec: int) -> mpmath.mpf:
     """The value held between the two raw mpf ends of ``enclose(prec + extra)``
     rounded to nearest at ``prec`` bits, ``extra`` from 32 doubling until both
-    ends round alike; or None once ``enclose`` gives None."""
+    ends round alike."""
     libmp = mpmath.libmp
     extra = 32
-    while (ends := enclose(prec + extra)) is not None:
-        low, high = (libmp.mpf_pos(end, prec, libmp.round_nearest) for end in ends)
+    while True:
+        low, high = (libmp.mpf_pos(end, prec, libmp.round_nearest) for end in enclose(prec + extra))
         if low == high:
             return mpmath.mp.make_mpf(low)
         extra *= 2
-    return None
 
 
 def psi_ref(x: RationalLike, prec: int = 256) -> mpmath.mpf:
@@ -269,16 +266,10 @@ def psi_ref(x: RationalLike, prec: int = 256) -> mpmath.mpf:
 @lru_cache(maxsize=16)
 def _psi_at(x: Fraction, prec: int) -> mpmath.mpf:
     """``psi_ref`` for a checked argument; the cache holds a few (x, prec)
-    pairs. Each attempt cuts at J <= ``_psi_terms(prec)`` and shifts by
-    ``_shift``; where its estimate falls short, the enclosure is wider."""
+    pairs. Each attempt shifts and cuts at J <= ``_psi_terms(prec)`` by
+    ``_cut``; where its estimate falls short, the enclosure is wider."""
     terms = _psi_terms(prec)
-
-    def enclose(bits: int) -> tuple:
-        # B_2terms is read first, so the tangent table is built once, to it
-        m = _shift(x, bits, terms)
-        return _psi_enclosure(x, m, _tail_length(x + m, bits, terms), bits)
-
-    return _round_enclosed(enclose, prec)
+    return _round_enclosed(lambda bits: _psi_enclosure(x, *_cut(x, bits, terms), bits), prec)
 
 
 def _gamma_ends(bits: int) -> tuple:
@@ -293,17 +284,19 @@ def euler_gamma(prec: int = 256) -> mpmath.mpf:
     return _round_enclosed(_gamma_ends, prec)
 
 
-def _harmonic_rounded(n: int, wp: int) -> mpmath.mpf | None:
-    """H_n rounded to nearest at ``wp`` bits, read off psi(n+1) + gamma when
-    ``_shift`` needs no shift at n + 1 with ``_psi_terms(wp + GUARD)`` tail
-    terms; None otherwise, and the exact sum must give it."""
+def _harmonic_rounded(n: int, wp: int) -> mpmath.mpf:
+    """H_n rounded to nearest at ``wp`` bits, read off psi(n+1) + gamma at
+    any attempt where ``_cut`` needs no shift at n + 1 with
+    ``_psi_terms(wp + GUARD)`` tail terms, and between the floor and ceiling
+    of the memoized exact sum at any other."""
     libmp = mpmath.libmp
     terms = _psi_terms(wp + GUARD)
 
-    def enclose(bits: int) -> tuple | None:
-        if _shift(n + 1, bits, terms):
-            return None
-        return libmp.mpi_add(_psi_enclosure(n + 1, 0, _tail_length(n + 1, bits, terms), bits), _gamma_ends(bits), bits)
+    def enclose(bits: int) -> tuple:
+        m, J = _cut(n + 1, bits, terms)
+        if m:
+            return _ratio_ends(*_reciprocal_sum(Fraction(1), n), bits)
+        return libmp.mpi_add(_psi_enclosure(n + 1, 0, J, bits), _gamma_ends(bits), bits)
 
     return _round_enclosed(enclose, wp)
 
@@ -368,17 +361,14 @@ def _exp_series(order: int, p: Fraction, t: Fraction) -> Series:
 
 
 def _harmonic_sample(target: str, n: int, order: int, t: RationalLike, prec: int) -> ApproxResult:
-    """``approx_gamma`` (target "gamma") or ``approx_harmonic`` ("harmonic").
-    H_n comes rounded from ``_harmonic_rounded``; where that gives None, it
-    is the memoized exact sum rounded once."""
+    """``approx_gamma`` (target "gamma") or ``approx_harmonic`` ("harmonic"),
+    with H_n rounded once by ``_harmonic_rounded``."""
     t = _rational(t)
     _check_sample(n, order, prec, t, n + 1 - t, "n + 1 - t")
     g = _exp_series(order, 1, t)
     wp = prec + GUARD
     gamma = euler_gamma(wp)
     h = _harmonic_rounded(n, wp)
-    if h is None:
-        h = _round_ratio(*_reciprocal_sum(Fraction(1), n), wp)
     with mpmath.mp.workprec(wp):
         e = eval_expansion(g, 1, n + 1 - t, wp)
         if target == "gamma":

@@ -182,6 +182,26 @@ class TestCoeffs:
         assert excinfo.value.code == 2
 
 
+    @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+    def test_an_exact_value_prints_in_full_however_many_digits(self, capsys, fmt):
+        # at t = 10^60 the last coefficient is longer than the 4300 digits
+        # to which the interpreter limits the text of an int by default
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        code, out, _ = run_cli(capsys, "coeffs", "s", "--n", "72", "--t", str(10**60), "--format", fmt)
+        assert code == 0
+        assert len(out.splitlines()) == {"text": 73, "csv": 74, "json": 1}[fmt]
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no limit on the digits of an int")
+    def test_an_argument_past_the_digit_limit_is_a_usage_error(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        with pytest.raises(SystemExit) as excinfo:
+            main(["coeffs", "s", "--n", "2", "--t", "1" + "0" * 4300])
+        assert excinfo.value.code == 2
+        assert "argument --t:" in capsys.readouterr().err
+        assert sys.get_int_max_str_digits() == limit
+
+
 class TestVerify:
     def test_single_suite_text(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--suite", "reflection", "--max-n", "8")
@@ -566,6 +586,8 @@ STDOUT_SHA256 = [
     ("coeffs s --n 12 --format json", "938d134a42b97179c3e30c1da37481d34c7b9fafc18a8d9d684504e1a5ccd440"),
     ("coeffs g --n 6 --p 2/3 --t 1/4 --format latex", "94f08777fea2019753403b97be277a64e1b3eaadc19767155063d82fa3a9a368"),
     ("coeffs g --n 3 --p 0 --format json", "06c10f442f881ccca377a053d20f666c1a318b92b7fc38bee3c49972c0424fd0"),
+    # exact coefficients past the interpreter's 4300-digit limit on int text
+    (f"coeffs s --n 72 --t {10**60}", "14d3fc8492141614725e1c2ef39031cb9cfbb1c8b0c2c89ab465c9a402a2450f"),
 ]
 
 

@@ -291,46 +291,73 @@ class TestCertifiedHarmonic:
     @pytest.mark.parametrize("wp", [112, 304])
     def test_tail_length_is_the_least_term_under_the_target(self, wp):
         # the float estimates against the remainder bound
-        # |B_2J|/(2J z^2J) <= 2^-bits in exact rationals: _shift admits z
-        # exactly when some J <= terms meets it, and _tail_length gives the
-        # least such J, or terms when there is none
+        # |B_2J|/(2J z^2J) <= 2^-bits in exact rationals: _cut takes no
+        # shift exactly when some J <= terms meets it, and then the least
+        # such J; otherwise it shifts, with J = terms
         bits, terms = wp + 32, numeric._psi_terms(wp + numeric.GUARD)
         coeffs = [abs(bernoulli.bernoulli_number(2 * j)) / (2 * j) for j in range(1, terms + 1)]
         for z in range(2, 400):
             under = (j for j, c in enumerate(coeffs, 1) if c / z ** (2 * j) <= F(1, 2**bits))
             want = next(under, None)
-            assert (numeric._shift(z, bits, terms) == 0) == (want is not None), z
-            assert numeric._tail_length(z, bits, terms) == (want or terms), z
+            m, J = numeric._cut(z, bits, terms)
+            assert (m == 0) == (want is not None), z
+            assert J == (want or terms), z
+
+    @pytest.mark.parametrize("wp", [112, 304, 816])
+    def test_a_shift_is_the_least_and_keeps_every_term(self, wp):
+        # wherever _cut shifts x = k/4, it takes all the terms, the last of
+        # which meets 2^-bits in exact rationals at x + m but not at x + m - 1
+        bits, terms = wp + 32, numeric._psi_terms(wp + numeric.GUARD)
+        c = abs(bernoulli.bernoulli_number(2 * terms)) / (2 * terms)
+        shifted = 0
+        for k in range(1, 3000, 3):
+            x = F(k, 4)
+            m, J = numeric._cut(x, bits, terms)
+            if m:
+                shifted += 1
+                assert J == terms, x
+                assert c / (x + m) ** (2 * J) <= F(1, 2**bits) < c / (x + m - 1) ** (2 * J), x
+        assert shifted > 0
+
+    @pytest.mark.parametrize("wp", [112, 304])
+    def test_every_n_below_a_thousand_is_the_exact_sum_rounded(self, wp):
+        # through the enclosure where _cut admits n + 1, and the exact sum
+        # where it shifts
+        for n in range(1, 1000):
+            assert numeric._harmonic_rounded(n, wp)._mpf_ == numeric._round_ratio(*exact_harmonic(n), wp)._mpf_, n
 
     @pytest.mark.parametrize("wp", [112, 304, 1680])
-    def test_equals_the_exact_sum_rounded(self, wp):
+    def test_equals_the_exact_sum_rounded(self, wp, monkeypatch):
         terms = numeric._psi_terms(wp + numeric.GUARD)
-        admitted = [n for n in range(1, 1000) if numeric._shift(n + 1, wp + 32, terms) == 0]
+        admitted = [n for n in range(1, 1000) if numeric._cut(n + 1, wp + 32, terms)[0] == 0]
         assert len(admitted) >= 50
         for n in (*admitted[:50], 10**3, 12345, 10**5):
             got = numeric._harmonic_rounded(n, wp)
-            assert got is not None, (n, wp)
             assert got._mpf_ == numeric._round_ratio(*exact_harmonic(n), wp)._mpf_, (n, wp)
-        assert numeric._harmonic_rounded(admitted[0] - 1, wp) is None
+
+        # the n below the first admitted is turned away before any enclosure
+        def refused(*args):
+            raise AssertionError("a digamma enclosure was built")
+
+        monkeypatch.setattr(numeric, "_psi_enclosure", refused)
+        n = admitted[0] - 1
+        assert numeric._harmonic_rounded(n, wp)._mpf_ == numeric._round_ratio(*exact_harmonic(n), wp)._mpf_
 
     @pytest.mark.parametrize("n", [40, 160, 320])
     def test_the_enclosure_holds_the_exact_sum(self, n):
         # any number of terms J gives an enclosure; at n = 320 J is the one
-        # _harmonic_rounded takes, and at 40 and 160, which it turns away,
+        # _harmonic_rounded takes, and at 40 and 160, which _cut shifts,
         # all the terms it may take
         wp = 816
-        terms = numeric._tail_length(n + 1, wp + 32, numeric._psi_terms(wp + numeric.GUARD))
+        m, terms = numeric._cut(n + 1, wp + 32, numeric._psi_terms(wp + numeric.GUARD))
+        assert (m == 0) == (n == 320)
         # the ends hold psi(n + 1) = H_n - gamma, whatever gamma's last bits
         low, high = (F(*to_rational(end)) for end in numeric._psi_enclosure(n + 1, 0, terms, wp + 32))
         gamma_low, gamma_high = euler_bounds(wp + 256)
         h = F(*exact_harmonic(n))
         assert low < h - gamma_high and h - gamma_low < high
         assert high - low < F(1, 2**300)
-        got = numeric._harmonic_rounded(n, wp)
-        if n == 320:
-            assert got._mpf_ == numeric._round_ratio(*exact_harmonic(n), wp)._mpf_
-        else:
-            assert got is None
+        assert numeric._harmonic_rounded(n, wp)._mpf_ == numeric._round_ratio(*exact_harmonic(n), wp)._mpf_
 
     def test_eight_hundred_thousand_against_a_fixed_point_sum(self):
         # the exact sum takes tens of seconds at this n; the sum s of
@@ -371,10 +398,10 @@ class TestCertifiedHarmonic:
         monkeypatch.setattr(numeric, "_reciprocal_sum", spy)
         assert approx_harmonic(n, 4, prec=prec) == before
         wp = prec + numeric.GUARD
-        # the extra bits double until the shift rule needs a shift at n + 1
+        # the extra bits double until _cut needs a shift at n + 1
         assert attempts == [wp + 32 * 2**k for k in range(len(attempts))]
         terms = numeric._psi_terms(wp + numeric.GUARD)
-        assert numeric._shift(n + 1, 2 * attempts[-1] - wp, terms) > 0
+        assert numeric._cut(n + 1, 2 * attempts[-1] - wp, terms)[0] > 0
         assert n in sums
 
     def test_a_sweep_at_the_limit_sums_no_long_range(self, monkeypatch):
@@ -398,7 +425,7 @@ class TestCertifiedHarmonic:
             raise AssertionError("an interval was built")
 
         # Euler's constant takes no enclosure, and H_40 is turned away by
-        # the shift rule before one is taken
+        # _cut before one is taken
         monkeypatch.setattr(numeric, "_psi_enclosure", refused)
         # the session's shape: n = 40 at 320 bits, t from 1/4, 3/4, 5/4, 7/4
         for t in (F(1, 4), F(3, 4), F(5, 4), F(7, 4)):
@@ -407,7 +434,7 @@ class TestCertifiedHarmonic:
                 approx_harmonic(40, order, t=t, prec=320)
 
     def test_the_exact_h_n_is_summed_once_per_n(self):
-        # the session's n = 40 at 320 bits, which the shift rule turns away:
+        # the session's n = 40 at 320 bits, which _cut turns away:
         # each order after the first reads the memoized sum of H_40
         numeric._reciprocal_sum.cache_clear()
         for order in range(2, 17):
