@@ -49,15 +49,17 @@ S_n and for G_n at fixed p, Polys with ``var == "p"`` for G_n at fixed t,
 BiPolys in (p, t) for the bivariate G_n, and rationals, from the point
 series, once both p and t are fixed.
 
-Caches: every series is kept as a prefix that only grows, under one lock,
-so order N+1 extends order N instead of rebuilding it. The bivariate G_n
-are one pinned prefix. A series with p, t or both fixed keeps its own
-prefix, with the beta_k it has read, per fixed value; the least recently
-used of them is dropped past a fixed number of keys, so the cache does not
-grow with the number of points asked for. The composition table is one
-prefix too, as row n reads only the rows below it, and its rows are
-read-only mappings. The power route is recomputed on every call from the
-cached S series.
+Caches: every series grows through one ``_grown(p, t, n_max)``, under one
+lock, as a prefix that only grows, so order N+1 extends order N instead of
+rebuilding it. Every prefix, the bivariate one included, keeps the beta_k
+it has read, so a longer series reads only the B_k(t) it lacks. The
+bivariate G_n (``_g``) and the composition table (``_compositions``) are
+pinned module lists; the table is a prefix too, as row n reads only the
+rows below it, and its rows are read-only mappings. A series with p, t or
+both fixed keeps its own prefix per fixed value in ``_prefix``, and the
+least recently used of them is dropped past 16 keys, so the cache does not
+grow with the number of points asked for. The power route is recomputed on
+every call from the cached S series.
 """
 
 from __future__ import annotations
@@ -67,7 +69,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 from types import MappingProxyType
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .algebra import BiPoly, Poly, _dot, _rational, _values_at
 from .bernoulli import bernoulli_poly
@@ -83,8 +85,10 @@ __all__ = [
 
 # guards every prefix below as it grows
 _lock = threading.Lock()
-# the bivariate G_0..G_N computed so far; they only grow
-_g: list[BiPoly] = [BiPoly.one()]
+# the bivariate G_0..G_N computed so far and the beta_k they read; both only grow
+_g: tuple[list[BiPoly], list[BiPoly]] = ([BiPoly.one()], [])
+# the composition table's rows so far, read-only; they only grow
+_compositions: list[Mapping[int, Poly]] = [MappingProxyType({0: Poly.one()})]
 
 # how many series with p, t or both fixed ``_prefix`` keeps
 _SERIES_KEYS = 16
@@ -134,24 +138,29 @@ def _prefix(p: Fraction | None, t: Fraction | None) -> tuple[list, list]:
     return [Poly.one("p") if p is None else Fraction(1)], []
 
 
-def _grown(
-    prefix: Callable[[], tuple[list, list]], n_max: int, more: Callable[[int, int], list], c
-) -> Series:
-    """The first n_max+1 terms of the series whose terms a and beta_k so far
-    are ``prefix()``, extending both in place if short; ``more(lo, hi)``
-    gives beta_lo..beta_(hi-1)."""
+def _grown(p: Fraction | None, t: Fraction | None, n_max: int) -> Series:
+    """The first n_max+1 terms of the series at the fixed p, t or both (None
+    where the variable is free): the pinned ``_g`` when both are free, else
+    ``_prefix(p, t)``. A short prefix reads only the B_k(t) it lacks, shapes
+    them as its beta_k (BiPolys, Polys in t, or values at t) and keeps them,
+    then extends its terms by ``_log_series`` with c = p."""
     if n_max < 0:
         raise ValueError("series order must be >= 0")
     with _lock:
-        a, beta = prefix()
+        a, beta = _g if p is None and t is None else _prefix(p, t)
         if len(a) <= n_max:
-            beta += more(len(beta), n_max + 1)
+            new = [bernoulli_poly(k) for k in range(len(beta), n_max + 1)]
+            if t is not None:
+                beta += _values_at(new, t)
+                c = Poly.variable("p") if p is None else p
+            elif p is None:
+                beta += map(BiPoly.of, new)
+                c = BiPoly.var_p()
+            else:
+                beta += new
+                c = p
             _log_series(a, beta, c)
         return Series(a[: n_max + 1])
-
-
-def _bernoulli_polys(lo: int, hi: int) -> list[Poly]:
-    return [bernoulli_poly(k) for k in range(lo, hi)]
 
 
 def _power(a: Sequence[BiPoly]) -> list[BiPoly]:
@@ -175,17 +184,7 @@ def g_via_power_transform(n_max: int) -> Series:
 
 def g_via_bernoulli(n_max: int) -> Series:
     """Canonical route: the Bernoulli-polynomial recurrence with p symbolic."""
-
-    def more(lo: int, hi: int) -> list[BiPoly]:
-        return [*map(BiPoly.of, _bernoulli_polys(lo, hi))]
-
-    return _grown(lambda: (_g, []), n_max, more, BiPoly.var_p())
-
-
-@lru_cache(maxsize=1)
-def _compositions() -> list[Mapping[int, Poly]]:
-    """The composition table's rows so far, read-only; they only grow."""
-    return [MappingProxyType({0: Poly.one()})]
+    return _grown(None, None, n_max)
 
 
 def _composition_table(n_max: int) -> list[Mapping[int, Poly]]:
@@ -195,7 +194,7 @@ def _composition_table(n_max: int) -> list[Mapping[int, Poly]]:
     if n_max < 0:
         raise ValueError("composition order must be >= 0")
     with _lock:
-        table = _compositions()
+        table = _compositions
         if len(table) <= n_max:
             weight = [None] + [bernoulli_poly(k) * Fraction(1, k) for k in range(1, n_max + 1)]
             for n in range(len(table), n_max + 1):
@@ -242,13 +241,5 @@ def coefficients(kind: str, n_max: int, p=None, t=None) -> Series:
     t = None if t is None else _rational(t)
     if p is None and t is None:
         return g_via_bernoulli(n_max)
-    if t is None:
-        return _grown(lambda: _prefix(p, t), n_max, _bernoulli_polys, p)
-
-    def at_t(lo: int, hi: int) -> list[Fraction]:
-        # the new B_k(t) from one table of powers of t
-        return _values_at(_bernoulli_polys(lo, hi), t)
-
-    c = Poly.variable("p") if p is None else p
-    return _grown(lambda: _prefix(p, t), n_max, at_t, c)
+    return _grown(p, t, n_max)
 

@@ -205,6 +205,17 @@ class TestExactCoefficients:
         with pytest.raises(TypeError):
             BiPoly({(1, 2): bad})
 
+    def test_arithmetic_refuses_a_float(self):
+        # no float enters a symbolic result, on either side of an operator
+        for call in (
+            lambda: Poly.one() * 1.5,
+            lambda: 1.5 * Poly.one(),
+            lambda: Poly.one() + 1.5,
+            lambda: BiPoly.var_p() - 0.5,
+        ):
+            with pytest.raises(TypeError):
+                call()
+
     @pytest.mark.parametrize("bad", [0.1, 0.0, Decimal("0.5"), "1/2"])
     def test_evaluation_points_refuse_a_non_rational(self, bad):
         # a float point would give a rational with a 2^62-scale denominator

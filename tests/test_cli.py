@@ -24,9 +24,13 @@ from exppsi.cli import (
     MAX_VERIFY_N,
     _build_parser,
     _errata_latex,
+    _suite_checks,
     main,
 )
-from exppsi.identities import ErrataEntry, errata_report
+from exppsi import expansions, identities
+from exppsi.algebra import BiPoly, Poly
+from exppsi.expansions import Series
+from exppsi.identities import CheckReport, ErrataEntry, errata_report
 
 
 def run_cli(capsys, *argv):
@@ -222,6 +226,34 @@ class TestVerify:
         assert code == 0
         assert out.splitlines() == ["PASS route-agreement [n_max=18]", "1/1 checks passed"]
 
+    def test_a_failed_route_prints_its_residual_and_exits_1(self, capsys, monkeypatch):
+        def power(n_max):
+            g = list(expansions.g_via_power_transform(n_max))
+            g[3] = g[3] + BiPoly.var_p() * BiPoly.var_t() * Fraction(1, 7)
+            return Series(g)
+
+        monkeypatch.setattr(identities, "g_via_power_transform", power)
+        code, out, _ = run_cli(capsys, "verify", "--suite", "routes", "--max-n", "6")
+        assert code == 1
+        assert out.splitlines() == [
+            "FAIL route-agreement [n=3 routes=power/bernoulli] residual: 1/7*p*t",
+            "0/1 checks passed",
+        ]
+
+    def test_a_failed_product_identity_is_reported(self, monkeypatch):
+        def buckets(n):
+            rows = dict(expansions.composition_buckets(n))
+            if n == 3:
+                rows[1] = rows[1] + Poly.variable() * Fraction(1, 1000)
+            return rows
+
+        monkeypatch.setattr(identities, "composition_buckets", buckets)
+        # the planted t/1000 in bucket[3][1] weighs (-2)^1/1!
+        assert _suite_checks("identity", 12) == [
+            CheckReport.failed("bernoulli-product-identity", Poly.variable() * Fraction(-1, 500), n=1),
+            *(CheckReport.passed("bernoulli-product-identity", n=n) for n in range(2, 7)),
+        ]
+
     def test_json_validates_against_schema(self, capsys):
         for suite in ("half", "all"):
             code, out, _ = run_cli(
@@ -353,6 +385,15 @@ class TestApprox:
             assert code == 0
             (alone,) = json.loads(out)["samples"]
             assert {**row, "est_order": None} == alone, row["n"]
+
+    def test_a_sweep_with_no_order_estimate_fits_none(self, capsys):
+        # every error of this sweep sits near the rounding floor of the
+        # working precision, so no sample estimates an order
+        argv = ["approx", "gamma", "--n", "100000", "--order", "8", "--sweep", "--prec", "64"]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert "est_order" not in out
+        assert out.splitlines()[-1] == "fitted order: n/a"
 
     def test_sweep_leaves_out_samples_at_the_rounding_floor(self, capsys):
         # at n = 32 the error is 2^-112, the rounding floor of 64 + 48 guard bits

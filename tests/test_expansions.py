@@ -12,6 +12,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import factorial
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings
@@ -152,7 +153,7 @@ class TestExponentialSeries:
     def test_three_routes_agree(self, monkeypatch):
         # from an empty G cache, order 12 extends order 10 and order 10 is a prefix of 12
         for orders in ((8,), (10, 12), (12, 10)):
-            monkeypatch.setattr(expansions, "_g", [BiPoly.one()])
+            monkeypatch.setattr(expansions, "_g", ([BiPoly.one()], []))
             for n_max in orders:
                 a = g_via_power_transform(n_max)
                 b = g_via_bernoulli(n_max)
@@ -209,7 +210,7 @@ class TestExponentialSeries:
             ("g", P0, T0): tuple(c.eval(P0, T0) for c in want_g),
             ("g", None, T0): tuple(c.eval_t(T0) for c in want_g),
         }
-        monkeypatch.setattr(expansions, "_g", [BiPoly.one()])
+        monkeypatch.setattr(expansions, "_g", ([BiPoly.one()], []))
         expansions._prefix.cache_clear()
         results = []
 
@@ -235,7 +236,7 @@ class TestExponentialSeries:
             assert g == want_g[: n + 1], n
             for key, coeffs in series.items():
                 assert coeffs == want[key][: n + 1], (n, key)
-        assert len(expansions._g) == 10
+        assert len(expansions._g[0]) == 10
         for p, t in ((1, None), (P0, T0), (None, T0)):
             assert len(expansions._prefix(p, t)[0]) == 10, (p, t)
 
@@ -303,29 +304,41 @@ class TestPrefixCaches:
     SHAPES = (("g", P0, T0), ("g", P0, None), ("s", None, None), ("g", None, T0), ("s", None, T0))
 
     def test_growing_orders_run_each_step_once(self, monkeypatch):
+        # every shape, the bivariate series included, grown from empty: each
+        # order is one step of the recurrence, and each B_k(t) is read once
         expansions._prefix.cache_clear()
-        steps = []
-        dot = expansions._dot
+        monkeypatch.setattr(expansions, "_g", ([BiPoly.one()], []))
+        steps, read = [], []
+        dot, poly = expansions._dot, expansions.bernoulli_poly
 
-        def spy(xs, ys):
+        def spy_dot(xs, ys):
             steps.append(len(xs))
             return dot(xs, ys)
 
-        monkeypatch.setattr(expansions, "_dot", spy)
-        for order in range(2, 17, 2):
-            coefficients("g", order, P0, T0)
-        # each built from G_0 would take 2 + 4 + ... + 16 = 72 steps
-        assert steps == list(range(1, 17))
-        steps.clear()
-        coefficients("g", 9, P0, T0)
-        assert steps == []
+        def spy_poly(k):
+            read.append(k)
+            return poly(k)
 
-    def test_a_cold_build_equals_the_cached_one(self):
+        monkeypatch.setattr(expansions, "_dot", spy_dot)
+        monkeypatch.setattr(expansions, "bernoulli_poly", spy_poly)
+        for kind, p, t in (("g", None, None),) + self.SHAPES:
+            for order in range(2, 11, 2):
+                coefficients(kind, order, p, t)
+            # each built from G_0 would take 2 + 4 + ... + 10 = 30 steps
+            assert steps == list(range(1, 11)) and read == list(range(11)), (kind, p, t)
+            del steps[:], read[:]
+            coefficients(kind, 12, p, t)
+            assert steps == read == [11, 12], (kind, p, t)
+            del steps[:], read[:]
+            coefficients(kind, 9, p, t)
+            assert steps == read == [], (kind, p, t)
+
+    def test_a_cold_build_equals_the_cached_one(self, monkeypatch):
         for order in (3, 7, 12):
             warm = {shape: coefficients(shape[0], order, *shape[1:]) for shape in self.SHAPES}
             rows = [composition_buckets(n) for n in range(order + 1)]
         expansions._prefix.cache_clear()
-        expansions._compositions.cache_clear()
+        monkeypatch.setattr(expansions, "_compositions", [MappingProxyType({0: Poly.one()})])
         for shape in self.SHAPES:
             assert coefficients(shape[0], 12, *shape[1:]) == warm[shape], shape
         cold = expansions._composition_table(12)
@@ -341,13 +354,13 @@ class TestPrefixCaches:
         # the evicted first key is built again, to the same values
         assert coefficients("g", 3, t=F(0)).coeffs == tuple(c.eval_t(0) for c in g.coeffs)
 
-    def test_the_composition_table_is_built_once(self):
-        expansions._compositions.cache_clear()
+    def test_the_composition_table_is_built_once(self, monkeypatch):
+        monkeypatch.setattr(expansions, "_compositions", [MappingProxyType({0: Poly.one()})])
         # as verify asks: the product identity at orders 3, 5, ..., 13,
         # then the composition route through 12
         rows = [composition_buckets(2 * n + 1) for n in range(1, 7)]
         g_via_compositions(12)
-        table = expansions._compositions()
+        table = expansions._compositions
         assert len(table) == 14
         assert all(row is table[2 * n + 1] for n, row in enumerate(rows, 1))
 

@@ -8,6 +8,7 @@ from math import factorial
 
 import pytest
 
+from exppsi import expansions, identities
 from exppsi.algebra import BiPoly, Poly, json_canonical
 from exppsi.expansions import Series, g_via_bernoulli
 from exppsi.identities import (
@@ -37,6 +38,19 @@ def corrupted_series(n_max: int) -> Series:
     coeffs = list(g.coeffs)
     coeffs[2] = coeffs[2] + BiPoly.var_p() * BiPoly.var_t() * F(1, 7)
     return Series(tuple(coeffs))
+
+
+def plant(monkeypatch, name: str, n: int, change) -> None:
+    """Patch the series function ``name`` that identities imports, so that
+    term n of every series it returns is ``change`` of the true term."""
+    route = getattr(expansions, name)
+
+    def planted(*args, **kwargs):
+        coeffs = list(route(*args, **kwargs))
+        coeffs[n] = change(coeffs[n])
+        return Series(coeffs)
+
+    monkeypatch.setattr(identities, name, planted)
 
 
 def binomial_rule_reports(n_max: int, g: Series) -> list[CheckReport]:
@@ -259,6 +273,64 @@ class TestTheoremChecks:
         assert any(params["k"] > params["n"] for params in table if "k" in params)
         assert (("k", 1), ("n", 0)) in seen["check_shift_identity"]
         assert (("n_max", 0),) in seen["check_coefficient_table"]
+
+
+class TestPlantedDefects:
+    """Each failure branch of a check, reached by one planted defect, gives
+    the exact report: the name, the parameters and the witness."""
+
+    @pytest.mark.parametrize(
+        "route, routes",
+        [("g_via_power_transform", "power/bernoulli"), ("g_via_compositions", "compositions/bernoulli")],
+    )
+    def test_route_agreement_names_the_route_and_the_difference(self, monkeypatch, route, routes):
+        plant(monkeypatch, route, 3, lambda c: c + BiPoly.var_p() * BiPoly.var_t() * F(1, 7))
+        assert check_route_agreement(6) == CheckReport(
+            "route-agreement", {"n": 3, "routes": routes}, BiPoly.var_p() * BiPoly.var_t() * F(1, 7)
+        )
+
+    def test_even_power_vanishing_fails_on_a_nonzero_term(self, monkeypatch):
+        plant(monkeypatch, "coefficients", 3, lambda c: c + Poly.variable() * F(1, 1000))
+        assert check_even_p_vanishing(2) == CheckReport(
+            "even-p-vanishing", {"p": 2}, BiPoly.var_t() * F(1, 1000)
+        )
+
+    def test_degree_collapse_reports_each_failed_degree(self, monkeypatch):
+        # n <= p: G_2 at p = 3 of degree 1, not 2
+        plant(monkeypatch, "coefficients", 2, lambda c: Poly.variable())
+        assert check_degree_collapse(3, 9) == CheckReport(
+            "degree-collapse", {"p": 3, "n": 2, "expected": 2}, BiPoly.var_t()
+        )
+        # past p: G_5 at p = 3 of degree 3, above n - p - 1 = 1
+        cube = Poly((0, 0, 0, F(1, 1000)))
+        plant(monkeypatch, "coefficients", 5, lambda c: c + cube)
+        want = BiPoly.of(g_via_bernoulli(5)[5].eval_p(3) + cube)
+        assert check_degree_collapse(3, 9) == CheckReport(
+            "degree-collapse", {"p": 3, "n": 5, "bound": 1}, want
+        )
+        # even p: G_5 at p = 2 of degree 0 within the bound 2, not exactly 1
+        plant(monkeypatch, "coefficients", 5, lambda c: Poly.one())
+        assert check_degree_collapse(2, 8) == CheckReport(
+            "degree-collapse", {"p": 2, "n": 5, "exact": 1}, BiPoly.one()
+        )
+        with pytest.raises(ValueError, match="need a positive integer power, got 0"):
+            check_degree_collapse(0, 8)
+
+    def test_half_argument_reports_an_odd_order_and_a_p_degree(self):
+        g = list(g_via_bernoulli(6))
+        odd = g[:3] + [g[3] + BiPoly.var_p() * F(1, 1000)] + g[4:]
+        assert check_half_argument(6, g=Series(odd)) == CheckReport(
+            "half-argument", {"n": 3}, BiPoly.var_p() * F(1, 1000)
+        )
+        cube = BiPoly.var_p() * BiPoly.var_p() * BiPoly.var_p() * F(1, 1000)
+        deep = g[:4] + [g[4] + cube] + g[5:]
+        assert check_half_argument(6, g=Series(deep)) == CheckReport(
+            "half-argument", {"n": 4, "expected_degree": 2}, BiPoly.of(g[4].eval_t(F(1, 2))) + cube
+        )
+
+    def test_collected_terms_start_at_index_one(self):
+        with pytest.raises(ValueError, match="identity index starts at 1"):
+            bernoulli_identity_terms(0)
 
 
 class TestProductIdentity:
