@@ -53,9 +53,14 @@ if TYPE_CHECKING:
 
 __all__ = ["main", "run"]
 
-# Ceiling on ``approx --prec``. The digamma reference needs Bernoulli numbers
-# up to index about prec/4, and the tangent table behind them costs 1.2-1.3 s
-# at 8192 bits but grows as the square of the index times its bit length.
+# Ceiling on ``approx --prec``. The digamma reference sums a tail of Bernoulli
+# numbers up to index about prec/4, and on a 2-core x86-64 host the tangent
+# table behind them took 0.57-0.64 s to B_2060, the index at 8192 bits, and a
+# cold ``psi_ref(7, 8192)`` 0.72-0.81 s; the table grows as the square of the
+# index times its bit length. The cut rule reads no table, so a sweep that
+# sums each H_n exactly builds none: ``approx harmonic --n 16 --order 10
+# --t 1/2 --sweep --prec 8192`` took 0.22 s, against 0.97 s for ``approx gamma
+# --n 241 --sweep --prec 8192``, whose n = 1928 reads H_n off the digamma.
 MAX_PREC = 8192
 
 # Ceilings on ``verify --max-n``, and on ``approx --order`` and ``coeffs --n``:
@@ -78,12 +83,24 @@ MAX_ORDER = 72
 # order; by 10^15 the one at t = 1/2 sinks into rounding noise.
 MAX_APPROX_N = 10**9
 
+# Ceiling on the digits of the numerator and of the denominator of ``--p``
+# and ``--t``, the largest round value whose ``coeffs g --n 72`` finishes
+# within 30 s: on the same host, with numerator and denominator of 60, 64,
+# 70, 75 and 80 digits, ``--p`` took 17, 24, 20-22, 26 and 27-34 s and ``--t``
+# 2.7, 3.1, 3.2-3.6, 3.8 and 4.6-5.7 s, and the time grows with the digits
+# (40 took 9.4 s). It admits ``--t`` = 10^60, which has 61.
+MAX_DIGITS = 70
+
 
 def _rational(text: str) -> Fraction:
     try:
-        return parse_rational(text)
+        value = parse_rational(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
+    digits = max(len(str(abs(value.numerator))), len(str(value.denominator)))
+    if digits > MAX_DIGITS:
+        raise argparse.ArgumentTypeError(f"numerator and denominator are limited to {MAX_DIGITS} digits, got {digits}")
+    return value
 
 
 def _count(low: int, high: Optional[int] = None, limit: str = ""):

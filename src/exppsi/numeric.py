@@ -9,9 +9,14 @@ mpf, ties to even. That value does not depend on how the fraction is
 written, so sums stay unreduced pairs (P, Q) and no gcd is taken to round
 them. A truncated expansion is such a sum too: ``eval_expansion`` carries
 sum_n G_n x^-n exactly and rounds it once, and at p = 1 it folds x in first,
-so that value is a single rounding. After that, the only rounding happens
-in the mpmath arithmetic itself: x^p at any other p, and the log or exp and
-the differences that make an approximant and its error.
+so that value is a single rounding. After that, the only roundings are a few
+raw libmp steps at the working precision wp: x^p at any other p, and the log
+or exp and the differences that make an approximant and its error
+(``mpf_pow``, ``mpf_log``, ``mpf_exp``, ``mpf_mul``, ``mpf_add``, ``mpf_sub``,
+``mpf_abs``, each to nearest). They are the calls that mpmath's functions and
+operators make under ``workprec(wp)``, on operands rounded as those would
+round them, so every bit is theirs; no context is entered, and only the
+values returned are wrapped as mpf.
 
 The digamma reference value is computed from scratch, as an enclosure
 (``_psi_enclosure``): psi(x) = psi(x+m) - sum_{k<m} 1/(x+k), the correction
@@ -22,7 +27,10 @@ neglected term and of its sign (DLMF 5.11(ii)). Every step rounds outward
 through mpmath's interval primitives, so the two ends hold psi(x) for any m
 and J. One rule, ``_cut``, takes either the least m > 0 that brings the
 term j = terms under 2^-bits, with J = terms, or m = 0 and the first J whose
-term meets 2^-bits, which exists: the terms fall while 2j < 2 pi z.
+term meets 2^-bits, which exists: the terms fall while 2j < 2 pi z. It
+estimates each term in floats from |B_2j| = 2 (2j)! zeta(2j)/(2 pi)^2j (DLMF
+25.6.2), so it reads no Bernoulli number; only the tail that is summed
+(``_tail_bounds``) does, its last one first, so the table is built once.
 Rounding to nearest is monotone: when both ends round to the same prec-bit
 mpf, that mpf is psi(x) correctly rounded. Otherwise the enclosure is taken
 again with twice the extra bits (``_round_enclosed``), which settles it
@@ -40,16 +48,17 @@ constant (``test_correctly_rounded_at_the_integers``).
 
 ``approx_gamma`` and ``approx_harmonic`` share one body,
 ``_harmonic_sample``, which takes one n. A sample needs H_n only rounded
-once to the working precision wp, and ``_harmonic_rounded`` reads it
-through the same loop: off the enclosure at m = 0, as psi(n+1) + gamma, not
-by summing n reciprocals; or, at an attempt where ``_cut`` would shift at
-n + 1, which is so for small n or a high wp, between the floor and ceiling
-of the exact sum, whose last few values are kept. Either way that is bit for
-bit the exact sum rounded once, and the loop stops, because H_n is never a
-rounding midpoint: for n >= 3, Bertrand's postulate gives a prime p with
-n/2 < p <= n, 1/p is the only term whose denominator p divides, so the odd
-prime p divides the denominator of H_n and H_n is not dyadic (H_1 and H_2
-have two bits).
+once to the working precision wp; ``_harmonic_rounded`` keeps the last few,
+keyed on (n, wp). Where ``_cut`` shifts at n + 1 on the first attempt (small
+n or a high wp; the shift only grows with the bits), that is the memoized
+exact sum rounded by one division. Otherwise the same loop reads it off the
+enclosure at m = 0, as psi(n+1) + gamma, not by summing n reciprocals, or,
+at a later attempt that shifts, between the floor and ceiling of the exact
+sum. Either way that is bit for bit the exact sum rounded once, and the
+loop stops, because H_n is never a rounding midpoint: for n >= 3,
+Bertrand's postulate gives a prime p with n/2 < p <= n, 1/p is the only term
+whose denominator p divides, so the odd prime p divides the denominator of
+H_n and H_n is not dyadic (H_1 and H_2 have two bits).
 
 The expansion of exp(p*psi(x+t)) is evaluated from its point series, the
 rationals G_n(p, t) of ``expansions.coefficients``; no polynomial in p or t
@@ -91,6 +100,8 @@ __all__ = [
 ]
 
 GUARD = 48
+# the extra bits of a rounding loop's first attempt, doubled at each retry
+EXTRA = 32
 
 
 class _Mpmath:
@@ -168,13 +179,6 @@ def harmonic(n: int) -> Fraction:
     return Fraction(*_reciprocal_sum(Fraction(1), n))
 
 
-def _round_to(value: mpmath.mpf, prec: int) -> mpmath.mpf:
-    """``value`` rounded to nearest at ``prec`` bits, as ``+value`` rounds it
-    under ``workprec(prec)``, without entering that context."""
-    libmp = mpmath.libmp
-    return mpmath.mp.make_mpf(libmp.mpf_pos(value._mpf_, prec, libmp.round_nearest))
-
-
 def _psi_terms(prec: int) -> int:
     """The most tail terms ``psi_ref`` takes at ``prec`` bits, to Bernoulli
     index about prec/4; the shift that then meets 2^-bits is about prec/4."""
@@ -185,8 +189,11 @@ def _cut(x: RationalLike, bits: int, terms: int) -> tuple[int, int]:
     """The shift m and tail length J for the digamma series at z = x + m,
     by a float estimate of the log of its term |B_2j|/(2j z^2j), which bounds
     the remainder after j - 1 terms (log x as that of its numerator less that
-    of its denominator, so a huge x is never a float). The term j = ``terms``
-    is read first, so the Bernoulli table is built once, to it.
+    of its denominator, so a huge x is never a float). |B_2j| is estimated as
+    2 (2j)! zeta(2j)/(2 pi)^2j (DLMF 25.6.2), with zeta(2j) summed to k = 15
+    and its Euler-Maclaurin tail from 16, within 10^-10 of it; no Bernoulli
+    number is read. The ends hold psi(x) for any (m, J), so a wrong estimate
+    could only widen them.
 
     Either the least m > 0 that brings that term under 2^-bits, with J =
     ``terms``, or m = 0 and the least J whose term meets 2^-bits. As |B_2j| ~
@@ -196,8 +203,10 @@ def _cut(x: RationalLike, bits: int, terms: int) -> tuple[int, int]:
     they still fall at j = terms, and some J <= terms meets 2^-bits."""
 
     def log_term(j: int) -> float:
-        b = bernoulli_number(2 * j)
-        return math.log2(abs(b.numerator)) - math.log2(2 * j * b.denominator)
+        s = 2 * j
+        tail = 16 / (s - 1) + 1 / 2 + s / 192 - s * (s + 1) * (s + 2) / 2949120
+        zeta = math.fsum(k**-s for k in range(1, 16)) + 16**-s * tail
+        return 1 + (math.lgamma(s + 1) + math.log(zeta)) / math.log(2) - s * math.log2(2 * math.pi) - math.log2(s)
 
     z = 2.0 ** ((log_term(terms) + bits) / (2 * terms))
     if x < z:
@@ -215,7 +224,9 @@ def _ratio_ends(num: int, den: int, bits: int) -> tuple:
 @lru_cache(maxsize=8)
 def _tail_bounds(terms: int, bits: int) -> tuple[tuple, ...]:
     """B_2j/(2j) for j = 1..terms, each as ``_ratio_ends`` at ``bits`` bits;
-    the cache holds a few (terms, bits) pairs."""
+    the cache holds a few (terms, bits) pairs. The last number is read first,
+    so the Bernoulli table is built once, to it."""
+    bernoulli_number(2 * terms)
     bs = [(2 * j, bernoulli_number(2 * j)) for j in range(1, terms + 1)]
     return tuple(_ratio_ends(b.numerator, k * b.denominator, bits) for k, b in bs)
 
@@ -243,10 +254,10 @@ def _psi_enclosure(x: RationalLike, m: int, terms: int, bits: int) -> tuple:
 
 def _round_enclosed(enclose, prec: int) -> mpmath.mpf:
     """The value held between the two raw mpf ends of ``enclose(prec + extra)``
-    rounded to nearest at ``prec`` bits, ``extra`` from 32 doubling until both
-    ends round alike."""
+    rounded to nearest at ``prec`` bits, ``extra`` from ``EXTRA`` doubling
+    until both ends round alike."""
     libmp = mpmath.libmp
-    extra = 32
+    extra = EXTRA
     while True:
         low, high = (libmp.mpf_pos(end, prec, libmp.round_nearest) for end in enclose(prec + extra))
         if low == high:
@@ -284,13 +295,18 @@ def euler_gamma(prec: int = 256) -> mpmath.mpf:
     return _round_enclosed(_gamma_ends, prec)
 
 
+@lru_cache(maxsize=16)
 def _harmonic_rounded(n: int, wp: int) -> mpmath.mpf:
-    """H_n rounded to nearest at ``wp`` bits, read off psi(n+1) + gamma at
-    any attempt where ``_cut`` needs no shift at n + 1 with
-    ``_psi_terms(wp + GUARD)`` tail terms, and between the floor and ceiling
-    of the memoized exact sum at any other."""
+    """H_n rounded to nearest at ``wp`` bits: the memoized exact sum rounded
+    once where ``_cut`` shifts at n + 1 with ``_psi_terms(wp + GUARD)`` tail
+    terms on the first attempt, as it then would on every later one. Else it
+    is read off psi(n+1) + gamma at any attempt where ``_cut`` needs no shift,
+    and between the floor and ceiling of the exact sum at any other. The
+    cache holds a few (n, wp) pairs."""
     libmp = mpmath.libmp
     terms = _psi_terms(wp + GUARD)
+    if _cut(n + 1, wp + EXTRA, terms)[0]:
+        return _round_ratio(*_reciprocal_sum(Fraction(1), n), wp)
 
     def enclose(bits: int) -> tuple:
         m, J = _cut(n + 1, bits, terms)
@@ -308,8 +324,10 @@ def eval_expansion(g: Series, p: RationalLike, x: RationalLike, prec: int = 256)
     The sum S is one exact rational, carried by Horner as an unreduced pair
     over D, the lcm of the coefficients' denominators, and rounded once. At
     p = 1, x S is rational too, so the value is one correctly rounded
-    division at ``prec`` bits; any other p takes x^p from mpmath at
-    ``prec + GUARD`` bits, as x^p is exact only at a cost that grows with p."""
+    division at ``prec`` bits; any other p takes x^p from ``mpf_pow`` at
+    ``prec + GUARD`` bits, as x^p is exact only at a cost that grows with p,
+    and rounds x^p S, as ``mpmath.power(x, p) * S`` under that precision
+    gives it, to ``prec``."""
     _check_prec(prec)
     if kinds := {type(c).__name__ for c in g.coeffs if not isinstance(c, (int, Fraction))}:
         raise TypeError(f"eval_expansion needs a point series of rationals, got {', '.join(sorted(kinds))} coefficients")
@@ -326,10 +344,11 @@ def eval_expansion(g: Series, p: RationalLike, x: RationalLike, prec: int = 256)
     den *= D
     if p == 1:
         return _round_ratio(num * a, den * b, prec)
-    wp = prec + GUARD
-    with mpmath.mp.workprec(wp):
-        value = mpmath.power(_round_ratio(a, b, wp), to_mpf(p, wp)) * _round_ratio(num, den, wp)
-    return _round_to(value, prec)
+    libmp = mpmath.libmp
+    wp, rnd = prec + GUARD, libmp.round_nearest
+    x_wp, p_wp = libmp.from_rational(a, b, wp, rnd), libmp.from_rational(p.numerator, p.denominator, wp, rnd)
+    value = libmp.mpf_mul(libmp.mpf_pow(x_wp, p_wp, wp, rnd), libmp.from_rational(num, den, wp, rnd), wp, rnd)
+    return mpmath.mp.make_mpf(libmp.mpf_pos(value, prec, rnd))
 
 
 class ApproxResult(NamedTuple):
@@ -360,24 +379,36 @@ def _exp_series(order: int, p: Fraction, t: Fraction) -> Series:
     return coefficients("g", order, p, t)
 
 
+def _sample(n: int, order: int, value: tuple, want: tuple, wp: int, prec: int) -> ApproxResult:
+    """The sample of raw mpf ``value`` against ``want``, both at ``wp`` bits:
+    the value and |value - want| rounded to ``prec``, the difference at wp."""
+    libmp = mpmath.libmp
+    rnd = libmp.round_nearest
+    err = libmp.mpf_abs(libmp.mpf_sub(value, want, wp, rnd), prec, rnd)
+    return ApproxResult(n, order, mpmath.mp.make_mpf(libmp.mpf_pos(value, prec, rnd)), mpmath.mp.make_mpf(err))
+
+
 def _harmonic_sample(target: str, n: int, order: int, t: RationalLike, prec: int) -> ApproxResult:
-    """``approx_gamma`` (target "gamma") or ``approx_harmonic`` ("harmonic"),
-    with H_n rounded once by ``_harmonic_rounded``."""
+    """``approx_gamma`` (target "gamma") or ``approx_harmonic`` ("harmonic"):
+    gamma, H_n (by ``_harmonic_rounded``) and the expansion e, each rounded
+    once at wp bits, then H_n - log e or gamma + log e at wp."""
     t = _rational(t)
-    _check_sample(n, order, prec, t, n + 1 - t, "n + 1 - t")
+    x = n + 1 - t
+    _check_sample(n, order, prec, t, x, "n + 1 - t")
     g = _exp_series(order, 1, t)
     wp = prec + GUARD
-    gamma = euler_gamma(wp)
-    h = _harmonic_rounded(n, wp)
-    with mpmath.mp.workprec(wp):
-        e = eval_expansion(g, 1, n + 1 - t, wp)
-        if target == "gamma":
-            value = h - mpmath.log(e)
-            err = abs(value - gamma)
-        else:
-            value = gamma + mpmath.log(e)
-            err = abs(value - h)
-    return ApproxResult(n, order, _round_to(value, prec), _round_to(err, prec))
+    gamma = euler_gamma(wp)._mpf_
+    h = _harmonic_rounded(n, wp)._mpf_
+    e = eval_expansion(g, 1, x, wp)._mpf_
+    libmp = mpmath.libmp
+    rnd = libmp.round_nearest
+    if libmp.mpf_sign(e) < 0:
+        raise ValueError(f"the expansion of order {order} is negative at x = n + 1 - t = {x}, "
+                         "so it has no log")
+    log_e = libmp.mpf_log(e, wp, rnd)
+    if target == "gamma":
+        return _sample(n, order, libmp.mpf_sub(h, log_e, wp, rnd), gamma, wp, prec)
+    return _sample(n, order, libmp.mpf_add(gamma, log_e, wp, rnd), h, wp, prec)
 
 
 def approx_gamma(
@@ -401,16 +432,19 @@ def approx_exp_psi(
     t: RationalLike = 1,
     prec: int = 256,
 ) -> ApproxResult:
-    """exp(p * psi(n + t)) via the truncated expansion at x = n."""
+    """exp(p * psi(n + t)) via the truncated expansion at x = n, against
+    exp(p psi(n + t)) from p and psi_ref, each rounded once at wp bits."""
     p = _rational(p)
     t = _rational(t)
     _check_sample(n, order, prec, t, n + t, "n + t")
     g = _exp_series(order, p, t)
-    with mpmath.mp.workprec(prec + GUARD):
-        value = eval_expansion(g, p, n, mpmath.mp.prec)
-        exact = mpmath.exp(to_mpf(p, mpmath.mp.prec) * psi_ref(n + t, mpmath.mp.prec))
-        err = abs(value - exact)
-    return ApproxResult(n, order, _round_to(value, prec), _round_to(err, prec))
+    wp = prec + GUARD
+    value = eval_expansion(g, p, n, wp)._mpf_
+    psi = psi_ref(n + t, wp)._mpf_
+    libmp = mpmath.libmp
+    rnd = libmp.round_nearest
+    exponent = libmp.mpf_mul(libmp.from_rational(p.numerator, p.denominator, wp, rnd), psi, wp, rnd)
+    return _sample(n, order, value, libmp.mpf_exp(exponent, wp, rnd), wp, prec)
 
 
 def convergence_order(points: Sequence[tuple[int, mpmath.mpf]]) -> Fraction:

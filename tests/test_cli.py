@@ -19,6 +19,7 @@ from referencing import Registry, Resource
 import exppsi
 from exppsi.cli import (
     MAX_APPROX_N,
+    MAX_DIGITS,
     MAX_ORDER,
     MAX_PREC,
     MAX_VERIFY_N,
@@ -168,6 +169,29 @@ class TestCoeffs:
             (["approx", "exp-psi", "--n", "5", "--t", "-6"], "n + t > 0, got n = 5, t = -6"),
         ):
             assert run_cli(capsys, *argv) == (2, "", f"error: need {want}\n")
+
+    def test_a_negative_expansion_is_an_error_not_a_traceback(self, capsys):
+        want = "error: the expansion of order 28 is negative at x = n + 1 - t = 3/2, so it has no log\n"
+        for target in ("gamma", "harmonic"):
+            assert run_cli(capsys, "approx", target, "--n", "1", "--order", "28", "--t", "1/2") == (2, "", want)
+
+    def test_an_argument_past_the_digit_ceiling_is_a_usage_error(self, capsys):
+        big = str(10**MAX_DIGITS)
+        want = f"numerator and denominator are limited to {MAX_DIGITS} digits, got {MAX_DIGITS + 1}"
+        for argv, opt in (
+            (["coeffs", "g", "--n", "72", "--p", f"{big}/3"], "--p"),
+            (["coeffs", "g", "--n", "72", "--t", f"1/{big}"], "--t"),
+            (["approx", "exp-psi", "--n", "3", "--p", f"-{big}/7"], "--p"),
+            (["approx", "gamma", "--n", "3", "--t", big], "--t"),
+        ):
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv)
+            assert excinfo.value.code == 2
+            assert capsys.readouterr().err.splitlines()[-1].endswith(f"argument {opt}: {want}")
+        # parsed only: the ceiling itself is admitted, and so is t = 10^60
+        top = f"{10**MAX_DIGITS - 1}/{10**MAX_DIGITS - 3}"
+        assert _build_parser().parse_args(["coeffs", "g", "--n", "72", "--p", top]).p == Fraction(top)
+        assert MAX_DIGITS >= len(str(10**60))
 
     def test_negative_rational_as_its_own_word(self, capsys, monkeypatch):
         for head, opt, value in (

@@ -121,23 +121,55 @@ class TestToMpf:
             assert to_mpf(near, prec)._mpf_ == correctly_rounded(near, prec)._mpf_
 
 
-class TestRoundTo:
-    """``_round_to`` rounds as ``+value`` does under ``workprec(prec)``, and
-    leaves the context as it was."""
+def mpmath_expansion(g, p: F, x: F, prec: int) -> mpf:
+    """``eval_expansion`` as mpmath's functions and operators give it: x^p S
+    under ``workprec(prec + GUARD)``, rounded to ``prec`` by unary plus."""
+    s = sum(c / x**k for k, c in enumerate(g.coeffs))
+    if p == 1:
+        return correctly_rounded(x * s, prec)
+    with mp.workprec(prec + numeric.GUARD):
+        value = mpmath.power(correctly_rounded(x, mp.prec), correctly_rounded(p, mp.prec)) * correctly_rounded(s, mp.prec)
+    with mp.workprec(prec):
+        return +value
 
-    @pytest.mark.parametrize("prec", [1, 53, 256, 1000])
-    def test_matches_unary_plus_under_workprec(self, prec):
+
+class TestRawSteps:
+    """The approximants take their float steps in raw libmp calls, bit for
+    bit what mpmath's functions and operators give under ``workprec``, which
+    this computes from the formulas, and leave the context as it was."""
+
+    @pytest.mark.parametrize("prec", [53, 320, 768, 1536])
+    def test_the_bits_of_the_mpmath_formulas(self, prec):
         rng = random.Random(prec)
-        values = [mpf(0), mpmath.inf, -mpmath.inf, mpmath.nan]
-        for _ in range(300):
-            man = rng.getrandbits(rng.randint(1, 2000)) | 1
-            exp = rng.choice([rng.randint(-64, 64), rng.randint(-(10**6), 10**6), rng.randint(-(2**80), 2**80)])
-            values.append(mp.make_mpf(mpmath.libmp.from_man_exp(rng.choice([1, -1]) * man, exp)))
+        wp = prec + numeric.GUARD
         before = mp.prec
-        for value in values:
-            with mp.workprec(prec):
-                want = (+value)._mpf_
-            assert numeric._round_to(value, prec)._mpf_ == want, (value._mpf_, prec)
+        for _ in range(10):
+            n, order = rng.choice((1, 3, 40, 1000, 12345)), rng.randint(0, 16)
+            p, t = rng.choice((F(1), F(2, 3), F(5, 3))), F(rng.randint(-3, 8), 4)
+            case = (n, order, p, t, prec)
+            x = F(n) + F(1, 3)
+            g = coefficients("g", order, p, t)
+            assert eval_expansion(g, p, x, prec)._mpf_ == mpmath_expansion(g, p, x, prec)._mpf_, case
+            if n + t > 0:
+                with mp.workprec(wp):
+                    value = mpmath_expansion(g, p, F(n), wp)
+                    err = abs(value - mpmath.exp(correctly_rounded(p, wp) * psi_ref(n + t, wp)))
+                with mp.workprec(prec):
+                    want = ((+value)._mpf_, (+err)._mpf_)
+                result = approx_exp_psi(n, order, p, t, prec)
+                assert (result.value._mpf_, result.abs_error._mpf_) == want, case
+            e = mpmath_expansion(coefficients("g", order, 1, t), 1, n + 1 - t, wp) if n + 1 - t > 0 else -1
+            if e < 0:
+                continue
+            with mp.workprec(wp):
+                gamma, h, log_e = euler_gamma(wp), correctly_rounded(harmonic(n), wp), mpmath.log(e)
+                samples = [(approx_gamma, h - log_e, gamma), (approx_harmonic, gamma + log_e, h)]
+                samples = [(approx, value, abs(value - ref)) for approx, value, ref in samples]
+            for approx, value, err in samples:
+                with mp.workprec(prec):
+                    want = ((+value)._mpf_, (+err)._mpf_)
+                result = approx(n, order, t, prec)
+                assert (result.value._mpf_, result.abs_error._mpf_) == want, (approx.__name__, *case)
         assert mp.prec == before
 
 
@@ -376,6 +408,7 @@ class TestCertifiedHarmonic:
         want = numeric._round_ratio(*exact_harmonic(n), wp)
         # psi(n + 1) ends that, with gamma added, straddle a midpoint
         attempts = straddle(monkeypatch, want, wp, euler_bounds(wp + 256)[0], 1)
+        numeric._harmonic_rounded.cache_clear()
         assert numeric._harmonic_rounded(n, wp)._mpf_ == want._mpf_
         assert attempts == [wp + 32, wp + 64]
 
@@ -396,6 +429,7 @@ class TestCertifiedHarmonic:
 
         monkeypatch.setattr(numeric, "_psi_enclosure", never_settles)
         monkeypatch.setattr(numeric, "_reciprocal_sum", spy)
+        numeric._harmonic_rounded.cache_clear()
         assert approx_harmonic(n, 4, prec=prec) == before
         wp = prec + numeric.GUARD
         # the extra bits double until _cut needs a shift at n + 1
@@ -434,13 +468,54 @@ class TestCertifiedHarmonic:
                 approx_harmonic(40, order, t=t, prec=320)
 
     def test_the_exact_h_n_is_summed_once_per_n(self):
-        # the session's n = 40 at 320 bits, which _cut turns away:
-        # each order after the first reads the memoized sum of H_40
+        # the session's n = 40 at 320 bits, which _cut turns away: the first
+        # order sums H_40 and rounds it, each later one reads it rounded
         numeric._reciprocal_sum.cache_clear()
+        numeric._harmonic_rounded.cache_clear()
         for order in range(2, 17):
             approx_gamma(40, order, prec=320)
         info = numeric._reciprocal_sum.cache_info()
-        assert (info.misses, info.hits) == (1, 14)
+        assert (info.misses, info.hits) == (1, 0)
+
+    def test_h_n_is_rounded_once_across_orders(self, monkeypatch):
+        # and rounded by one division: neither end of an enclosure is taken
+        divisions = []
+        ratio_ends = numeric._ratio_ends
+
+        def spy(num, den, bits):
+            divisions.append(bits)
+            return ratio_ends(num, den, bits)
+
+        monkeypatch.setattr(numeric, "_ratio_ends", spy)
+        numeric._harmonic_rounded.cache_clear()
+        for order in range(2, 17):
+            for t in (F(1, 4), F(7, 4)):
+                approx_gamma(40, order, t=t, prec=320)
+                approx_harmonic(40, order, t=t, prec=320)
+        info = numeric._harmonic_rounded.cache_info()
+        assert (info.misses, info.hits) == (1, 59)
+        assert divisions == []
+
+    def test_the_rounded_h_n_cache_is_bounded(self):
+        bound = numeric._harmonic_rounded.cache_info().maxsize
+        assert bound == 16
+        for n in range(1, bound + 2):
+            approx_harmonic(n, 2, prec=64)
+            assert numeric._harmonic_rounded.cache_info().currsize <= bound, n
+
+    def test_a_sweep_of_exact_sums_builds_no_bernoulli_number_past_the_series(self, monkeypatch):
+        # at 1536 bits _cut shifts at each n + 1, so every H_n is its exact
+        # sum rounded, and Euler's constant is mpmath's: only the point series
+        # reads the Bernoulli table, not the float estimate of the cut
+        monkeypatch.setattr(bernoulli, "_numbers", [F(1)])
+        monkeypatch.setattr(bernoulli, "_polys", [Poly.one()])
+        expansions._prefix.cache_clear()
+        numeric._harmonic_rounded.cache_clear()
+        coefficients("g", 10, 1, F(1, 2))
+        size = len(bernoulli._numbers)
+        for k in range(4):
+            approx_harmonic(16 * 2**k, 10, F(1, 2), 1536)
+        assert len(bernoulli._numbers) == size
 
     def test_the_sum_cache_is_bounded(self):
         bound = numeric._reciprocal_sum.cache_info().maxsize
@@ -466,6 +541,7 @@ class TestRoundEnclosed:
         else:
             n, prec = 12345, 304
             want, offset = numeric._round_ratio(*exact_harmonic(n), prec), euler_bounds(prec + 256)[0]
+            numeric._harmonic_rounded.cache_clear()
             call = lambda: numeric._harmonic_rounded(n, prec)  # noqa: E731
         attempts = straddle(monkeypatch, want, prec, offset, 2)
         assert call()._mpf_ == want._mpf_
@@ -689,6 +765,13 @@ class TestApproximations:
             ):
                 with pytest.raises(ValueError, match=f"precision must be >= 1 bit, got {prec}"):
                     call()
+
+    def test_a_negative_expansion_has_no_log(self):
+        # at x = 3/2 the order-28 expansion of exp(psi(x + 1/2)) is negative
+        for approx in (approx_gamma, approx_harmonic):
+            with pytest.raises(ValueError) as excinfo:
+                approx(1, 28, t=F(1, 2))
+            assert str(excinfo.value) == "the expansion of order 28 is negative at x = n + 1 - t = 3/2, so it has no log"
 
     def test_no_bivariate_series_is_built(self, monkeypatch):
         # the approximants read the point series G_n(p, t); the cache of
