@@ -36,13 +36,13 @@ term:
   (-1)^n G_n = sum_{r=1}^{n} ((-p)^r / r!) bucket[n][r],
   bucket[n][r] = sum_{k_1+...+k_r = n, k_i>=1} B_{k_1}(t)...B_{k_r}(t)/(k_1...k_r),
   which is the (-p)^r/r! expansion of exp(-p L), L = sum_k B_k(t) x^(-k)/k,
-  read at -x. The exponential formula gives the buckets by splitting off the
-  last part of each composition:
-      bucket[0] = {0: 1},  bucket[n][r] = sum_{k=1}^{n} (B_k(t)/k) bucket[n-k][r-1],
-  in O(n^2 r) polynomial products, though there are 2^(n-1) compositions.
-  The buckets are the coefficients of the powers L^r; no G_n is fed back and
-  nothing is divided by n, so the route shares no code with ``_log_series``
-  or ``_power``.
+  read at -x. The buckets are the coefficients of the powers L^r: with q
+  marking the part count, sum_r q^r bucket[n][r] = [x^-n] 1/(1 - qL) is one
+  BiPoly, q in the place of p, and splitting off each composition's last
+  part gives it by one dot per order, though there are 2^(n-1) compositions:
+      bucket[0] = 1,  bucket[n] = sum_{k=1}^{n} w_k bucket[n-k],  w_k = q B_k(t)/k.
+  No G_n is fed back and nothing is divided by n, so the route shares no
+  code with ``_log_series`` or ``_power``.
 
 Every series comes back as one ``Series``: its coeffs are Polys in t for
 S_n and for G_n at fixed p, Polys with ``var == "p"`` for G_n at fixed t,
@@ -54,8 +54,8 @@ lock, as a prefix that only grows, so order N+1 extends order N instead of
 rebuilding it. Every prefix, the bivariate one included, keeps the beta_k
 it has read, so a longer series reads only the B_k(t) it lacks. The
 bivariate G_n (``_g``) and the composition table (``_compositions``) are
-pinned module lists; the table is a prefix too, as row n reads only the
-rows below it, and its rows are read-only mappings. A series with p, t or
+pinned module lists; the table is a prefix too, as bucket[n] reads only the
+buckets below it, and a caller gets a copy of the list. A series with p, t or
 both fixed keeps its own prefix per fixed value in ``_prefix``, and the
 least recently used of them is dropped past 16 keys, so the cache does not
 grow with the number of points asked for. The power route is recomputed on
@@ -68,8 +68,7 @@ import threading
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
-from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .algebra import BiPoly, Poly, _dot, _rational, _values_at
 from .bernoulli import bernoulli_poly
@@ -80,15 +79,14 @@ __all__ = [
     "g_via_power_transform",
     "g_via_bernoulli",
     "g_via_compositions",
-    "composition_buckets",
 ]
 
 # guards every prefix below as it grows
 _lock = threading.Lock()
 # the bivariate G_0..G_N computed so far and the beta_k they read; both only grow
 _g: tuple[list[BiPoly], list[BiPoly]] = ([BiPoly.one()], [])
-# the composition table's rows so far, read-only; they only grow
-_compositions: list[Mapping[int, Poly]] = [MappingProxyType({0: Poly.one()})]
+# the composition table's rows so far; they only grow
+_compositions: list[BiPoly] = [BiPoly.one()]
 
 # how many series with p, t or both fixed ``_prefix`` keeps
 _SERIES_KEYS = 16
@@ -187,43 +185,34 @@ def g_via_bernoulli(n_max: int) -> Series:
     return _grown(None, None, n_max)
 
 
-def _composition_table(n_max: int) -> list[Mapping[int, Poly]]:
-    """bucket[n] for n = 0..n_max: for each part count r, the sum of
-    B_{k_1}(t)...B_{k_r}(t)/(k_1...k_r) over ordered compositions
-    k_1+...+k_r = n, by bucket[n][r] = sum_{k=1}^{n} (B_k(t)/k) bucket[n-k][r-1]."""
+def _composition_table(n_max: int) -> list[BiPoly]:
+    """bucket[n] for n = 0..n_max, q^r bucket[n][r] summed over r as one
+    BiPoly with q in the place of p: bucket[0] = 1 and bucket[n] =
+    sum_{k=1}^{n} w_k bucket[n-k], one dot per order, w_k = q B_k(t)/k."""
     if n_max < 0:
         raise ValueError("composition order must be >= 0")
     with _lock:
         table = _compositions
         if len(table) <= n_max:
-            weight = [None] + [bernoulli_poly(k) * Fraction(1, k) for k in range(1, n_max + 1)]
+            polys = [bernoulli_poly(k) for k in range(1, n_max + 1)]
+            w = [BiPoly._new([(), b.nums], b.den * k, None) for k, b in enumerate(polys, 1)]
             for n in range(len(table), n_max + 1):
-                row: dict[int, Poly] = {}
-                for r in range(1, n + 1):
-                    ks = [k for k in range(1, n + 1) if r - 1 in table[n - k]]
-                    row[r] = _dot([weight[k] for k in ks], [table[n - k][r - 1] for k in ks])
-                table.append(MappingProxyType(row))
+                table.append(_dot(w[:n], table[::-1]))
         return table[: n_max + 1]
 
 
-def composition_buckets(n: int) -> Mapping[int, Poly]:
-    """For each part count r, sum B_{k_1}(t)...B_{k_r}(t)/(k_1...k_r) over
-    ordered compositions k_1+...+k_r = n, as a read-only mapping."""
-    return _composition_table(n)[n]
+def _fold(n: int, bucket: BiPoly) -> BiPoly:
+    """G_n from bucket[n]: row r times (-1)^(n+r)/r!, in integers over n!.
+    The composition route and the product identity both read it."""
+    top = factorial(n)
+    scale = [(-1) ** (n + r) * (top // factorial(r)) for r in range(len(bucket.rows))]
+    return BiPoly._new([[c * x for x in row] for c, row in zip(scale, bucket.rows)], bucket.den * top, None)
 
 
 def g_via_compositions(n_max: int) -> Series:
     """Explicit route: (-1)^n G_n = sum_r ((-p)^r / r!) bucket[n][r], folded
-    over the composition table of every order up to n_max: one dot per order
-    of the signs (-1)^(n+r)/r! with the p^r bucket[n][r], each the bucket's
-    row placed as row r of a BiPoly."""
-    return Series(
-        _dot(
-            [Fraction((-1) ** (n + r), factorial(r)) for r in buckets],
-            [BiPoly._new([()] * r + [poly.nums], poly.den, None) for r, poly in buckets.items()],
-        )
-        for n, buckets in enumerate(_composition_table(n_max))
-    )
+    row by row over the composition table of every order up to n_max."""
+    return Series(_fold(n, bucket) for n, bucket in enumerate(_composition_table(n_max)))
 
 
 def coefficients(kind: str, n_max: int, p=None, t=None) -> Series:

@@ -2,8 +2,10 @@
 
 Each check recomputes the expansion coefficients with exact arithmetic and
 compares both sides of an identity as polynomials. A failed comparison
-produces a ``CheckReport`` carrying the nonzero residual as a witness; it
-never raises, so a run always yields a full report.
+produces a ``CheckReport`` carrying a witness: the nonzero residual, or
+the value whose degree is wrong. That value may vanish identically, and
+then its parameters say ``vanishes=True``. A check never raises, so a run
+always yields a full report.
 
 The G_n are Appell in t, so three checks read R_n = dG_n/dt - (p+1-n) G_{n-1},
 G_{-1} = 0, from ``_residuals`` and build no binomial. Let T_k = d^k/dt^k / k!.
@@ -38,8 +40,9 @@ from .algebra import BiPoly, Poly, _dot, _render
 from .bernoulli import bernoulli_number
 from .expansions import (
     Series,
+    _composition_table,
+    _fold,
     coefficients,
-    composition_buckets,
     g_via_bernoulli,
     g_via_compositions,
     g_via_power_transform,
@@ -85,6 +88,8 @@ class CheckReport(NamedTuple):
 
     @classmethod
     def failed(cls, name: str, witness: Poly | BiPoly, **params) -> "CheckReport":
+        if witness.is_zero:
+            params["vanishes"] = True
         return cls(name, params, BiPoly.of(witness))
 
     def to_json_dict(self) -> dict:
@@ -261,12 +266,12 @@ def bernoulli_identity(n: int) -> Poly:
         sum_{r=1}^{2n+1} ((-2n)^r / r!)
             sum_{k_1+...+k_r = 2n+1} B_{k_1}(t)...B_{k_r}(t)/(k_1...k_r)
 
-    which must be the zero polynomial.
+    which must be the zero polynomial. It is -G_{2n+1}(2n, t), folded from
+    the composition table as the composition route folds it.
     """
     if n < 1:
         raise ValueError("identity index starts at 1")
-    buckets = composition_buckets(2 * n + 1)
-    return _dot([Fraction((-2 * n) ** r, factorial(r)) for r in buckets], list(buckets.values()))
+    return -_fold(2 * n + 1, _composition_table(2 * n + 1)[-1]).eval_p(2 * n)
 
 
 def _partitions(total: int, max_part: int):

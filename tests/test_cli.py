@@ -265,18 +265,21 @@ class TestVerify:
         ]
 
     def test_a_failed_product_identity_is_reported(self, monkeypatch):
-        def buckets(n):
-            rows = dict(expansions.composition_buckets(n))
-            if n == 3:
-                rows[1] = rows[1] + Poly.variable() * Fraction(1, 1000)
-            return rows
-
-        monkeypatch.setattr(identities, "composition_buckets", buckets)
+        # t/1000 planted in the p^1 row of bucket[3], the table built past
+        # every order read, so that no later bucket is built from it
+        table = list(expansions._composition_table(13))
+        table[3] = table[3] + BiPoly.var_p() * BiPoly.var_t() * Fraction(1, 1000)
+        monkeypatch.setattr(expansions, "_compositions", table)
         # the planted t/1000 in bucket[3][1] weighs (-2)^1/1!
         assert _suite_checks("identity", 12) == [
             CheckReport.failed("bernoulli-product-identity", Poly.variable() * Fraction(-1, 500), n=1),
             *(CheckReport.passed("bernoulli-product-identity", n=n) for n in range(2, 7)),
         ]
+        # the composition route reads the same table: G_3 gains p t/1000
+        assert identities.check_route_agreement(6) == CheckReport.failed(
+            "route-agreement", BiPoly.var_p() * BiPoly.var_t() * Fraction(1, 1000),
+            n=3, routes="compositions/bernoulli",
+        )
 
     def test_json_validates_against_schema(self, capsys):
         for suite in ("half", "all"):
@@ -557,7 +560,7 @@ print(peak() - before)
 
 
 # SHA-256 of the package's exported names, sorted and joined by spaces
-EXPORTED_SHA256 = "7ef94b6966f123bd4cda21222ea60ea643fdc464e7a2bdfd9d351e28835241a8"
+EXPORTED_SHA256 = "8187e67c276ca4241931705eca00fcb4f4924108682a74ed669287883ea0090d"
 
 
 def test_every_exported_name_resolves():

@@ -12,7 +12,6 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import factorial
-from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings
@@ -23,9 +22,9 @@ from exppsi.algebra import BiPoly, Poly, _values_at
 from exppsi.bernoulli import bernoulli_poly
 from exppsi.cli import main
 from exppsi.expansions import (
+    _composition_table,
     _power,
     coefficients,
-    composition_buckets,
     g_via_bernoulli,
     g_via_compositions,
     g_via_power_transform,
@@ -103,11 +102,20 @@ class TestLogSeries:
             lambda n: coefficients("g", n, t=F(1, 2)),
             lambda n: coefficients("s", n, t=F(1, 2)),
             lambda n: coefficients("g", n, F(2), F(1, 2)),
-            composition_buckets,
+            _composition_table,
         ):
             for n_max in (-1, -3):
                 with pytest.raises(ValueError):
                     build(n_max)
+
+
+def bucket_rows(bucket: BiPoly) -> dict[int, Poly]:
+    """bucket[n][r] for each nonzero row r of bucket[n], whose power of p
+    stands for the part count r."""
+    cells: dict[int, dict[int, Fraction]] = {}
+    for (r, j), c in bucket.terms.items():
+        cells.setdefault(r, {})[j] = c
+    return {r: Poly([row.get(j, 0) for j in range(max(row) + 1)]) for r, row in cells.items()}
 
 
 def power_at(a, p0) -> tuple:
@@ -252,7 +260,7 @@ class TestExponentialSeries:
             assert c[n] == b[n], n
 
     def test_composition_buckets_order_three(self):
-        buckets = composition_buckets(3)
+        buckets = bucket_rows(_composition_table(3)[3])
         b1, b2, b3 = bernoulli_poly(1), bernoulli_poly(2), bernoulli_poly(3)
         assert sorted(buckets) == [1, 2, 3]
         assert buckets[1] == b3 * F(1, 3)
@@ -268,7 +276,7 @@ class TestExponentialSeries:
                 for start, end in zip([0] + ends, ends):
                     term = term * bernoulli_poly(end - start) * F(1, end - start)
                 want[len(ends)] = want.get(len(ends), Poly.zero()) + term
-            assert composition_buckets(n) == want, n
+            assert bucket_rows(_composition_table(n)[n]) == want, n
 
 
 class TestSerialization:
@@ -336,9 +344,9 @@ class TestPrefixCaches:
     def test_a_cold_build_equals_the_cached_one(self, monkeypatch):
         for order in (3, 7, 12):
             warm = {shape: coefficients(shape[0], order, *shape[1:]) for shape in self.SHAPES}
-            rows = [composition_buckets(n) for n in range(order + 1)]
+            rows = _composition_table(order)
         expansions._prefix.cache_clear()
-        monkeypatch.setattr(expansions, "_compositions", [MappingProxyType({0: Poly.one()})])
+        monkeypatch.setattr(expansions, "_compositions", [BiPoly.one()])
         for shape in self.SHAPES:
             assert coefficients(shape[0], 12, *shape[1:]) == warm[shape], shape
         cold = expansions._composition_table(12)
@@ -355,23 +363,40 @@ class TestPrefixCaches:
         assert coefficients("g", 3, t=F(0)).coeffs == tuple(c.eval_t(0) for c in g.coeffs)
 
     def test_the_composition_table_is_built_once(self, monkeypatch):
-        monkeypatch.setattr(expansions, "_compositions", [MappingProxyType({0: Poly.one()})])
+        monkeypatch.setattr(expansions, "_compositions", [BiPoly.one()])
         # as verify asks: the product identity at orders 3, 5, ..., 13,
         # then the composition route through 12
-        rows = [composition_buckets(2 * n + 1) for n in range(1, 7)]
+        rows = [_composition_table(2 * n + 1)[2 * n + 1] for n in range(1, 7)]
         g_via_compositions(12)
         table = expansions._compositions
         assert len(table) == 14
         assert all(row is table[2 * n + 1] for n, row in enumerate(rows, 1))
 
-    def test_composition_buckets_are_read_only(self):
-        buckets = composition_buckets(4)
-        before = dict(buckets)
-        with pytest.raises(TypeError):
-            buckets[1] = Poly.zero()
-        with pytest.raises(TypeError):
-            del buckets[2]
-        assert composition_buckets(4) == before
+    def test_each_order_of_the_composition_table_is_one_dot(self, monkeypatch):
+        # bucket[n] = w_1 bucket[n-1] + ... + w_n bucket[0] is one kernel
+        # call over every part count at once, and the fold calls none
+        monkeypatch.setattr(expansions, "_compositions", [BiPoly.one()])
+        _composition_table(10)
+        steps, dot = [], expansions._dot
+
+        def spy_dot(xs, ys):
+            steps.append(len(xs))
+            return dot(xs, ys)
+
+        monkeypatch.setattr(expansions, "_dot", spy_dot)
+        _composition_table(12)
+        assert steps == [11, 12]
+        g_via_compositions(12)
+        assert steps == [11, 12]
+
+    def test_mutating_the_returned_table_leaves_the_cache_unchanged(self):
+        table = _composition_table(4)
+        before = list(table)
+        table[2] = BiPoly.zero()
+        del table[3]
+        table.append(BiPoly.one())
+        assert _composition_table(4) == before
+        assert _composition_table(5)[:5] == before
         assert g_via_compositions(4) == g_via_bernoulli(4)
 
 

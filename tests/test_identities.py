@@ -316,6 +316,24 @@ class TestPlantedDefects:
         with pytest.raises(ValueError, match="need a positive integer power, got 0"):
             check_degree_collapse(0, 8)
 
+    def test_a_vanishing_coefficient_is_named_in_the_parameters(self, monkeypatch):
+        # even p: G_4 at p = 2 must have degree exactly 0, and is zero
+        plant(monkeypatch, "coefficients", 4, lambda c: Poly.zero())
+        assert check_degree_collapse(2, 8) == CheckReport(
+            "degree-collapse", {"p": 2, "n": 4, "exact": 0, "vanishes": True}, BiPoly.zero()
+        )
+        # n <= p: G_2 at p = 3 must have degree exactly 2, and is zero
+        plant(monkeypatch, "coefficients", 2, lambda c: Poly.zero())
+        assert check_degree_collapse(3, 9) == CheckReport(
+            "degree-collapse", {"p": 3, "n": 2, "expected": 2, "vanishes": True}, BiPoly.zero()
+        )
+        # at t = 1/2, G_4 must have p-degree 2, and is zero there
+        g = list(g_via_bernoulli(6))
+        flat = g[:4] + [g[4] - BiPoly.of(g[4].eval_t(F(1, 2)))] + g[5:]
+        assert check_half_argument(6, g=Series(flat)) == CheckReport(
+            "half-argument", {"n": 4, "expected_degree": 2, "vanishes": True}, BiPoly.zero()
+        )
+
     def test_half_argument_reports_an_odd_order_and_a_p_degree(self):
         g = list(g_via_bernoulli(6))
         odd = g[:3] + [g[3] + BiPoly.var_p() * F(1, 1000)] + g[4:]
