@@ -33,9 +33,9 @@ point ``a/b`` is substituted homogeneously, ``sum_e n_e a^e b^(top-e) /
 
 ``Fraction`` stays the only number type users see: ``Poly.coeffs`` is a
 tuple of Fractions and ``BiPoly.terms`` a read-only map from exponent pairs
-``(i, j)`` to nonzero Fractions, both built on first use. Constructors and
-evaluation points take ints and Fractions only (``_rational``), so no float
-enters a symbolic value.
+``(i, j)`` to nonzero Fractions, both built on each read and never stored.
+Constructors and evaluation points take ints and Fractions only
+(``_rational``), so no float enters a symbolic value.
 
 Values are immutable and operations are pure. Every printed coefficient,
 in text, LaTeX, CSV or JSON, comes from one walk over the rows, ``_terms``,
@@ -229,17 +229,17 @@ class _Rows:
     coefficient of the ``j``-th power in row ``i``. ``_var`` names the kind
     of value: a Poly's variable, or None for a BiPoly. Values of one kind
     combine; a Poly and a BiPoly do not (``TypeError``), nor Polys in p and
-    in t (``ValueError``). ``_cache`` holds the Fractions built on first
-    use."""
+    in t (``ValueError``). No Fraction is stored: ``coeffs`` and ``terms``
+    build theirs on each read."""
 
-    __slots__ = ("rows", "den", "_var", "_cache")
+    __slots__ = ("rows", "den", "_var")
 
     @classmethod
     def _new(cls, rows: Iterable[Sequence[int]], den: int, var: str | None):
         """``rows / den`` of kind ``var``, brought to canonical form."""
         out = object.__new__(cls)
         out.rows, out.den = _lowest(rows, den)
-        out._var, out._cache = var, None
+        out._var = var
         return out
 
     def _mismatch(self, other: "_Rows"):
@@ -336,9 +336,7 @@ class Poly(_Rows):
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
         """The coefficients by ascending power, as Fractions."""
-        if self._cache is None:
-            self._cache = tuple(Fraction(n, self.den) for n in self.nums)
-        return self._cache
+        return tuple(Fraction(n, self.den) for n in self.nums)
 
     @property
     def degree(self) -> int | None:
@@ -404,15 +402,13 @@ class BiPoly(_Rows):
     def terms(self) -> Mapping[tuple[int, int], Fraction]:
         """The nonzero coefficients as a read-only map (p_pow, t_pow) -> Fraction,
         in sorted order."""
-        if self._cache is None:
-            den = self.den
-            self._cache = MappingProxyType({
-                (i, j): Fraction(n, den)
-                for i, row in enumerate(self.rows)
-                for j, n in enumerate(row)
-                if n
-            })
-        return self._cache
+        den = self.den
+        return MappingProxyType({
+            (i, j): Fraction(n, den)
+            for i, row in enumerate(self.rows)
+            for j, n in enumerate(row)
+            if n
+        })
 
     def coeff(self, p_pow: int, t_pow: int) -> Fraction:
         row = self.rows[p_pow] if 0 <= p_pow < len(self.rows) else ()

@@ -65,8 +65,8 @@ MAX_PREC = 8192
 
 # Ceilings on ``verify --max-n``, and on ``approx --order`` and ``coeffs --n``:
 # on a 2-core x86-64 host (CPython 3.11, mpmath 1.3.0 without gmpy2)
-# ``verify --suite all --max-n 56`` took 6.8-9.7 s at 42 MiB peak RSS and
-# ``coeffs g --n 72 --format json`` 5.9-7.5 s at 32-33 MiB, the build's own
+# ``verify --suite all --max-n 56`` took 6.8-9.0 s at 33-34 MiB peak RSS and
+# ``coeffs g --n 72 --format json`` 5.0-6.9 s at 32-33 MiB, the build's own
 # peak, as the 17 MB of output go out one coefficient at a time; each cost
 # doubles with about 8 more orders. ``approx`` builds only the point
 # series, so ``approx exp-psi --n 40 --order 72 --p 2/3 --t 5/4 --sweep`` took

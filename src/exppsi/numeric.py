@@ -49,11 +49,11 @@ constant (``test_correctly_rounded_at_the_integers``).
 ``approx_gamma`` and ``approx_harmonic`` share one body,
 ``_harmonic_sample``, which takes one n. A sample needs H_n only rounded
 once to the working precision wp; ``_harmonic_rounded`` keeps the last few,
-keyed on (n, wp). Where ``_cut`` shifts at n + 1 on the first attempt (small
-n or a high wp; the shift only grows with the bits), that is the memoized
-exact sum rounded by one division. Otherwise the same loop reads it off the
-enclosure at m = 0, as psi(n+1) + gamma, not by summing n reciprocals, or,
-at a later attempt that shifts, between the floor and ceiling of the exact
+keyed on (n, wp), so approximants of growing order at one n take it once.
+Each attempt of its loop asks ``_cut`` at n + 1. Where no shift is needed,
+it reads H_n off the enclosure at m = 0, as psi(n+1) + gamma, not by
+summing n reciprocals; where one is (small n or a high wp; the shift only
+grows with the bits), H_n lies between the floor and ceiling of its exact
 sum. Either way that is bit for bit the exact sum rounded once, and the
 loop stops, because H_n is never a rounding midpoint: for n >= 3,
 Bertrand's postulate gives a prime p with n/2 < p <= n, 1/p is the only term
@@ -144,15 +144,12 @@ def to_mpf(value: RationalLike, prec: int) -> mpmath.mpf:
     return _round_ratio(value.numerator, value.denominator, prec)
 
 
-@lru_cache(maxsize=16)
 def _reciprocal_sum(x: Fraction, m: int) -> tuple[int, int]:
     """Exact sum_{k<m} 1/(x+k) for a positive rational x = a/b, as a pair
     (P, Q) with the sum P/Q and Q > 0, not in lowest terms.
 
     Binary splitting over the integer terms b/(a+kb): each half of the
-    range is carried as one fraction P/Q, and no gcd is taken. The cache
-    holds a few (x, m) pairs, so the approximants of growing order at one n
-    sum once the H_n that ``_harmonic_rounded`` encloses by its exact sum.
+    range is carried as one fraction P/Q, and no gcd is taken.
     """
     a, b = x.numerator, x.denominator
 
@@ -297,16 +294,12 @@ def euler_gamma(prec: int = 256) -> mpmath.mpf:
 
 @lru_cache(maxsize=16)
 def _harmonic_rounded(n: int, wp: int) -> mpmath.mpf:
-    """H_n rounded to nearest at ``wp`` bits: the memoized exact sum rounded
-    once where ``_cut`` shifts at n + 1 with ``_psi_terms(wp + GUARD)`` tail
-    terms on the first attempt, as it then would on every later one. Else it
-    is read off psi(n+1) + gamma at any attempt where ``_cut`` needs no shift,
-    and between the floor and ceiling of the exact sum at any other. The
-    cache holds a few (n, wp) pairs."""
+    """H_n rounded to nearest at ``wp`` bits. Each attempt asks ``_cut`` at
+    n + 1 with ``_psi_terms(wp + GUARD)`` tail terms: where it needs no shift,
+    H_n is read off psi(n+1) + gamma; where it shifts, H_n lies between the
+    floor and ceiling of the exact sum. The cache holds a few (n, wp) pairs."""
     libmp = mpmath.libmp
     terms = _psi_terms(wp + GUARD)
-    if _cut(n + 1, wp + EXTRA, terms)[0]:
-        return _round_ratio(*_reciprocal_sum(Fraction(1), n), wp)
 
     def enclose(bits: int) -> tuple:
         m, J = _cut(n + 1, bits, terms)

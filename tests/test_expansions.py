@@ -2,22 +2,25 @@
 
 The log-series coefficients are checked against an oracle built here by
 formally exponentiating the generating series with plain convolutions,
-sharing no code path with the package recurrence.
+sharing no code path with the package recurrence. Each instance of the
+recurrence is also checked at rational points against the digamma
+difference equation, which reads no Bernoulli number.
 """
 
 import json
+import random
 import sys
 import threading
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import factorial
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exppsi import algebra, expansions
+from exppsi import algebra, bernoulli, expansions
 from exppsi.algebra import BiPoly, Poly, _values_at
 from exppsi.bernoulli import bernoulli_poly
 from exppsi.cli import main
@@ -501,3 +504,100 @@ class TestCoefficients:
                     coefficients("s", 3, p=p, t=t)
         with pytest.raises(ValueError, match="series kind"):
             coefficients("h", 3)
+
+
+def exp_inverse_shift(n_max: int, p: Fraction, t: Fraction) -> list[Fraction]:
+    """e_0..e_n_max, e_j = [x^-j] exp(p/(x+t)), by the closed form
+    sum_{m=1..j} p^m/m! (-1)^(j-m) C(j-1, m-1) t^(j-m)."""
+    return [F(1)] + [
+        sum(p**m / factorial(m) * (-1) ** (j - m) * comb(j - 1, m - 1) * t ** (j - m) for m in range(1, j + 1))
+        for j in range(1, n_max + 1)
+    ]
+
+
+def difference_reference(n_max: int, p: Fraction, t: Fraction) -> list[Fraction]:
+    """G_0(p, t)..G_n_max(p, t) at one rational point, from psi(z+1) = psi(z)
+    + 1/z (DLMF 5.5.2): exp(p psi(x+1+t)) = exp(p psi(x+t)) exp(p/(x+t)),
+    whose coefficients of x^(p-N-1) give, with G_0 = 1,
+
+        N G_N = sum_{n<N} G_n [C(p-n, N+1-n) - e_{N+1-n}].
+
+    No Bernoulli number and no package recurrence is read."""
+    e = exp_inverse_shift(n_max + 1, p, t)
+
+    def binomial(a: Fraction, k: int) -> Fraction:
+        out = F(1)
+        for i in range(k):
+            out = out * (a - i) / (i + 1)
+        return out
+
+    g = [F(1)]
+    for N in range(1, n_max + 1):
+        g.append(sum(g[n] * (binomial(p - n, N + 1 - n) - e[N + 1 - n]) for n in range(N)) / N)
+    return g
+
+
+REFERENCE_ORDER = 24
+
+
+def seeded_points(seed: int, count: int = 3) -> list[tuple[Fraction, Fraction]]:
+    """``count`` points (p, t) of nonzero rationals of either sign; at p = 0
+    every G_n past G_0 vanishes, whatever the series reads."""
+    rng = random.Random(seed)
+
+    def draw() -> Fraction:
+        return F(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))
+
+    return [(draw(), draw()) for _ in range(count)]
+
+
+def instances_at(p: Fraction, t: Fraction) -> dict[str, list[Fraction]]:
+    """The four instances of ``_log_series`` to REFERENCE_ORDER, each read at (p, t)."""
+    n = REFERENCE_ORDER
+    return {
+        "bivariate": [c.eval(p, t) for c in coefficients("g", n)],
+        "fixed p": [c.eval(t) for c in coefficients("g", n, p=p)],
+        "fixed t": [c.eval(p) for c in coefficients("g", n, t=t)],
+        "point": list(coefficients("g", n, p, t)),
+    }
+
+
+class TestDifferenceReference:
+    """Every instance of the log-series recurrence against the digamma
+    difference equation, at seeded rational points."""
+
+    def test_the_closed_form_of_e_is_the_exponential_series(self):
+        # exp(u), u = p/(x+t) = sum_{k>=1} p (-t)^(k-1) x^-k, by the
+        # recurrence n E_n = sum_k k u_k E_{n-k}
+        j_max = 28
+        for p, t in seeded_points(7):
+            u = [F(0)] + [p * (-t) ** (k - 1) for k in range(1, j_max + 1)]
+            series = [F(1)]
+            for n in range(1, j_max + 1):
+                series.append(sum(k * u[k] * series[n - k] for k in range(1, n + 1)) / n)
+            assert exp_inverse_shift(j_max, p, t) == series, (p, t)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_every_instance_equals_the_reference(self, seed):
+        for p, t in seeded_points(seed):
+            want = difference_reference(REFERENCE_ORDER, p, t)
+            for name, got in instances_at(p, t).items():
+                assert got == want, (name, p, t)
+
+    def test_a_planted_bernoulli_defect_is_seen_by_every_instance(self, monkeypatch):
+        # B_5(t) + 1/1000 read by every series built after it is planted;
+        # the reference reads no Bernoulli number, so from G_5 on they differ
+        bernoulli_poly(REFERENCE_ORDER)
+        polys = list(bernoulli._polys)
+        polys[5] = polys[5] + Poly((F(1, 1000),))
+        monkeypatch.setattr(bernoulli, "_polys", polys)
+        monkeypatch.setattr(expansions, "_g", ([BiPoly.one()], []))
+        expansions._prefix.cache_clear()
+        try:
+            p, t = seeded_points(1)[0]
+            want = difference_reference(REFERENCE_ORDER, p, t)
+            for name, got in instances_at(p, t).items():
+                assert got[:5] == want[:5], name
+                assert got[5] != want[5], name
+        finally:
+            expansions._prefix.cache_clear()

@@ -248,7 +248,6 @@ class TestPsiRef:
         monkeypatch.setattr(bernoulli, "_polys", [Poly.one()])
         numeric._tail_bounds.cache_clear()
         numeric._psi_at.cache_clear()
-        numeric._reciprocal_sum.cache_clear()
         psi_ref(1, 1632)
         terms = numeric._psi_terms(1632)
         assert 2 * terms < len(bernoulli._numbers) <= 2 * terms + 2 == 410
@@ -279,7 +278,6 @@ class TestPsiRef:
 
     def test_each_argument_is_evaluated_once(self):
         numeric._psi_at.cache_clear()
-        numeric._reciprocal_sum.cache_clear()
         errors = [
             approx_exp_psi(40, order, p=F(2, 3), t=F(5, 4), prec=320).abs_error
             for order in range(2, 17, 2)
@@ -467,18 +465,25 @@ class TestCertifiedHarmonic:
                 approx_gamma(40, order, t=t, prec=320)
                 approx_harmonic(40, order, t=t, prec=320)
 
-    def test_the_exact_h_n_is_summed_once_per_n(self):
+    def test_the_exact_h_n_is_summed_once_per_n(self, monkeypatch):
         # the session's n = 40 at 320 bits, which _cut turns away: the first
         # order sums H_40 and rounds it, each later one reads it rounded
-        numeric._reciprocal_sum.cache_clear()
+        sums = []
+        reciprocal_sum = numeric._reciprocal_sum
+
+        def spy(x, m):
+            sums.append((x, m))
+            return reciprocal_sum(x, m)
+
+        monkeypatch.setattr(numeric, "_reciprocal_sum", spy)
         numeric._harmonic_rounded.cache_clear()
         for order in range(2, 17):
             approx_gamma(40, order, prec=320)
-        info = numeric._reciprocal_sum.cache_info()
-        assert (info.misses, info.hits) == (1, 0)
+        assert sums == [(1, 40)]
 
     def test_h_n_is_rounded_once_across_orders(self, monkeypatch):
-        # and rounded by one division: neither end of an enclosure is taken
+        # and rounded from the floor and ceiling of one exact sum, at the
+        # first attempt's bits: no digamma enclosure is taken
         divisions = []
         ratio_ends = numeric._ratio_ends
 
@@ -494,7 +499,7 @@ class TestCertifiedHarmonic:
                 approx_harmonic(40, order, t=t, prec=320)
         info = numeric._harmonic_rounded.cache_info()
         assert (info.misses, info.hits) == (1, 59)
-        assert divisions == []
+        assert divisions == [320 + numeric.GUARD + numeric.EXTRA]
 
     def test_the_rounded_h_n_cache_is_bounded(self):
         bound = numeric._harmonic_rounded.cache_info().maxsize
@@ -517,12 +522,6 @@ class TestCertifiedHarmonic:
             approx_harmonic(16 * 2**k, 10, F(1, 2), 1536)
         assert len(bernoulli._numbers) == size
 
-    def test_the_sum_cache_is_bounded(self):
-        bound = numeric._reciprocal_sum.cache_info().maxsize
-        for n in range(1, bound + 2):
-            harmonic(n)
-            assert numeric._reciprocal_sum.cache_info().currsize <= bound, n
-
 
 class TestRoundEnclosed:
     """``psi_ref`` and ``_harmonic_rounded`` read their values through one
@@ -533,10 +532,8 @@ class TestRoundEnclosed:
         if target == "psi_ref":
             x, prec = F(7, 3), 256
             numeric._psi_at.cache_clear()
-            numeric._reciprocal_sum.cache_clear()
             want, offset = psi_ref(x, prec), F(0)
             numeric._psi_at.cache_clear()
-            numeric._reciprocal_sum.cache_clear()
             call = lambda: psi_ref(x, prec)  # noqa: E731
         else:
             n, prec = 12345, 304
