@@ -65,8 +65,8 @@ MAX_PREC = 8192
 
 # Ceilings on ``verify --max-n``, and on ``approx --order`` and ``coeffs --n``:
 # on a 2-core x86-64 host (CPython 3.11, mpmath 1.3.0 without gmpy2)
-# ``verify --suite all --max-n 56`` took 6.8-9.0 s at 33-34 MiB peak RSS and
-# ``coeffs g --n 72 --format json`` 5.0-6.9 s at 32-33 MiB, the build's own
+# ``verify --suite all --max-n 56`` took 5.9-8.8 s at 33-34 MiB peak RSS and
+# ``coeffs g --n 72 --format json`` 4.5-7.0 s at 32-33 MiB, the build's own
 # peak, as the 17 MB of output go out one coefficient at a time; each cost
 # doubles with about 8 more orders. ``approx`` builds only the point
 # series, so ``approx exp-psi --n 40 --order 72 --p 2/3 --t 5/4 --sweep`` took
@@ -103,9 +103,9 @@ def _rational(text: str) -> Fraction:
     return value
 
 
-def _count(low: int, high: Optional[int] = None, limit: str = ""):
-    """Parser of an integer at least ``low`` (0 or 1) and, if ``high`` is
-    given, at most ``high``; ``limit`` words that ceiling in the error."""
+def _count(low: int, high: int, limit: str):
+    """Parser of an integer at least ``low`` (0 or 1) and at most ``high``;
+    ``limit`` words that ceiling in the error."""
     kind = "positive" if low else "nonnegative"
 
     def parse(text: str) -> int:
@@ -115,7 +115,7 @@ def _count(low: int, high: Optional[int] = None, limit: str = ""):
             value = None
         if value is None or value < low:
             raise argparse.ArgumentTypeError(f"expected a {kind} integer, got {text}")
-        if high is not None and value > high:
+        if value > high:
             raise argparse.ArgumentTypeError(f"{limit.format(high)}, got {value}")
         return value
 
@@ -196,7 +196,7 @@ def _suite_checks(suite: str, n_max: int) -> list[CheckReport]:
             checks.append(check_even_p_vanishing(p))
     if suite in ("all", "degrees"):
         for p in range(1, min(6, n_max) + 1):
-            checks.append(check_degree_collapse(p, p + 6))
+            checks.append(check_degree_collapse(p))
     if suite in ("all", "reflection"):
         checks.append(check_reflection(n_max))
     if suite in ("all", "half"):

@@ -1,11 +1,15 @@
 """Exact verification of the structural theorems and the reference tables.
 
 Each check recomputes the expansion coefficients with exact arithmetic and
-compares both sides of an identity as polynomials. A failed comparison
-produces a ``CheckReport`` carrying a witness: the nonzero residual, or
-the value whose degree is wrong. That value may vanish identically, and
-then its parameters say ``vanishes=True``. A check never raises, so a run
-always yields a full report.
+compares both sides of an identity as polynomials. It takes only what
+``verify`` varies, an order or a power, and reads the series that ``coeffs``
+prints: ``g_via_bernoulli`` in p and t, or ``coefficients`` at a fixed p. So
+a test plants a defect by patching one of the names this module imports. A
+failed comparison produces a ``CheckReport`` carrying a witness: the nonzero
+residual, or the value whose degree is wrong. That value may vanish
+identically, and then its parameters say ``vanishes=True``. A check raises
+only on an order or power it cannot take, never on a failed comparison, so
+a run always yields a full report.
 
 The G_n are Appell in t, so three checks read R_n = dG_n/dt - (p+1-n) G_{n-1},
 G_{-1} = 0, from ``_residuals`` and build no binomial. Let T_k = d^k/dt^k / k!.
@@ -39,7 +43,6 @@ from typing import Iterator, NamedTuple, Optional
 from .algebra import BiPoly, Poly, _dot, _render
 from .bernoulli import bernoulli_number
 from .expansions import (
-    Series,
     _composition_table,
     _fold,
     coefficients,
@@ -139,14 +142,13 @@ def check_even_p_vanishing(p: int) -> CheckReport:
     return CheckReport.failed("even-p-vanishing", residual, p=p)
 
 
-def check_degree_collapse(p: int, n_max: int) -> CheckReport:
-    """Degrees in t: exactly n for n <= p, at most n-p-1 past p, and for
-    even p exactly k at order p+2+k."""
+def check_degree_collapse(p: int) -> CheckReport:
+    """Degrees in t over the orders n <= n_max = p + 6: exactly n for
+    n <= p, at most n-p-1 past p, and for even p exactly k at order p+2+k."""
     p = index(p)
     if p < 1:
         raise ValueError(f"need a positive integer power, got {p}")
-    if n_max < p + 2:
-        raise ValueError("order window must reach p+2 to see the collapse")
+    n_max = p + 6
     g = coefficients("g", n_max, p=p)
     for n in range(n_max + 1):
         d = g[n].degree
@@ -162,39 +164,26 @@ def check_degree_collapse(p: int, n_max: int) -> CheckReport:
     return CheckReport.passed("degree-collapse", p=p, n_max=n_max)
 
 
-def _through(n_max: int, g: Optional[Series]) -> Series:
-    """G_0..G_{n_max}, n_max an integer >= 0: canonical if ``g`` is None, else cut from ``g``."""
-    if index(n_max) < 0:
-        raise ValueError(f"the order checked must be >= 0, got {n_max}")
-    if g is None:
-        return g_via_bernoulli(n_max)
-    if len(g) <= n_max:
-        raise ValueError(f"the series given ends at order {g.order}, the check needs {n_max}")
-    return Series(g[: n_max + 1])
-
-
-def check_reflection(n_max: int, g: Optional[Series] = None) -> CheckReport:
+def check_reflection(n_max: int) -> CheckReport:
     """G_n(p, 1) == (-1)^n G_n(p, 0) as exact polynomials in p."""
-    g = _through(n_max, g)
-    for n in range(n_max + 1):
-        residual = g[n].eval_t(1) - g[n].eval_t(0) * Fraction((-1) ** n)
+    for n, coeff in enumerate(g_via_bernoulli(n_max)):
+        residual = coeff.eval_t(1) - coeff.eval_t(0) * Fraction((-1) ** n)
         if not residual.is_zero:
             return CheckReport.failed("reflection", residual, n=n)
     return CheckReport.passed("reflection", n_max=n_max)
 
 
-def check_half_argument(n_max: int, g: Optional[Series] = None) -> CheckReport:
+def check_half_argument(n_max: int) -> CheckReport:
     """At t=1/2: odd orders vanish, order 2m has p-degree m, and the
     even orders satisfy the corrected recurrence
     G_{2m} = (p/2m) sum_k (1 - 2^(1-2k)) B_{2k} G_{2m-2k}."""
-    g = _through(n_max, g)
-    half = [g[n].eval_t(Fraction(1, 2)) for n in range(n_max + 1)]
-    for n in range(n_max + 1):
+    half = [coeff.eval_t(Fraction(1, 2)) for coeff in g_via_bernoulli(n_max)]
+    for n, value in enumerate(half):
         if n % 2 == 1:
-            if not half[n].is_zero:
-                return CheckReport.failed("half-argument", half[n], n=n)
-        elif half[n].degree != n // 2:
-            return CheckReport.failed("half-argument", half[n], n=n, expected_degree=n // 2)
+            if not value.is_zero:
+                return CheckReport.failed("half-argument", value, n=n)
+        elif value.degree != n // 2:
+            return CheckReport.failed("half-argument", value, n=n, expected_degree=n // 2)
     p_var = Poly.variable("p")
     coef = [(1 - Fraction(2) ** (1 - 2 * k)) * bernoulli_number(2 * k) for k in range(n_max // 2 + 1)]
     rebuilt = [Poly.one("p")]
@@ -207,39 +196,39 @@ def check_half_argument(n_max: int, g: Optional[Series] = None) -> CheckReport:
     return CheckReport.passed("half-argument", n_max=n_max)
 
 
-def _residuals(g: Series) -> Iterator[tuple[int, BiPoly]]:
-    """(n, R_n) for each order n of ``g``, each one product by a linear factor."""
+def _residuals(n_max: int) -> Iterator[tuple[int, BiPoly]]:
+    """(n, R_n) for n = 0..n_max, each one product by a linear factor."""
     p, prev = BiPoly.var_p(), BiPoly.zero()
-    for n, coeff in enumerate(g.coeffs):
+    for n, coeff in enumerate(g_via_bernoulli(n_max)):
         yield n, coeff.derivative_t() - (p + BiPoly.constant(1 - n)) * prev
         prev = coeff
 
 
-def check_shift_identity(n_max: int, g: Optional[Series] = None) -> CheckReport:
+def check_shift_identity(n_max: int) -> CheckReport:
     """T_k G_n == C(p-n+k, k) G_{n-k} for every k >= 1: the shift rule for
     every s and t. By the induction in the module docstring the first
     failure is (n, k=1) at the first nonzero R_n, with witness R_n."""
-    for n, residual in _residuals(_through(n_max, g)):
+    for n, residual in _residuals(n_max):
         if not residual.is_zero:
             return CheckReport.failed("shift-identity", residual, n=n, k=1)
     return CheckReport.passed("shift-identity", n_max=n_max)
 
 
-def check_derivative_relation(n_max: int, g: Optional[Series] = None) -> CheckReport:
+def check_derivative_relation(n_max: int) -> CheckReport:
     """dG_n/dt == (p + 1 - n) G_{n-1}, that is R_n == 0, for n >= 1; with
     the induction in the module docstring it gives the shift rule."""
-    for n, residual in _residuals(_through(n_max, g)):
+    for n, residual in _residuals(n_max):
         if n and not residual.is_zero:
             return CheckReport.failed("derivative-relation", residual, n=n)
     return CheckReport.passed("derivative-relation", n_max=n_max)
 
 
-def check_coefficient_table(n_max: int, g: Optional[Series] = None) -> CheckReport:
+def check_coefficient_table(n_max: int) -> CheckReport:
     """[t^k] G_n == C(p-n+k, k) G_{n-k}(p, 0) in p for every k >= 1, so a
     term above t^n fails. By the induction in the module docstring the first
     failure is (n, k=j+1) at the first nonzero R_n, j its lowest power of t,
     with witness [t^j] R_n / (j+1)."""
-    for n, residual in _residuals(_through(n_max, g)):
+    for n, residual in _residuals(n_max):
         if not residual.is_zero:
             j = next(j for j in count() if not residual.coeff_of_t_power(j).is_zero)
             witness = residual.coeff_of_t_power(j) * Fraction(1, j + 1)

@@ -78,10 +78,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from operator import index
+from operator import index, mul
 from typing import NamedTuple, Sequence, Union
 
-from .algebra import _rational
+from .algebra import _over_one_den, _rational, _weights
 from .bernoulli import bernoulli_number
 from .expansions import Series, coefficients
 
@@ -314,13 +314,14 @@ def eval_expansion(g: Series, p: RationalLike, x: RationalLike, prec: int = 256)
     """Evaluate x^p * sum_{n<=g.order} g[n] x^(-n) for a point series g,
     whose coefficients are the rationals G_n(p, t) at one (p, t).
 
-    The sum S is one exact rational, carried by Horner as an unreduced pair
-    over D, the lcm of the coefficients' denominators, and rounded once. At
-    p = 1, x S is rational too, so the value is one correctly rounded
-    division at ``prec`` bits; any other p takes x^p from ``mpf_pow`` at
-    ``prec + GUARD`` bits, as x^p is exact only at a cost that grows with p,
-    and rounds x^p S, as ``mpmath.power(x, p) * S`` under that precision
-    gives it, to ``prec``."""
+    The sum S is one exact rational: the coefficients' numerators over D,
+    the lcm of their denominators, dotted with the powers of 1/x from
+    ``_weights``, as ``algebra`` values a polynomial at a point. It is kept
+    as an unreduced pair and rounded once. At p = 1, x S is rational too,
+    so the value is one correctly rounded division at ``prec`` bits; any
+    other p takes x^p from ``mpf_pow`` at ``prec + GUARD`` bits, as x^p is
+    exact only at a cost that grows with p, and rounds x^p S, as
+    ``mpmath.power(x, p) * S`` under that precision gives it, to ``prec``."""
     _check_prec(prec)
     if kinds := {type(c).__name__ for c in g.coeffs if not isinstance(c, (int, Fraction))}:
         raise TypeError(f"eval_expansion needs a point series of rationals, got {', '.join(sorted(kinds))} coefficients")
@@ -329,12 +330,9 @@ def eval_expansion(g: Series, p: RationalLike, x: RationalLike, prec: int = 256)
     if x <= 0:
         raise ValueError(f"expansion variable must be positive, got {x}")
     a, b = x.numerator, x.denominator
-    # D S = D c + D S' b/a for each coefficient c from the last, as num/den
-    D = math.lcm(*(c.denominator for c in g.coeffs))
-    num, den = 0, 1
-    for c in reversed(g.coeffs):
-        num, den = num * b + c.numerator * (D // c.denominator) * den * a, den * a
-    den *= D
+    nums, D = _over_one_den(g.coeffs)
+    weight, scale = _weights(1 / x, len(nums) - 1)
+    num, den = sum(map(mul, nums, weight)), D * scale
     if p == 1:
         return _round_ratio(num * a, den * b, prec)
     libmp = mpmath.libmp

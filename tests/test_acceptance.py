@@ -111,7 +111,7 @@ def test_criterion_3_theorem_suite():
         for p in range(2, 21, 2):
             assert check_even_p_vanishing(p).ok, f"vanishing failed at p={p}"
         for p in range(1, 13):
-            assert check_degree_collapse(p, p + 6).ok, f"degrees failed at p={p}"
+            assert check_degree_collapse(p).ok, f"degrees failed at p={p}"
         assert check_reflection(15).ok
         assert check_half_argument(14).ok
         assert check_shift_identity(10).ok

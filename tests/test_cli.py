@@ -609,6 +609,23 @@ print("exppsi.numeric" in sys.modules, "mpmath" in sys.modules)
     assert lines == ["True False"]
 
 
+def test_a_module_name_imports_only_that_module():
+    # exppsi.identities is the module itself, not a name that its __all__
+    # declares, so neither numeric nor mpmath comes with it; exppsi.numeric
+    # loads numeric, whose mpmath proxy keeps mpmath unloaded
+    lines = run_fresh("""
+import sys
+import exppsi
+module = exppsi.identities
+print(module.__name__, module is sys.modules["exppsi.identities"])
+print("exppsi.numeric" in sys.modules, "mpmath" in sys.modules)
+module = exppsi.numeric
+print(module.__name__, module is sys.modules["exppsi.numeric"])
+print("mpmath" in sys.modules)
+""")
+    assert lines == ["exppsi.identities True", "False False", "exppsi.numeric True", "False"]
+
+
 # SHA-256 of stdout for a fixed set of commands: the README commands and
 # commands shaped like the benchmark's operations. A change to any of these
 # outputs must be deliberate; record the new digest and say why.

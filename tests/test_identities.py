@@ -53,6 +53,12 @@ def plant(monkeypatch, name: str, n: int, change) -> None:
     monkeypatch.setattr(identities, name, planted)
 
 
+def given(monkeypatch, g: Series) -> None:
+    """Patch the ``g_via_bernoulli`` that identities imports, so that the
+    checks read the first n+1 terms of ``g`` at order n."""
+    monkeypatch.setattr(identities, "g_via_bernoulli", lambda n: Series(g[: n + 1]))
+
+
 def binomial_rule_reports(n_max: int, g: Series) -> list[CheckReport]:
     """The shift, derivative and coefficient-table reports read off the
     rules themselves, as a reference for the checks: C(p-n+k, k) is built
@@ -126,11 +132,7 @@ class TestTheoremChecks:
 
     def test_degree_collapse(self):
         for p in (1, 2, 3, 4, 5):
-            assert check_degree_collapse(p, p + 6).ok
-
-    def test_degree_collapse_window_guard(self):
-        with pytest.raises(ValueError):
-            check_degree_collapse(4, 5)
+            assert check_degree_collapse(p).ok
 
     @pytest.mark.parametrize("bad", [F(5, 2), 4.0, F(4), "4"])
     def test_powers_must_be_integers(self, bad):
@@ -139,7 +141,7 @@ class TestTheoremChecks:
         with pytest.raises(TypeError):
             check_even_p_vanishing(bad)
         with pytest.raises(TypeError):
-            check_degree_collapse(bad, 8)
+            check_degree_collapse(bad)
 
     @pytest.mark.parametrize(
         "check",
@@ -153,18 +155,9 @@ class TestTheoremChecks:
         ids=lambda check: check.__name__,
     )
     def test_a_given_series_must_reach_the_order_checked(self, check):
-        with pytest.raises(ValueError, match="order 4"):
-            check(6, g=g_via_bernoulli(4))
-        with pytest.raises(ValueError):
-            check(0, g=Series(()))
-        # a negative order is refused with a series given, as without one
-        for g in (None, g_via_bernoulli(4)):
-            with pytest.raises(ValueError, match="must be >= 0"):
-                check(-3, g=g)
-        # a longer series is cut at n_max: the corrupted G_2 lies past it
-        report = check(1, g=corrupted_series(6))
-        assert report.ok and report.parameters["n_max"] == 1
-        assert not check(2, g=corrupted_series(6)).ok
+        # each check reads g_via_bernoulli(n_max), which has no order below 0
+        with pytest.raises(ValueError, match="must be >= 0"):
+            check(-3)
 
     def test_reflection(self):
         assert check_reflection(12).ok
@@ -181,15 +174,15 @@ class TestTheoremChecks:
     def test_route_agreement(self):
         assert check_route_agreement(8).ok
 
-    def test_corrupted_series_is_caught_with_witness(self):
-        bad = corrupted_series(8)
+    def test_corrupted_series_is_caught_with_witness(self, monkeypatch):
+        given(monkeypatch, corrupted_series(8))
         for check in (
             check_reflection,
             check_derivative_relation,
             check_coefficient_table,
             check_half_argument,
         ):
-            report = check(8, g=bad)
+            report = check(8)
             assert not report.ok, check.__name__
             assert report.witness is not None
             assert not report.witness.is_zero
@@ -197,20 +190,20 @@ class TestTheoremChecks:
                 # residuals of polynomials in p carry only p exponents
                 assert all(j == 0 for _, j in report.witness.terms), check.__name__
 
-    def test_binomial_rule_checks_report_the_first_failure(self):
+    def test_binomial_rule_checks_report_the_first_failure(self, monkeypatch):
         # G_2 carries an extra p*t/7: the t^1 coefficient of G_2, and so
         # dG_2/dt against C(p-1, 1) G_1, is off by p/7
-        bad = corrupted_series(8)
-        assert json_canonical(check_coefficient_table(8, g=bad).to_json_dict()) == (
+        given(monkeypatch, corrupted_series(8))
+        assert json_canonical(check_coefficient_table(8).to_json_dict()) == (
             '{"check":"coefficient-table","parameters":{"k":1,"n":2},"status":"fail",'
             '"witness":{"terms":[{"den":"7","num":"1","p":1,"t":0}],"var_order":["p","t"]}}'
         )
-        assert json_canonical(check_shift_identity(8, g=bad).to_json_dict()) == (
+        assert json_canonical(check_shift_identity(8).to_json_dict()) == (
             '{"check":"shift-identity","parameters":{"k":1,"n":2},"status":"fail",'
             '"witness":{"terms":[{"den":"7","num":"1","p":1,"t":0}],"var_order":["p","t"]}}'
         )
 
-    def test_shift_check_sees_an_error_that_vanishes_at_sampled_points(self):
+    def test_shift_check_sees_an_error_that_vanishes_at_sampled_points(self, monkeypatch):
         # G_10 given an extra p*delta(t), delta vanishing at each s and s+t of
         # 20 rational draws (s, t): the shift rule still holds at every draw
         rng = random.Random(20260815)
@@ -225,27 +218,27 @@ class TestTheoremChecks:
             delta = delta * Poly((-x, 1))
         coeffs = list(g_via_bernoulli(10).coeffs)
         coeffs[10] = coeffs[10] + BiPoly.var_p() * BiPoly.of(delta)
-        bad = Series(tuple(coeffs))
-        report = check_shift_identity(10, g=bad)
+        given(monkeypatch, Series(tuple(coeffs)))
+        report = check_shift_identity(10)
         assert not report.ok
         assert report.parameters == {"n": 10, "k": 1}
         assert report.witness == BiPoly.var_p() * BiPoly.of(delta).derivative_t()
         for check in (check_coefficient_table, check_derivative_relation):
-            assert not check(10, g=bad).ok, check.__name__
+            assert not check(10).ok, check.__name__
 
-    def test_coefficient_table_sees_a_term_above_t_to_the_n(self):
+    def test_coefficient_table_sees_a_term_above_t_to_the_n(self, monkeypatch):
         # G_2 given an extra p*t^3/7: a power the table never reached at t^k, k <= n
         coeffs = list(g_via_bernoulli(8).coeffs)
         coeffs[2] = coeffs[2] + BiPoly({(1, 3): F(1, 7)})
-        bad = Series(tuple(coeffs))
-        assert json_canonical(check_coefficient_table(8, g=bad).to_json_dict()) == (
+        given(monkeypatch, Series(tuple(coeffs)))
+        assert json_canonical(check_coefficient_table(8).to_json_dict()) == (
             '{"check":"coefficient-table","parameters":{"k":3,"n":2},"status":"fail",'
             '"witness":{"terms":[{"den":"7","num":"1","p":1,"t":0}],"var_order":["p","t"]}}'
         )
         for check in (check_reflection, check_derivative_relation, check_shift_identity):
-            assert check(8, g=bad).status == "fail", check.__name__
+            assert check(8).status == "fail", check.__name__
 
-    def test_binomial_rule_checks_match_the_rules_read_directly(self):
+    def test_binomial_rule_checks_match_the_rules_read_directly(self, monkeypatch):
         # seeded perturbations: of G_0, above t^n, in p alone, several at once
         rng = random.Random(20261019)
         canonical = g_via_bernoulli(9).coeffs
@@ -258,10 +251,11 @@ class TestTheoremChecks:
                 term = {(rng.randint(0, 3), j): F(rng.choice((-3, -1, 1, 2)), rng.randint(1, 9))}
                 coeffs[m] = coeffs[m] + BiPoly(term)
             g = Series(tuple(coeffs))
+            given(monkeypatch, g)
             n_max = 0 if trial % 8 == 2 else rng.randint(0, 9)
             checks = (check_shift_identity, check_derivative_relation, check_coefficient_table)
             for check, expected in zip(checks, binomial_rule_reports(n_max, g)):
-                got = check(n_max, g=g)
+                got = check(n_max)
                 assert json_canonical(got.to_json_dict()) == json_canonical(
                     expected.to_json_dict()
                 ), (trial, check.__name__)
@@ -298,51 +292,54 @@ class TestPlantedDefects:
     def test_degree_collapse_reports_each_failed_degree(self, monkeypatch):
         # n <= p: G_2 at p = 3 of degree 1, not 2
         plant(monkeypatch, "coefficients", 2, lambda c: Poly.variable())
-        assert check_degree_collapse(3, 9) == CheckReport(
+        assert check_degree_collapse(3) == CheckReport(
             "degree-collapse", {"p": 3, "n": 2, "expected": 2}, BiPoly.var_t()
         )
         # past p: G_5 at p = 3 of degree 3, above n - p - 1 = 1
         cube = Poly((0, 0, 0, F(1, 1000)))
         plant(monkeypatch, "coefficients", 5, lambda c: c + cube)
         want = BiPoly.of(g_via_bernoulli(5)[5].eval_p(3) + cube)
-        assert check_degree_collapse(3, 9) == CheckReport(
+        assert check_degree_collapse(3) == CheckReport(
             "degree-collapse", {"p": 3, "n": 5, "bound": 1}, want
         )
         # even p: G_5 at p = 2 of degree 0 within the bound 2, not exactly 1
         plant(monkeypatch, "coefficients", 5, lambda c: Poly.one())
-        assert check_degree_collapse(2, 8) == CheckReport(
+        assert check_degree_collapse(2) == CheckReport(
             "degree-collapse", {"p": 2, "n": 5, "exact": 1}, BiPoly.one()
         )
         with pytest.raises(ValueError, match="need a positive integer power, got 0"):
-            check_degree_collapse(0, 8)
+            check_degree_collapse(0)
 
     def test_a_vanishing_coefficient_is_named_in_the_parameters(self, monkeypatch):
         # even p: G_4 at p = 2 must have degree exactly 0, and is zero
         plant(monkeypatch, "coefficients", 4, lambda c: Poly.zero())
-        assert check_degree_collapse(2, 8) == CheckReport(
+        assert check_degree_collapse(2) == CheckReport(
             "degree-collapse", {"p": 2, "n": 4, "exact": 0, "vanishes": True}, BiPoly.zero()
         )
         # n <= p: G_2 at p = 3 must have degree exactly 2, and is zero
         plant(monkeypatch, "coefficients", 2, lambda c: Poly.zero())
-        assert check_degree_collapse(3, 9) == CheckReport(
+        assert check_degree_collapse(3) == CheckReport(
             "degree-collapse", {"p": 3, "n": 2, "expected": 2, "vanishes": True}, BiPoly.zero()
         )
         # at t = 1/2, G_4 must have p-degree 2, and is zero there
         g = list(g_via_bernoulli(6))
         flat = g[:4] + [g[4] - BiPoly.of(g[4].eval_t(F(1, 2)))] + g[5:]
-        assert check_half_argument(6, g=Series(flat)) == CheckReport(
+        given(monkeypatch, Series(flat))
+        assert check_half_argument(6) == CheckReport(
             "half-argument", {"n": 4, "expected_degree": 2, "vanishes": True}, BiPoly.zero()
         )
 
-    def test_half_argument_reports_an_odd_order_and_a_p_degree(self):
+    def test_half_argument_reports_an_odd_order_and_a_p_degree(self, monkeypatch):
         g = list(g_via_bernoulli(6))
         odd = g[:3] + [g[3] + BiPoly.var_p() * F(1, 1000)] + g[4:]
-        assert check_half_argument(6, g=Series(odd)) == CheckReport(
+        given(monkeypatch, Series(odd))
+        assert check_half_argument(6) == CheckReport(
             "half-argument", {"n": 3}, BiPoly.var_p() * F(1, 1000)
         )
         cube = BiPoly.var_p() * BiPoly.var_p() * BiPoly.var_p() * F(1, 1000)
         deep = g[:4] + [g[4] + cube] + g[5:]
-        assert check_half_argument(6, g=Series(deep)) == CheckReport(
+        given(monkeypatch, Series(deep))
+        assert check_half_argument(6) == CheckReport(
             "half-argument", {"n": 4, "expected_degree": 2}, BiPoly.of(g[4].eval_t(F(1, 2))) + cube
         )
 
