@@ -180,14 +180,12 @@ def _suite_checks(suite: str, n_max: int) -> list[CheckReport]:
     from .identities import (
         CheckReport,
         bernoulli_identity,
-        check_coefficient_table,
+        check_appell,
         check_degree_collapse,
-        check_derivative_relation,
         check_even_p_vanishing,
         check_half_argument,
         check_reflection,
         check_route_agreement,
-        check_shift_identity,
     )
 
     checks: list[CheckReport] = []
@@ -211,9 +209,7 @@ def _suite_checks(suite: str, n_max: int) -> list[CheckReport]:
     if suite in ("all", "routes"):
         checks.append(check_route_agreement(n_max))
     if suite == "all":
-        checks.append(check_shift_identity(n_max))
-        checks.append(check_derivative_relation(n_max))
-        checks.append(check_coefficient_table(n_max))
+        checks += check_appell(n_max)
     return checks
 
 

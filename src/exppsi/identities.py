@@ -11,15 +11,15 @@ identically, and then its parameters say ``vanishes=True``. A check raises
 only on an order or power it cannot take, never on a failed comparison, so
 a run always yields a full report.
 
-The G_n are Appell in t, so three checks read R_n = dG_n/dt - (p+1-n) G_{n-1},
-G_{-1} = 0, from ``_residuals`` and build no binomial. Let T_k = d^k/dt^k / k!.
-If R_m = 0 for m < n, by induction the shift rule T_k G_m == C(p-m+k, k) G_{m-k}
-(0 past k = m) holds below n for every k, and at n-1 it gives
-T_k G_n - C(p-n+k, k) G_{n-k} = T_{k-1} R_n / k, also at t = 0, where it is
-the coefficient table. So row n holds exactly when R_n = 0, and both rules
-first fail at the first nonzero R_n: the shift rule at k = 1 with residual
-R_n, the table at k = j+1 with residual [t^j] R_n / (j+1), j the lowest
-power of t in R_n. By Taylor's theorem in t the shift rule is
+The G_n are Appell in t, so ``check_appell`` reads three rules off one pass
+over R_n = dG_n/dt - (p+1-n) G_{n-1}, G_{-1} = 0, and builds no binomial.
+Let T_k = d^k/dt^k / k!. If R_m = 0 for m < n, by induction the shift rule
+T_k G_m == C(p-m+k, k) G_{m-k} (0 past k = m) holds below n for every k, and
+at n-1 it gives T_k G_n - C(p-n+k, k) G_{n-k} = T_{k-1} R_n / k, also at
+t = 0, where it is the coefficient table. So row n holds exactly when R_n = 0,
+and both rules first fail at the first nonzero R_n: the shift rule at k = 1
+with residual R_n, the table at k = j+1 with residual [t^j] R_n / (j+1), j
+the lowest power of t in R_n. By Taylor's theorem in t the shift rule is
 G_n(p, s+t) == sum_k C(p-n+k, k) G_{n-k}(p, s) t^k for every s and t.
 
 The bundled reference tables (``reference_tables.json``) hold the values a
@@ -35,10 +35,9 @@ from __future__ import annotations
 import os
 from fractions import Fraction
 from functools import lru_cache
-from itertools import count
 from math import factorial
 from operator import index
-from typing import Iterator, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from .algebra import BiPoly, Poly, _dot, _render
 from .bernoulli import bernoulli_number
@@ -58,9 +57,7 @@ __all__ = [
     "check_degree_collapse",
     "check_reflection",
     "check_half_argument",
-    "check_shift_identity",
-    "check_derivative_relation",
-    "check_coefficient_table",
+    "check_appell",
     "check_route_agreement",
     "bernoulli_identity",
     "bernoulli_identity_terms",
@@ -196,44 +193,34 @@ def check_half_argument(n_max: int) -> CheckReport:
     return CheckReport.passed("half-argument", n_max=n_max)
 
 
-def _residuals(n_max: int) -> Iterator[tuple[int, BiPoly]]:
-    """(n, R_n) for n = 0..n_max, each one product by a linear factor."""
+def check_appell(n_max: int) -> tuple[CheckReport, CheckReport, CheckReport]:
+    """The shift-identity, derivative-relation and coefficient-table reports,
+    in the order ``verify`` prints them, from one pass over R_n for
+    n = 0..n_max. The shift rule T_k G_n == C(p-n+k, k) G_{n-k} and the
+    table [t^k] G_n == C(p-n+k, k) G_{n-k}(p, 0), 0 past k = n, hold for
+    every k >= 1 exactly when every R_n is 0, and report the first nonzero
+    R_n as the module docstring says. The derivative rule
+    dG_n/dt == (p + 1 - n) G_{n-1} is R_n == 0 for n >= 1; the pass stops
+    at its first failure."""
+    shift = table = None
     p, prev = BiPoly.var_p(), BiPoly.zero()
     for n, coeff in enumerate(g_via_bernoulli(n_max)):
-        yield n, coeff.derivative_t() - (p + BiPoly.constant(1 - n)) * prev
+        residual = coeff.derivative_t() - (p + BiPoly.constant(1 - n)) * prev
         prev = coeff
-
-
-def check_shift_identity(n_max: int) -> CheckReport:
-    """T_k G_n == C(p-n+k, k) G_{n-k} for every k >= 1: the shift rule for
-    every s and t. By the induction in the module docstring the first
-    failure is (n, k=1) at the first nonzero R_n, with witness R_n."""
-    for n, residual in _residuals(n_max):
-        if not residual.is_zero:
-            return CheckReport.failed("shift-identity", residual, n=n, k=1)
-    return CheckReport.passed("shift-identity", n_max=n_max)
-
-
-def check_derivative_relation(n_max: int) -> CheckReport:
-    """dG_n/dt == (p + 1 - n) G_{n-1}, that is R_n == 0, for n >= 1; with
-    the induction in the module docstring it gives the shift rule."""
-    for n, residual in _residuals(n_max):
-        if n and not residual.is_zero:
-            return CheckReport.failed("derivative-relation", residual, n=n)
-    return CheckReport.passed("derivative-relation", n_max=n_max)
-
-
-def check_coefficient_table(n_max: int) -> CheckReport:
-    """[t^k] G_n == C(p-n+k, k) G_{n-k}(p, 0) in p for every k >= 1, so a
-    term above t^n fails. By the induction in the module docstring the first
-    failure is (n, k=j+1) at the first nonzero R_n, j its lowest power of t,
-    with witness [t^j] R_n / (j+1)."""
-    for n, residual in _residuals(n_max):
-        if not residual.is_zero:
-            j = next(j for j in count() if not residual.coeff_of_t_power(j).is_zero)
+        if residual.is_zero:
+            continue
+        if shift is None:
+            shift = CheckReport.failed("shift-identity", residual, n=n, k=1)
+            j = min(j for _, j in residual.terms)
             witness = residual.coeff_of_t_power(j) * Fraction(1, j + 1)
-            return CheckReport.failed("coefficient-table", witness, n=n, k=j + 1)
-    return CheckReport.passed("coefficient-table", n_max=n_max)
+            table = CheckReport.failed("coefficient-table", witness, n=n, k=j + 1)
+        if n:
+            return shift, CheckReport.failed("derivative-relation", residual, n=n), table
+    return (
+        shift or CheckReport.passed("shift-identity", n_max=n_max),
+        CheckReport.passed("derivative-relation", n_max=n_max),
+        table or CheckReport.passed("coefficient-table", n_max=n_max),
+    )
 
 
 def check_route_agreement(n_max: int) -> CheckReport:

@@ -22,13 +22,11 @@ from exppsi.expansions import (
 from exppsi.identities import (
     bernoulli_identity,
     bernoulli_identity_terms,
-    check_coefficient_table,
+    check_appell,
     check_degree_collapse,
-    check_derivative_relation,
     check_even_p_vanishing,
     check_half_argument,
     check_reflection,
-    check_shift_identity,
     compare_reference_tables,
     errata_report,
 )
@@ -114,9 +112,7 @@ def test_criterion_3_theorem_suite():
             assert check_degree_collapse(p).ok, f"degrees failed at p={p}"
         assert check_reflection(15).ok
         assert check_half_argument(14).ok
-        assert check_shift_identity(10).ok
-        assert check_derivative_relation(12).ok
-        assert check_coefficient_table(12).ok
+        assert all(r.ok for r in check_appell(12))
         assert time.perf_counter() - start < 30.0
 
 

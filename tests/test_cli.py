@@ -264,6 +264,24 @@ class TestVerify:
             "0/1 checks passed",
         ]
 
+    def test_a_failed_appell_rule_prints_each_family_and_exits_1(self, capsys, monkeypatch):
+        # t/7 planted in G_0: R_0 = 1/7 fails the shift rule and the table
+        # at n = 0, and the derivative rule, which starts at n = 1, at n = 1
+        def bernoulli(n_max):
+            g = list(expansions.g_via_bernoulli(n_max))
+            g[0] = g[0] + BiPoly.var_t() * Fraction(1, 7)
+            return Series(g)
+
+        monkeypatch.setattr(identities, "g_via_bernoulli", bernoulli)
+        code, out, _ = run_cli(capsys, "verify", "--max-n", "8")
+        assert code == 1
+        assert out.splitlines()[-4:] == [
+            "FAIL shift-identity [k=1 n=0] residual: 1/7",
+            "FAIL derivative-relation [n=1] residual: -1/7*p*t",
+            "FAIL coefficient-table [k=1 n=0] residual: 1/7",
+            "17/22 checks passed",
+        ]
+
     def test_a_failed_product_identity_is_reported(self, monkeypatch):
         # t/1000 planted in the p^1 row of bucket[3], the table built past
         # every order read, so that no later bucket is built from it
@@ -560,7 +578,7 @@ print(peak() - before)
 
 
 # SHA-256 of the package's exported names, sorted and joined by spaces
-EXPORTED_SHA256 = "8187e67c276ca4241931705eca00fcb4f4924108682a74ed669287883ea0090d"
+EXPORTED_SHA256 = "d3a505f39e14556a136a7f1be5daf1727e1d5eb3ec86d48e9e1de663bb78ff9c"
 
 
 def test_every_exported_name_resolves():

@@ -16,14 +16,12 @@ from exppsi.identities import (
     ErrataEntry,
     bernoulli_identity,
     bernoulli_identity_terms,
-    check_coefficient_table,
+    check_appell,
     check_degree_collapse,
-    check_derivative_relation,
     check_even_p_vanishing,
     check_half_argument,
     check_reflection,
     check_route_agreement,
-    check_shift_identity,
     compare_reference_tables,
     errata_report,
 )
@@ -59,11 +57,11 @@ def given(monkeypatch, g: Series) -> None:
     monkeypatch.setattr(identities, "g_via_bernoulli", lambda n: Series(g[: n + 1]))
 
 
-def binomial_rule_reports(n_max: int, g: Series) -> list[CheckReport]:
+def binomial_rule_reports(n_max: int, g: Series) -> tuple[CheckReport, CheckReport, CheckReport]:
     """The shift, derivative and coefficient-table reports read off the
-    rules themselves, as a reference for the checks: C(p-n+k, k) is built
-    for k = 1..max(n, t-degree of G_n), each from the last, and compared
-    against d^k G_n/dt^k / k! and [t^k] G_n, 0 past k = n."""
+    rules themselves, as a reference for ``check_appell``: C(p-n+k, k) is
+    built for k = 1..max(n, t-degree of G_n), each from the last, and
+    compared against d^k G_n/dt^k / k! and [t^k] G_n, 0 past k = n."""
     g = Series(g.coeffs[: n_max + 1])
     shift = derivative = table = None
     for n, coeff in enumerate(g.coeffs):
@@ -82,11 +80,11 @@ def binomial_rule_reports(n_max: int, g: Series) -> list[CheckReport]:
             rhs = binom * g[n - k].coeff_of_t_power(0) if k <= n else Poly.zero("p")
             if table is None and lhs != rhs:
                 table = CheckReport.failed("coefficient-table", lhs - rhs, n=n, k=k)
-    return [
+    return (
         shift or CheckReport.passed("shift-identity", n_max=n_max),
         derivative or CheckReport.passed("derivative-relation", n_max=n_max),
         table or CheckReport.passed("coefficient-table", n_max=n_max),
-    ]
+    )
 
 
 def ordered_compositions(m: int) -> list[tuple[int, ...]]:
@@ -145,13 +143,7 @@ class TestTheoremChecks:
 
     @pytest.mark.parametrize(
         "check",
-        [
-            check_reflection,
-            check_half_argument,
-            check_shift_identity,
-            check_derivative_relation,
-            check_coefficient_table,
-        ],
+        [check_reflection, check_half_argument, check_appell],
         ids=lambda check: check.__name__,
     )
     def test_a_given_series_must_reach_the_order_checked(self, check):
@@ -166,39 +158,35 @@ class TestTheoremChecks:
         assert check_half_argument(12).ok
 
     def test_derivative_relation(self):
-        assert check_derivative_relation(10).ok
+        assert check_appell(10)[1].ok
 
     def test_coefficient_table(self):
-        assert check_coefficient_table(10).ok
+        assert check_appell(10)[2].ok
 
     def test_route_agreement(self):
         assert check_route_agreement(8).ok
 
     def test_corrupted_series_is_caught_with_witness(self, monkeypatch):
         given(monkeypatch, corrupted_series(8))
-        for check in (
-            check_reflection,
-            check_derivative_relation,
-            check_coefficient_table,
-            check_half_argument,
-        ):
-            report = check(8)
-            assert not report.ok, check.__name__
+        _, derivative, table = check_appell(8)
+        for report in (check_reflection(8), derivative, table, check_half_argument(8)):
+            assert not report.ok, report.check_name
             assert report.witness is not None
             assert not report.witness.is_zero
-            if check in (check_coefficient_table, check_half_argument):
+            if report.check_name in ("coefficient-table", "half-argument"):
                 # residuals of polynomials in p carry only p exponents
-                assert all(j == 0 for _, j in report.witness.terms), check.__name__
+                assert all(j == 0 for _, j in report.witness.terms), report.check_name
 
     def test_binomial_rule_checks_report_the_first_failure(self, monkeypatch):
         # G_2 carries an extra p*t/7: the t^1 coefficient of G_2, and so
         # dG_2/dt against C(p-1, 1) G_1, is off by p/7
         given(monkeypatch, corrupted_series(8))
-        assert json_canonical(check_coefficient_table(8).to_json_dict()) == (
+        shift, _, table = check_appell(8)
+        assert json_canonical(table.to_json_dict()) == (
             '{"check":"coefficient-table","parameters":{"k":1,"n":2},"status":"fail",'
             '"witness":{"terms":[{"den":"7","num":"1","p":1,"t":0}],"var_order":["p","t"]}}'
         )
-        assert json_canonical(check_shift_identity(8).to_json_dict()) == (
+        assert json_canonical(shift.to_json_dict()) == (
             '{"check":"shift-identity","parameters":{"k":1,"n":2},"status":"fail",'
             '"witness":{"terms":[{"den":"7","num":"1","p":1,"t":0}],"var_order":["p","t"]}}'
         )
@@ -219,24 +207,25 @@ class TestTheoremChecks:
         coeffs = list(g_via_bernoulli(10).coeffs)
         coeffs[10] = coeffs[10] + BiPoly.var_p() * BiPoly.of(delta)
         given(monkeypatch, Series(tuple(coeffs)))
-        report = check_shift_identity(10)
+        report, *others = check_appell(10)
         assert not report.ok
         assert report.parameters == {"n": 10, "k": 1}
         assert report.witness == BiPoly.var_p() * BiPoly.of(delta).derivative_t()
-        for check in (check_coefficient_table, check_derivative_relation):
-            assert not check(10).ok, check.__name__
+        for other in others:
+            assert not other.ok, other.check_name
 
     def test_coefficient_table_sees_a_term_above_t_to_the_n(self, monkeypatch):
         # G_2 given an extra p*t^3/7: a power the table never reached at t^k, k <= n
         coeffs = list(g_via_bernoulli(8).coeffs)
         coeffs[2] = coeffs[2] + BiPoly({(1, 3): F(1, 7)})
         given(monkeypatch, Series(tuple(coeffs)))
-        assert json_canonical(check_coefficient_table(8).to_json_dict()) == (
+        shift, derivative, table = check_appell(8)
+        assert json_canonical(table.to_json_dict()) == (
             '{"check":"coefficient-table","parameters":{"k":3,"n":2},"status":"fail",'
             '"witness":{"terms":[{"den":"7","num":"1","p":1,"t":0}],"var_order":["p","t"]}}'
         )
-        for check in (check_reflection, check_derivative_relation, check_shift_identity):
-            assert check(8).status == "fail", check.__name__
+        for report in (check_reflection(8), derivative, shift):
+            assert report.status == "fail", report.check_name
 
     def test_binomial_rule_checks_match_the_rules_read_directly(self, monkeypatch):
         # seeded perturbations: of G_0, above t^n, in p alone, several at once
@@ -253,20 +242,36 @@ class TestTheoremChecks:
             g = Series(tuple(coeffs))
             given(monkeypatch, g)
             n_max = 0 if trial % 8 == 2 else rng.randint(0, 9)
-            checks = (check_shift_identity, check_derivative_relation, check_coefficient_table)
-            for check, expected in zip(checks, binomial_rule_reports(n_max, g)):
-                got = check(n_max)
-                assert json_canonical(got.to_json_dict()) == json_canonical(
-                    expected.to_json_dict()
-                ), (trial, check.__name__)
-                seen[check.__name__].add(tuple(sorted(got.parameters.items())))
+            got = check_appell(n_max)
+            assert [json_canonical(r.to_json_dict()) for r in got] == [
+                json_canonical(r.to_json_dict()) for r in binomial_rule_reports(n_max, g)
+            ], trial
+            for report in got:
+                seen[report.check_name].add(tuple(sorted(report.parameters.items())))
         # the draws reach failures at G_0, at k past 1 and past n, and passes
         # at n_max = 0
-        table = [dict(params) for params in seen["check_coefficient_table"]]
+        table = [dict(params) for params in seen["coefficient-table"]]
         assert {1, 2, 3, 4} <= {params.get("k") for params in table}
         assert any(params["k"] > params["n"] for params in table if "k" in params)
-        assert (("k", 1), ("n", 0)) in seen["check_shift_identity"]
-        assert (("n_max", 0),) in seen["check_coefficient_table"]
+        assert (("k", 1), ("n", 0)) in seen["shift-identity"]
+        assert (("n_max", 0),) in seen["coefficient-table"]
+
+
+    def test_one_pass_builds_each_residual_once(self, monkeypatch):
+        # R_n is one derivative in t: 13 for G_0..G_12, not one per family
+        route = identities.g_via_bernoulli
+        route(12)
+        reads, calls = [], []
+        derivative_t = BiPoly.derivative_t
+        monkeypatch.setattr(BiPoly, "derivative_t", lambda c: calls.append(c) or derivative_t(c))
+        monkeypatch.setattr(identities, "g_via_bernoulli", lambda n: reads.append(n) or route(n))
+        assert all(report.ok for report in check_appell(12))
+        assert (len(calls), reads) == (13, [12])
+        # all three fail at the first nonzero R_n, here R_2, and the pass stops
+        calls.clear()
+        given(monkeypatch, corrupted_series(12))
+        assert not any(report.ok for report in check_appell(12))
+        assert len(calls) == 3
 
 
 class TestPlantedDefects:
