@@ -15,11 +15,13 @@ Four subcommands:
     reference values, optionally sweeping the sample size to estimate the
     empirical convergence order.
 
-This module renders every output format; the library returns values and
-reports as data. All data output goes to stdout and is byte-deterministic
-for fixed arguments; diagnostics go to stderr. Exit codes: 0 success,
-1 failed verification, 2 usage error, 141 (128 + SIGPIPE) when the reader
-closes stdout early.
+This module only parses arguments and renders every output format, and it
+imports no mpmath. The library returns values and reports as data, down to
+which checks a ``verify`` suite runs (``identities._suite_checks``) and
+which sweep samples are fitted (``numeric._fit``). All data output goes to
+stdout and is byte-deterministic for fixed arguments; diagnostics go to
+stderr. Exit codes: 0 success, 1 failed verification, 2 usage error, 141
+(128 + SIGPIPE) when the reader closes stdout early.
 
 Each command loads only the modules it runs. Every one loads ``algebra``,
 ``bernoulli`` and ``expansions``; beyond those:
@@ -42,14 +44,10 @@ import os
 import re
 import sys
 from fractions import Fraction
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import Optional, Sequence
 
 from .algebra import BiPoly, _render, _terms, json_canonical, parse_rational
 from .expansions import coefficients
-
-if TYPE_CHECKING:
-    from .identities import CheckReport
-    from .numeric import ApproxResult
 
 __all__ = ["main", "run"]
 
@@ -176,44 +174,9 @@ def _cmd_coeffs(args: argparse.Namespace, out) -> int:
 # verify subcommand
 
 
-def _suite_checks(suite: str, n_max: int) -> list[CheckReport]:
-    from .identities import (
-        CheckReport,
-        bernoulli_identity,
-        check_appell,
-        check_degree_collapse,
-        check_even_p_vanishing,
-        check_half_argument,
-        check_reflection,
-        check_route_agreement,
-    )
-
-    checks: list[CheckReport] = []
-    if suite in ("all", "even-p"):
-        for p in range(2, max(n_max, 2) + 1, 2):
-            checks.append(check_even_p_vanishing(p))
-    if suite in ("all", "degrees"):
-        for p in range(1, min(6, n_max) + 1):
-            checks.append(check_degree_collapse(p))
-    if suite in ("all", "reflection"):
-        checks.append(check_reflection(n_max))
-    if suite in ("all", "half"):
-        checks.append(check_half_argument(n_max))
-    if suite in ("all", "identity"):
-        for n in range(1, 7):
-            residual = bernoulli_identity(n)
-            if residual.is_zero:
-                checks.append(CheckReport.passed("bernoulli-product-identity", n=n))
-            else:
-                checks.append(CheckReport.failed("bernoulli-product-identity", residual, n=n))
-    if suite in ("all", "routes"):
-        checks.append(check_route_agreement(n_max))
-    if suite == "all":
-        checks += check_appell(n_max)
-    return checks
-
-
 def _cmd_verify(args: argparse.Namespace, out) -> int:
+    from .identities import _suite_checks
+
     checks = _suite_checks(args.suite, args.max_n)
     failures = sum(1 for c in checks if not c.ok)
     if args.format == "json":
@@ -314,29 +277,8 @@ def _cmd_errata(args: argparse.Namespace, out) -> int:
 # approx subcommand
 
 
-def _fit(samples: Sequence[ApproxResult], prec: int) -> Optional[Fraction]:
-    """Convergence order of the samples whose error is measurable, or None.
-
-    An error at most 2^8 times the rounding floor of the working precision,
-    2^-(prec+GUARD) times max(1, |value|), is rounding noise and is left out.
-    """
-    from mpmath import ldexp
-
-    from .numeric import GUARD, convergence_order
-
-    measurable = [
-        (r.n, r.abs_error)
-        for r in samples
-        if r.abs_error > ldexp(max(1, abs(r.value)), 8 - prec - GUARD)
-    ]
-    try:
-        return convergence_order(measurable)
-    except ValueError:
-        return None
-
-
 def _cmd_approx(args: argparse.Namespace, out) -> int:
-    from .numeric import approx_exp_psi, approx_gamma, approx_harmonic, format_mpf
+    from .numeric import _fit, approx_exp_psi, approx_gamma, approx_harmonic, format_mpf
 
     if args.p is None:
         args.p = Fraction(1)

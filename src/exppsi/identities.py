@@ -26,15 +26,15 @@ The bundled reference tables (``reference_tables.json``) hold the values a
 reader would look up, each with a status flag. Entries whose printed value
 disagrees with the canonical recomputation are shipped as ``erratum`` and
 surface in :func:`errata_report` with both values; they do not fail the
-build. The module returns reports and entries as data; the command line
-renders them.
+build. The module returns reports and entries as data, and
+``_suite_checks`` gives the reports of each ``verify`` suite; the command
+line renders them.
 """
 
 from __future__ import annotations
 
 import os
 from fractions import Fraction
-from functools import lru_cache
 from math import factorial
 from operator import index
 from typing import NamedTuple, Optional
@@ -281,9 +281,36 @@ def bernoulli_identity_terms(n: int) -> list[tuple[Fraction, tuple[int, ...]]]:
     return out
 
 
-@lru_cache(maxsize=1)
+def _suite_checks(suite: str, n_max: int) -> list[CheckReport]:
+    """The reports of ``verify --suite``, in the order it prints them."""
+    checks: list[CheckReport] = []
+    if suite in ("all", "even-p"):
+        for p in range(2, max(n_max, 2) + 1, 2):
+            checks.append(check_even_p_vanishing(p))
+    if suite in ("all", "degrees"):
+        for p in range(1, min(6, n_max) + 1):
+            checks.append(check_degree_collapse(p))
+    if suite in ("all", "reflection"):
+        checks.append(check_reflection(n_max))
+    if suite in ("all", "half"):
+        checks.append(check_half_argument(n_max))
+    if suite in ("all", "identity"):
+        for n in range(1, 7):
+            residual = bernoulli_identity(n)
+            if residual.is_zero:
+                checks.append(CheckReport.passed("bernoulli-product-identity", n=n))
+            else:
+                checks.append(CheckReport.failed("bernoulli-product-identity", residual, n=n))
+    if suite in ("all", "routes"):
+        checks.append(check_route_agreement(n_max))
+    if suite == "all":
+        checks += check_appell(n_max)
+    return checks
+
+
 def _reference_doc() -> dict:
-    # read beside this file: importlib.resources would import tempfile and random
+    # read beside this file: importlib.resources would import tempfile and
+    # random; parsed on each call, so no caller can edit another's entries
     import json
 
     path = os.path.join(os.path.dirname(__file__), "reference_tables.json")

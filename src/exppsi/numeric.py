@@ -66,7 +66,8 @@ is built. Counts and orders must be integers and points ints or Fractions,
 so no float enters an exact value.
 
 Results are returned as ``ApproxResult`` values and convergence orders as
-rationals; the command line renders them.
+rationals; the command line renders them, and ``_fit`` picks the samples a
+sweep fits. This is the only module that imports mpmath.
 
 mpmath is imported the first time one of these routines runs, not when this
 module is imported. The exact commands (``coeffs``, ``verify``,
@@ -79,7 +80,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from operator import index, mul
-from typing import NamedTuple, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 from .algebra import _over_one_den, _rational, _weights
 from .bernoulli import bernoulli_number
@@ -459,6 +460,23 @@ def convergence_order(points: Sequence[tuple[int, mpmath.mpf]]) -> Fraction:
     den = sum((a - mx) ** 2 for a in xs)
     slope = -num / den
     return Fraction(*mpmath.libmp.to_rational(slope._mpf_)).limit_denominator(10**6)
+
+
+def _fit(samples: Sequence[ApproxResult], prec: int) -> Optional[Fraction]:
+    """Convergence order of the samples whose error is measurable, or None.
+
+    An error at most 2^8 times the rounding floor of the working precision,
+    2^-(prec+GUARD) times max(1, |value|), is rounding noise and is left out.
+    """
+    measurable = [
+        (r.n, r.abs_error)
+        for r in samples
+        if r.abs_error > mpmath.ldexp(max(1, abs(r.value)), 8 - prec - GUARD)
+    ]
+    try:
+        return convergence_order(measurable)
+    except ValueError:
+        return None
 
 
 def format_mpf(value: mpmath.mpf, prec: int = 256) -> str:

@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface."""
 
+import ast
 import csv
 import hashlib
 import importlib
@@ -25,13 +26,12 @@ from exppsi.cli import (
     MAX_VERIFY_N,
     _build_parser,
     _errata_latex,
-    _suite_checks,
     main,
 )
 from exppsi import expansions, identities
 from exppsi.algebra import BiPoly, Poly
 from exppsi.expansions import Series
-from exppsi.identities import CheckReport, ErrataEntry, errata_report
+from exppsi.identities import CheckReport, ErrataEntry, _suite_checks, errata_report
 
 
 def run_cli(capsys, *argv):
@@ -527,6 +527,26 @@ def test_exact_commands_leave_mpmath_unloaded():
         ("errata", "--format", "csv"): {"exppsi.identities", "json", "csv"},
     }
     assert {argv: loaded_by(list(argv)) for argv in expected} == expected
+
+
+def test_only_numeric_imports_mpmath_and_cli_names_no_guard():
+    # cli parses and renders; mpmath, and the GUARD bits of the sweep fit's
+    # noise floor, belong to numeric
+    src = Path(exppsi.__file__).parent
+    importers = set()
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            if any(m.partition(".")[0] == "mpmath" for m in modules):
+                importers.add(path.name)
+    cli = ast.parse((src / "cli.py").read_text(encoding="utf-8"))
+    assert importers == {"numeric.py"}
+    assert "GUARD" not in {getattr(node, f, None) for node in ast.walk(cli) for f in ("id", "attr", "name")}
 
 
 def test_float_results_load_mpmath_and_match(capsys):

@@ -462,6 +462,17 @@ class TestReferenceTables:
             with pytest.raises(ValueError, match=f"not in {var},"):
                 _printed_value(entry, Poly.zero(var))
 
+    def test_editing_a_result_leaves_later_audits_alone(self):
+        # each audit reads its own copy of the bundled tables
+        want = errata_report()
+        entry = compare_reference_tables()[0]["entry"]
+        n, entry["n"] = entry["n"], 5
+        try:
+            assert errata_report() == want
+            assert compare_reference_tables()[0]["entry"]["n"] == n
+        finally:
+            entry["n"] = n
+
 
 class TestErrataReport:
     def test_statements_come_first_then_table_rows(self):

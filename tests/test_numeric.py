@@ -26,6 +26,8 @@ from exppsi.algebra import BiPoly, Poly
 from exppsi.cli import MAX_APPROX_N
 from exppsi.expansions import coefficients, g_via_compositions
 from exppsi.numeric import (
+    ApproxResult,
+    _fit,
     approx_exp_psi,
     approx_gamma,
     approx_harmonic,
@@ -831,6 +833,29 @@ class TestConvergenceOrder:
         with mp.workprec(2000):
             q = convergence_order([(n, mpf(1)), (n + 1, mpf(2))])
             assert abs(mpf(q.numerator) / q.denominator / n + mpmath.log(2)) < mpf(10) ** -100
+
+
+class TestFit:
+    # at 64 bits the floor of a value of magnitude 8 is 2^8 * 8 * 2^-(64+48)
+    FLOOR = mpf(2) ** -101
+
+    def samples(self, *errors):
+        return [ApproxResult(10 * 2**k, 4, mpf(8 * (-1) ** k), err) for k, err in enumerate(errors)]
+
+    def test_an_error_at_the_floor_is_left_out(self):
+        errors = [mpf(10) ** -4, mpf(20) ** -4, mpf(40) ** -4]
+        want = convergence_order([(r.n, r.abs_error) for r in self.samples(*errors)])
+        assert _fit(self.samples(*errors, self.FLOOR), 64) == want
+        assert _fit(self.samples(*errors, self.FLOOR), 64) != _fit(self.samples(*errors, self.FLOOR * 2), 64)
+
+    def test_an_error_just_above_the_floor_is_kept(self):
+        samples = self.samples(mpf(10) ** -4, self.FLOOR * (1 + mpf(2) ** -50))
+        assert _fit(samples, 64) == convergence_order([(r.n, r.abs_error) for r in samples])
+
+    def test_fewer_than_two_measurable_samples_fit_none(self):
+        assert _fit([], 64) is None
+        assert _fit(self.samples(mpf(10) ** -4), 64) is None
+        assert _fit(self.samples(mpf(10) ** -4, self.FLOOR, mpf(0)), 64) is None
 
 
 class TestRendering:
