@@ -30,8 +30,8 @@ Two more constructions of G_n must agree with the canonical one term for
 term:
 
 * ``g_via_power_transform``: raise the S series a_k to a symbolic power p
-  by the classical recurrence for g(x)^p (``_power``), two sums per order:
-      n b_n = (1+p) sum_{k=1}^{n} k a_k b_{n-k} - n sum_{k=1}^{n} a_k b_{n-k}.
+  by the classical recurrence for g(x)^p (``_power``), one dot per order:
+      n b_n = sum_{k=1}^{n} ((k-n) + k p) a_k b_{n-k}.
 * ``g_via_compositions``: the closed form
   (-1)^n G_n = sum_{r=1}^{n} ((-p)^r / r!) bucket[n][r],
   bucket[n][r] = sum_{k_1+...+k_r = n, k_i>=1} B_{k_1}(t)...B_{k_r}(t)/(k_1...k_r),
@@ -51,15 +51,15 @@ series, once both p and t are fixed.
 
 Caches: every series grows through one ``_grown(p, t, n_max)``, under one
 lock, as a prefix that only grows, so order N+1 extends order N instead of
-rebuilding it. Every prefix, the bivariate one included, keeps the beta_k
-it has read, so a longer series reads only the B_k(t) it lacks. The
-bivariate G_n (``_g``) and the composition table (``_compositions``) are
-pinned module lists; the table is a prefix too, as bucket[n] reads only the
-buckets below it, and a caller gets a copy of the list. A series with p, t or
-both fixed keeps its own prefix per fixed value in ``_prefix``, and the
-least recently used of them is dropped past 16 keys, so the cache does not
-grow with the number of points asked for. The power route is recomputed on
-every call from the cached S series.
+rebuilding it. Each prefix keeps the beta_k it has read, so a longer series
+reads only the B_k(t) it lacks. ``_prefix`` holds every prefix, one per
+(p, t) key with None where a variable is free, the bivariate G_n included,
+and drops the least recently used past ``_SERIES_KEYS`` keys, so the cache
+does not grow with the number of points asked for; one ``cache_clear()``
+resets them all. The composition table (``_compositions``) is a pinned
+module list and a prefix too, as bucket[n] reads only the buckets below it;
+a caller gets a copy of the list. The power route is recomputed on every
+call from the cached S series.
 """
 
 from __future__ import annotations
@@ -83,12 +83,10 @@ __all__ = [
 
 # guards every prefix below as it grows
 _lock = threading.Lock()
-# the bivariate G_0..G_N computed so far and the beta_k they read; both only grow
-_g: tuple[list[BiPoly], list[BiPoly]] = ([BiPoly.one()], [])
 # the composition table's rows so far; they only grow
 _compositions: list[BiPoly] = [BiPoly.one()]
 
-# how many series with p, t or both fixed ``_prefix`` keeps
+# how many series ``_prefix`` keeps, the bivariate one among them
 _SERIES_KEYS = 16
 
 
@@ -128,24 +126,24 @@ def _log_series(a: list, beta: Sequence, c) -> list:
 
 @lru_cache(maxsize=_SERIES_KEYS)
 def _prefix(p: Fraction | None, t: Fraction | None) -> tuple[list, list]:
-    """The terms a_0.. of the series at the fixed p, t or both (None where
-    the variable is free) and the beta_k they read; both lists only grow.
-    It is called under the lock, so each key has one pair."""
+    """The terms a_0.. of the series at the fixed p, t, both or neither
+    (None where the variable is free) and the beta_k they read; both lists
+    only grow. It is called under the lock, so each key has one pair."""
     if t is None:
-        return [Poly.one()], []
+        return [BiPoly.one() if p is None else Poly.one()], []
     return [Poly.one("p") if p is None else Fraction(1)], []
 
 
 def _grown(p: Fraction | None, t: Fraction | None, n_max: int) -> Series:
-    """The first n_max+1 terms of the series at the fixed p, t or both (None
-    where the variable is free): the pinned ``_g`` when both are free, else
-    ``_prefix(p, t)``. A short prefix reads only the B_k(t) it lacks, shapes
-    them as its beta_k (BiPolys, Polys in t, or values at t) and keeps them,
-    then extends its terms by ``_log_series`` with c = p."""
+    """The first n_max+1 terms of the series at the fixed p, t, both or
+    neither (None where the variable is free), kept in ``_prefix(p, t)``. A
+    short prefix reads only the B_k(t) it lacks, shapes them as its beta_k
+    (BiPolys, Polys in t, or values at t) and keeps them, then extends its
+    terms by ``_log_series`` with c = p."""
     if n_max < 0:
         raise ValueError("series order must be >= 0")
     with _lock:
-        a, beta = _g if p is None and t is None else _prefix(p, t)
+        a, beta = _prefix(p, t)
         if len(a) <= n_max:
             new = [bernoulli_poly(k) for k in range(len(beta), n_max + 1)]
             if t is not None:
@@ -163,15 +161,14 @@ def _grown(p: Fraction | None, t: Fraction | None, n_max: int) -> Series:
 
 def _power(a: Sequence[BiPoly]) -> list[BiPoly]:
     """b_0..b_N of (sum_k a_k x^-k)^p for a_0 = 1 and symbolic p, by the
-    recurrence in the module docstring, each k a_k formed once."""
-    p1 = BiPoly.var_p() + BiPoly.one()
-    ka = [a_k * k for k, a_k in enumerate(a)]
+    recurrence in the module docstring: each p a_k formed once, then per
+    order the weights ((k-n) + k p) a_k / n and one dot of them with
+    b_{n-1}..b_0."""
+    pa = [a_k * BiPoly.var_p() for a_k in a]
     b = [a[0]]
     for n in range(1, len(a)):
-        rest = b[::-1]
-        # b_n = ((1+p)/n) sum k a_k b_{n-k} - sum a_k b_{n-k}
-        sums = (_dot(ka[1 : n + 1], rest), _dot(a[1 : n + 1], rest))
-        b.append(_dot((p1 * Fraction(1, n), -1), sums))
+        w = [_dot((Fraction(k - n, n), Fraction(k, n)), (a[k], pa[k])) for k in range(1, n + 1)]
+        b.append(_dot(w, b[::-1]))
     return b
 
 
@@ -202,8 +199,8 @@ def _composition_table(n_max: int) -> list[BiPoly]:
 
 
 def _fold(n: int, bucket: BiPoly) -> BiPoly:
-    """G_n from bucket[n]: row r times (-1)^(n+r)/r!, in integers over n!.
-    The composition route and the product identity both read it."""
+    """G_n from bucket[n]: row r times (-1)^(n+r)/r!, in integers over n!,
+    for the composition route."""
     top = factorial(n)
     scale = [(-1) ** (n + r) * (top // factorial(r)) for r in range(len(bucket.rows))]
     return BiPoly._new([[c * x for x in row] for c, row in zip(scale, bucket.rows)], bucket.den * top, None)

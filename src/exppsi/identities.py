@@ -2,14 +2,15 @@
 
 Each check recomputes the expansion coefficients with exact arithmetic and
 compares both sides of an identity as polynomials. It takes only what
-``verify`` varies, an order or a power, and reads the series that ``coeffs``
-prints: ``g_via_bernoulli`` in p and t, or ``coefficients`` at a fixed p. So
-a test plants a defect by patching one of the names this module imports. A
-failed comparison produces a ``CheckReport`` carrying a witness: the nonzero
-residual, or the value whose degree is wrong. That value may vanish
-identically, and then its parameters say ``vanishes=True``. A check raises
-only on an order or power it cannot take, never on a failed comparison, so
-a run always yields a full report.
+``verify`` varies, an order or a power, and reads each series through its
+public name: ``g_via_bernoulli`` in p and t, ``coefficients`` at a fixed p,
+and the other two routes, the product identity reading the composition
+route. So a test plants a defect by patching one of the names this module
+imports. A failed comparison produces a ``CheckReport`` carrying a witness:
+the nonzero residual, or the value whose degree is wrong. That value may
+vanish identically, and then its parameters say ``vanishes=True``. A check
+raises only on an order or power it cannot take, never on a failed
+comparison, so a run always yields a full report.
 
 The G_n are Appell in t, so ``check_appell`` reads three rules off one pass
 over R_n = dG_n/dt - (p+1-n) G_{n-1}, G_{-1} = 0, and builds no binomial.
@@ -41,14 +42,7 @@ from typing import NamedTuple, Optional
 
 from .algebra import BiPoly, Poly, _dot, _render
 from .bernoulli import bernoulli_number
-from .expansions import (
-    _composition_table,
-    _fold,
-    coefficients,
-    g_via_bernoulli,
-    g_via_compositions,
-    g_via_power_transform,
-)
+from .expansions import coefficients, g_via_bernoulli, g_via_compositions, g_via_power_transform
 
 __all__ = [
     "CheckReport",
@@ -242,12 +236,12 @@ def bernoulli_identity(n: int) -> Poly:
         sum_{r=1}^{2n+1} ((-2n)^r / r!)
             sum_{k_1+...+k_r = 2n+1} B_{k_1}(t)...B_{k_r}(t)/(k_1...k_r)
 
-    which must be the zero polynomial. It is -G_{2n+1}(2n, t), folded from
-    the composition table as the composition route folds it.
+    which must be the zero polynomial. It is -G_{2n+1}(2n, t) read off the
+    composition route, ``g_via_compositions``.
     """
     if n < 1:
         raise ValueError("identity index starts at 1")
-    return -_fold(2 * n + 1, _composition_table(2 * n + 1)[-1]).eval_p(2 * n)
+    return -g_via_compositions(2 * n + 1)[-1].eval_p(2 * n)
 
 
 def _partitions(total: int, max_part: int):

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exppsi import algebra, bernoulli, expansions
+from exppsi import algebra, bernoulli, expansions, identities
 from exppsi.algebra import BiPoly, Poly, _values_at
 from exppsi.bernoulli import bernoulli_poly
 from exppsi.cli import main
@@ -159,12 +159,32 @@ class TestPowerTransform:
             p * p * p * F(125, 6) - p * p * F(55, 2) + p * F(20, 3),
         ]
 
+    def test_each_order_is_one_dot_over_the_earlier_terms(self, monkeypatch):
+        # b_n = sum_k ((k-n) + k p) a_k b_{n-k} / n: one kernel call per order
+        # whose right operands are b_{n-1}, ..., b_0, its left operands each
+        # formed from a_k and p a_k
+        a = [BiPoly.of(c) for c in coefficients("s", 8)]
+        want = _power(a)
+        calls, dot = [], expansions._dot
+
+        def spy_dot(xs, ys):
+            calls.append((tuple(xs), tuple(ys)))
+            return dot(xs, ys)
+
+        monkeypatch.setattr(expansions, "_dot", spy_dot)
+        assert _power(a) == want
+        steps = [(n, xs) for n in range(1, 9) for xs, ys in calls if ys == tuple(want[n - 1 :: -1])]
+        assert [n for n, _ in steps] == list(range(1, 9))
+        p = BiPoly.var_p()
+        for n, xs in steps:
+            assert xs == tuple((p * k + BiPoly.constant(k - n)) * a[k] * F(1, n) for k in range(1, n + 1)), n
+
 
 class TestExponentialSeries:
-    def test_three_routes_agree(self, monkeypatch):
+    def test_three_routes_agree(self):
         # from an empty G cache, order 12 extends order 10 and order 10 is a prefix of 12
         for orders in ((8,), (10, 12), (12, 10)):
-            monkeypatch.setattr(expansions, "_g", ([BiPoly.one()], []))
+            expansions._prefix.cache_clear()
             for n_max in orders:
                 a = g_via_power_transform(n_max)
                 b = g_via_bernoulli(n_max)
@@ -212,7 +232,7 @@ class TestExponentialSeries:
             rows = capsys.readouterr().out.splitlines()[1:]
             assert rows == [f"{n},{c.eval(p0, t0)}" for n, c in enumerate(g.coeffs)]
 
-    def test_concurrent_calls_grow_one_consistent_prefix(self, monkeypatch):
+    def test_concurrent_calls_grow_one_consistent_prefix(self):
         # the bivariate series, S_n, the point series and a series at fixed
         # t, each grown from empty by threads asking for mixed orders
         want_g = g_via_bernoulli(9).coeffs
@@ -221,7 +241,6 @@ class TestExponentialSeries:
             ("g", P0, T0): tuple(c.eval(P0, T0) for c in want_g),
             ("g", None, T0): tuple(c.eval_t(T0) for c in want_g),
         }
-        monkeypatch.setattr(expansions, "_g", ([BiPoly.one()], []))
         expansions._prefix.cache_clear()
         results = []
 
@@ -247,8 +266,7 @@ class TestExponentialSeries:
             assert g == want_g[: n + 1], n
             for key, coeffs in series.items():
                 assert coeffs == want[key][: n + 1], (n, key)
-        assert len(expansions._g[0]) == 10
-        for p, t in ((1, None), (P0, T0), (None, T0)):
+        for p, t in ((None, None), (1, None), (P0, T0), (None, T0)):
             assert len(expansions._prefix(p, t)[0]) == 10, (p, t)
 
     def test_even_power_column_terminates(self):
@@ -309,16 +327,17 @@ class TestSerialization:
 
 
 class TestPrefixCaches:
-    """Each series with p, t or both fixed, and the composition table, is a
-    prefix that a higher order extends in place; the keys are bounded."""
+    """Each series, the bivariate one included, and the composition table, is
+    a prefix that a higher order extends in place; the keys are bounded."""
 
-    SHAPES = (("g", P0, T0), ("g", P0, None), ("s", None, None), ("g", None, T0), ("s", None, T0))
+    SHAPES = (
+        ("g", None, None), ("g", P0, T0), ("g", P0, None), ("s", None, None), ("g", None, T0), ("s", None, T0),
+    )
 
     def test_growing_orders_run_each_step_once(self, monkeypatch):
         # every shape, the bivariate series included, grown from empty: each
         # order is one step of the recurrence, and each B_k(t) is read once
         expansions._prefix.cache_clear()
-        monkeypatch.setattr(expansions, "_g", ([BiPoly.one()], []))
         steps, read = [], []
         dot, poly = expansions._dot, expansions.bernoulli_poly
 
@@ -332,7 +351,7 @@ class TestPrefixCaches:
 
         monkeypatch.setattr(expansions, "_dot", spy_dot)
         monkeypatch.setattr(expansions, "bernoulli_poly", spy_poly)
-        for kind, p, t in (("g", None, None),) + self.SHAPES:
+        for kind, p, t in self.SHAPES:
             for order in range(2, 11, 2):
                 coefficients(kind, order, p, t)
             # each built from G_0 would take 2 + 4 + ... + 10 = 30 steps
@@ -354,6 +373,25 @@ class TestPrefixCaches:
             assert coefficients(shape[0], 12, *shape[1:]) == warm[shape], shape
         cold = expansions._composition_table(12)
         assert cold == rows and all(a is not b for a, b in zip(cold[1:], rows[1:]))
+
+    def test_a_small_cache_still_grows_the_bivariate_series_once(self, monkeypatch):
+        # in a cache of 4 keys the even-p and degree-collapse series evict
+        # each other, but verify reads each of them before the bivariate
+        # series, and then only S_n beside it
+        want = identities._suite_checks("all", 12)
+        small = lru_cache(maxsize=4)(expansions._prefix.__wrapped__)
+        monkeypatch.setattr(expansions, "_prefix", small)
+        grown, log_series = [], expansions._log_series
+
+        def spy(a, beta, c):
+            if isinstance(c, BiPoly):
+                grown.append(len(a))
+            return log_series(a, beta, c)
+
+        monkeypatch.setattr(expansions, "_log_series", spy)
+        assert identities._suite_checks("all", 12) == want
+        assert grown == [1]
+        assert small.cache_info().misses > small.cache_info().maxsize
 
     def test_the_keys_are_bounded(self):
         bound = expansions._prefix.cache_info().maxsize
@@ -591,7 +629,6 @@ class TestDifferenceReference:
         polys = list(bernoulli._polys)
         polys[5] = polys[5] + Poly((F(1, 1000),))
         monkeypatch.setattr(bernoulli, "_polys", polys)
-        monkeypatch.setattr(expansions, "_g", ([BiPoly.one()], []))
         expansions._prefix.cache_clear()
         try:
             p, t = seeded_points(1)[0]

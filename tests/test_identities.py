@@ -294,6 +294,19 @@ class TestPlantedDefects:
             "route-agreement", {"n": 3, "routes": routes}, BiPoly.var_p() * BiPoly.var_t() * F(1, 7)
         )
 
+    def test_the_product_identity_reads_the_composition_route(self, monkeypatch):
+        # p t/1000 planted in G_3 of the composition route: the identity of
+        # n = 1 is -G_3(2, t), so it gains -2t/1000
+        pt = BiPoly.var_p() * BiPoly.var_t() * F(1, 1000)
+        plant(monkeypatch, "g_via_compositions", 3, lambda c: c + pt)
+        assert identities._suite_checks("identity", 12) == [
+            CheckReport.failed("bernoulli-product-identity", Poly.variable() * F(-1, 500), n=1),
+            *(CheckReport.passed("bernoulli-product-identity", n=n) for n in range(2, 7)),
+        ]
+        assert check_route_agreement(6) == CheckReport(
+            "route-agreement", {"n": 3, "routes": "compositions/bernoulli"}, pt
+        )
+
     def test_even_power_vanishing_fails_on_a_nonzero_term(self, monkeypatch):
         plant(monkeypatch, "coefficients", 3, lambda c: c + Poly.variable() * F(1, 1000))
         assert check_even_p_vanishing(2) == CheckReport(

@@ -22,7 +22,7 @@ from mpmath import mp, mpf
 from mpmath.libmp import from_int, from_rational, mpf_euler, round_ceiling, round_floor, round_nearest, to_rational
 
 from exppsi import bernoulli, expansions, numeric
-from exppsi.algebra import BiPoly, Poly
+from exppsi.algebra import Poly
 from exppsi.cli import MAX_APPROX_N
 from exppsi.expansions import coefficients, g_via_compositions
 from exppsi.numeric import (
@@ -772,14 +772,14 @@ class TestApproximations:
                 approx(1, 28, t=F(1, 2))
             assert str(excinfo.value) == "the expansion of order 28 is negative at x = n + 1 - t = 3/2, so it has no log"
 
-    def test_no_bivariate_series_is_built(self, monkeypatch):
+    def test_no_bivariate_series_is_built(self):
         # the approximants read the point series G_n(p, t); the cache of
         # bivariate G_n stays as it starts
-        monkeypatch.setattr(expansions, "_g", ([BiPoly.one()], []))
+        expansions._prefix.cache_clear()
         approx_gamma(20, 6)
         approx_harmonic(20, 6, t=F(1, 2))
         approx_exp_psi(20, 6, p=F(2, 3), t=F(5, 4))
-        assert len(expansions._g[0]) == 1
+        assert len(expansions._prefix(None, None)[0]) == 1
 
     def test_nonpositive_point_fails_before_any_series(self, monkeypatch):
         def no_series(*args):
