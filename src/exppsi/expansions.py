@@ -53,13 +53,13 @@ Caches: every series grows through one ``_grown(p, t, n_max)``, under one
 lock, as a prefix that only grows, so order N+1 extends order N instead of
 rebuilding it. Each prefix keeps the beta_k it has read, so a longer series
 reads only the B_k(t) it lacks. ``_prefix`` holds every prefix, one per
-(p, t) key with None where a variable is free, the bivariate G_n included,
-and drops the least recently used past ``_SERIES_KEYS`` keys, so the cache
+(recurrence, p, t) key with None where a variable is free: each
+``_log_series`` prefix, the bivariate G_n included, and the composition
+table with its weights w_k, as bucket[n] reads only the buckets below it.
+It drops the least recently used past ``_SERIES_KEYS`` keys, so the cache
 does not grow with the number of points asked for; one ``cache_clear()``
-resets them all. The composition table (``_compositions``) is a pinned
-module list and a prefix too, as bucket[n] reads only the buckets below it;
-a caller gets a copy of the list. The power route is recomputed on every
-call from the cached S series.
+resets them all, and a caller gets a copy of a prefix. The power route is
+recomputed on every call from the cached S series.
 """
 
 from __future__ import annotations
@@ -83,10 +83,8 @@ __all__ = [
 
 # guards every prefix below as it grows
 _lock = threading.Lock()
-# the composition table's rows so far; they only grow
-_compositions: list[BiPoly] = [BiPoly.one()]
 
-# how many series ``_prefix`` keeps, the bivariate one among them
+# how many prefixes ``_prefix`` keeps, the composition table among them
 _SERIES_KEYS = 16
 
 
@@ -125,10 +123,10 @@ def _log_series(a: list, beta: Sequence, c) -> list:
 
 
 @lru_cache(maxsize=_SERIES_KEYS)
-def _prefix(p: Fraction | None, t: Fraction | None) -> tuple[list, list]:
-    """The terms a_0.. of the series at the fixed p, t, both or neither
-    (None where the variable is free) and the beta_k they read; both lists
-    only grow. It is called under the lock, so each key has one pair."""
+def _prefix(route: str, p: Fraction | None, t: Fraction | None) -> tuple[list, list]:
+    """The terms of the recurrence ("log" or "compositions") at the fixed p,
+    t, both or neither (None where free) and the beta_k or w_k they read;
+    both lists only grow. Called under the lock, each key has one pair."""
     if t is None:
         return [BiPoly.one() if p is None else Poly.one()], []
     return [Poly.one("p") if p is None else Fraction(1)], []
@@ -136,14 +134,14 @@ def _prefix(p: Fraction | None, t: Fraction | None) -> tuple[list, list]:
 
 def _grown(p: Fraction | None, t: Fraction | None, n_max: int) -> Series:
     """The first n_max+1 terms of the series at the fixed p, t, both or
-    neither (None where the variable is free), kept in ``_prefix(p, t)``. A
-    short prefix reads only the B_k(t) it lacks, shapes them as its beta_k
+    neither (None where free), kept in ``_prefix("log", p, t)``. A short
+    prefix reads only the B_k(t) it lacks, shapes them as its beta_k
     (BiPolys, Polys in t, or values at t) and keeps them, then extends its
     terms by ``_log_series`` with c = p."""
     if n_max < 0:
         raise ValueError("series order must be >= 0")
     with _lock:
-        a, beta = _prefix(p, t)
+        a, beta = _prefix("log", p, t)
         if len(a) <= n_max:
             new = [bernoulli_poly(k) for k in range(len(beta), n_max + 1)]
             if t is not None:
@@ -185,16 +183,17 @@ def g_via_bernoulli(n_max: int) -> Series:
 def _composition_table(n_max: int) -> list[BiPoly]:
     """bucket[n] for n = 0..n_max, q^r bucket[n][r] summed over r as one
     BiPoly with q in the place of p: bucket[0] = 1 and bucket[n] =
-    sum_{k=1}^{n} w_k bucket[n-k], one dot per order, w_k = q B_k(t)/k."""
+    sum_{k=1}^{n} w_k bucket[n-k], one dot per order, w_k = q B_k(t)/k.
+    As in ``_grown``, the w_k it lacks are read and kept first, then the rows."""
     if n_max < 0:
         raise ValueError("composition order must be >= 0")
     with _lock:
-        table = _compositions
-        if len(table) <= n_max:
-            polys = [bernoulli_poly(k) for k in range(1, n_max + 1)]
-            w = [BiPoly._new([(), b.nums], b.den * k, None) for k, b in enumerate(polys, 1)]
-            for n in range(len(table), n_max + 1):
-                table.append(_dot(w[:n], table[::-1]))
+        table, w = _prefix("compositions", None, None)
+        for k in range(len(w) + 1, n_max + 1):
+            b = bernoulli_poly(k)
+            w.append(BiPoly._new([(), b.nums], b.den * k, None))
+        for n in range(len(table), n_max + 1):
+            table.append(_dot(w[:n], table[::-1]))
         return table[: n_max + 1]
 
 

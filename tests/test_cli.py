@@ -2,6 +2,7 @@
 
 import ast
 import csv
+import functools
 import hashlib
 import importlib
 import json
@@ -283,11 +284,13 @@ class TestVerify:
         ]
 
     def test_a_failed_product_identity_is_reported(self, monkeypatch):
-        # t/1000 planted in the p^1 row of bucket[3], the table built past
-        # every order read, so that no later bucket is built from it
-        table = list(expansions._composition_table(13))
+        # t/1000 planted in the p^1 row of bucket[3] of a test-scoped cache,
+        # the table built past every order read, so that no later bucket is
+        # built from it
+        monkeypatch.setattr(expansions, "_prefix", functools.lru_cache(expansions._prefix.__wrapped__))
+        expansions._composition_table(13)
+        table = expansions._prefix("compositions", None, None)[0]
         table[3] = table[3] + BiPoly.var_p() * BiPoly.var_t() * Fraction(1, 1000)
-        monkeypatch.setattr(expansions, "_compositions", table)
         # the planted t/1000 in bucket[3][1] weighs (-2)^1/1!
         assert _suite_checks("identity", 12) == [
             CheckReport.failed("bernoulli-product-identity", Poly.variable() * Fraction(-1, 500), n=1),

@@ -267,7 +267,7 @@ class TestExponentialSeries:
             for key, coeffs in series.items():
                 assert coeffs == want[key][: n + 1], (n, key)
         for p, t in ((None, None), (1, None), (P0, T0), (None, T0)):
-            assert len(expansions._prefix(p, t)[0]) == 10, (p, t)
+            assert len(expansions._prefix("log", p, t)[0]) == 10, (p, t)
 
     def test_even_power_column_terminates(self):
         # for p = 2 the coefficient at order p+1 vanishes identically in t
@@ -363,12 +363,11 @@ class TestPrefixCaches:
             coefficients(kind, 9, p, t)
             assert steps == read == [], (kind, p, t)
 
-    def test_a_cold_build_equals_the_cached_one(self, monkeypatch):
+    def test_a_cold_build_equals_the_cached_one(self):
         for order in (3, 7, 12):
             warm = {shape: coefficients(shape[0], order, *shape[1:]) for shape in self.SHAPES}
             rows = _composition_table(order)
         expansions._prefix.cache_clear()
-        monkeypatch.setattr(expansions, "_compositions", [BiPoly.one()])
         for shape in self.SHAPES:
             assert coefficients(shape[0], 12, *shape[1:]) == warm[shape], shape
         cold = expansions._composition_table(12)
@@ -403,32 +402,72 @@ class TestPrefixCaches:
         # the evicted first key is built again, to the same values
         assert coefficients("g", 3, t=F(0)).coeffs == tuple(c.eval_t(0) for c in g.coeffs)
 
-    def test_the_composition_table_is_built_once(self, monkeypatch):
-        monkeypatch.setattr(expansions, "_compositions", [BiPoly.one()])
+    def test_the_composition_table_is_built_once(self):
+        expansions._prefix.cache_clear()
         # as verify asks: the product identity at orders 3, 5, ..., 13,
         # then the composition route through 12
         rows = [_composition_table(2 * n + 1)[2 * n + 1] for n in range(1, 7)]
         g_via_compositions(12)
-        table = expansions._compositions
+        table = expansions._prefix("compositions", None, None)[0]
         assert len(table) == 14
         assert all(row is table[2 * n + 1] for n, row in enumerate(rows, 1))
 
     def test_each_order_of_the_composition_table_is_one_dot(self, monkeypatch):
         # bucket[n] = w_1 bucket[n-1] + ... + w_n bucket[0] is one kernel
-        # call over every part count at once, and the fold calls none
-        monkeypatch.setattr(expansions, "_compositions", [BiPoly.one()])
+        # call over every part count at once, and the fold calls none; the
+        # table keeps the weights q B_k(t)/k it has read, as each log-series
+        # prefix keeps its beta_k, so it reads only the new B_n(t)
+        expansions._prefix.cache_clear()
         _composition_table(10)
-        steps, dot = [], expansions._dot
+        steps, read = [], []
+        dot, poly = expansions._dot, expansions.bernoulli_poly
 
         def spy_dot(xs, ys):
             steps.append(len(xs))
             return dot(xs, ys)
 
+        def spy_poly(k):
+            read.append(k)
+            return poly(k)
+
         monkeypatch.setattr(expansions, "_dot", spy_dot)
+        monkeypatch.setattr(expansions, "bernoulli_poly", spy_poly)
         _composition_table(12)
-        assert steps == [11, 12]
+        assert steps == read == [11, 12]
         g_via_compositions(12)
-        assert steps == [11, 12]
+        assert steps == read == [11, 12]
+
+    def test_a_growth_cut_short_is_finished_by_the_next_call(self, monkeypatch):
+        # an order that fails in its dot keeps the weights it read, and the
+        # next call builds its row from them, not from a shifted list
+        want = _composition_table(12)
+        expansions._prefix.cache_clear()
+        _composition_table(10)
+        dot = expansions._dot
+
+        def failing_dot(xs, ys):
+            monkeypatch.setattr(expansions, "_dot", dot)
+            raise MemoryError
+
+        monkeypatch.setattr(expansions, "_dot", failing_dot)
+        with pytest.raises(MemoryError):
+            _composition_table(12)
+        assert _composition_table(12) == want
+
+    def test_an_evicted_composition_table_is_built_again(self, monkeypatch):
+        # in a cache of 2 keys two fixed-p series evict the table, which
+        # then grows again from bucket[0] to the same rows
+        small = lru_cache(maxsize=2)(expansions._prefix.__wrapped__)
+        monkeypatch.setattr(expansions, "_prefix", small)
+        first = _composition_table(12)
+        cached = small("compositions", None, None)[0]
+        coefficients("g", 12, p=P0)
+        coefficients("g", 12, p=F(3, 2))
+        again = _composition_table(12)
+        assert again == first
+        assert small("compositions", None, None)[0] is not cached
+        assert all(a is not b for a, b in zip(again[1:], first[1:]))
+        assert identities.check_route_agreement(12).ok
 
     def test_mutating_the_returned_table_leaves_the_cache_unchanged(self):
         table = _composition_table(4)

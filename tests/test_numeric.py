@@ -779,7 +779,7 @@ class TestApproximations:
         approx_gamma(20, 6)
         approx_harmonic(20, 6, t=F(1, 2))
         approx_exp_psi(20, 6, p=F(2, 3), t=F(5, 4))
-        assert len(expansions._prefix(None, None)[0]) == 1
+        assert len(expansions._prefix("log", None, None)[0]) == 1
 
     def test_nonpositive_point_fails_before_any_series(self, monkeypatch):
         def no_series(*args):
